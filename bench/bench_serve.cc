@@ -8,8 +8,8 @@
 //      grows, against the full re-verification it replaces (sublinear in N:
 //      the incremental path touches only the updated row's classes).
 //   3. closed-loop load — a sweep of client counts (12/32/128/256, capped
-//      by --clients), each point a fresh server with sharded executors and
-//      bounded waiting: client-observed p50/p95/p99 latency plus 503
+//      by --clients), each point a fresh server with per-session strands
+//      and bounded waiting: client-observed p50/p95/p99 latency plus 503
 //      rejections. The `hw` column records the machine's hardware
 //      concurrency so the CI gate can arm its rejection/p99 floors only on
 //      capable runners (tools/bench_gate.py).
@@ -185,7 +185,7 @@ int main(int argc, char** argv) {
   {
     Instance inst = WriteInstance(dir, rows / 4, seed + 99);
     const int hw = ThreadPool::DefaultThreads();
-    Table table({"clients", "queue_depth", "shards", "hw", "sent", "ok",
+    Table table({"clients", "queue_depth", "hw", "sent", "ok",
                  "rejected_503", "p50_ms", "p95_ms", "p99_ms"});
     std::printf("[3] closed-loop load over TCP (every request answered: "
                 "ok + 503 = sent)\n\n");
@@ -239,8 +239,7 @@ int main(int argc, char** argv) {
         if (ms > 0) sorted.push_back(ms);
       }
       std::sort(sorted.begin(), sorted.end());
-      table.AddRow({Fmt("%d", point), Fmt("%d", queue_depth),
-                    Fmt("%d", server.shard_count()), Fmt("%d", hw),
+      table.AddRow({Fmt("%d", point), Fmt("%d", queue_depth), Fmt("%d", hw),
                     Fmt("%d", point * requests), Fmt("%d", ok.load()),
                     Fmt("%d", rejected.load()),
                     Fmt("%.3f", Quantile(sorted, 0.50)),

@@ -15,12 +15,15 @@ void TaskGroup::Submit(std::function<void(int)> fn) {
 }
 
 void TaskGroup::OnTaskDone() {
+  // Read pool_ before the decrement: once pending_ can reach zero, Wait()
+  // may return and the group (often a stack object) be destroyed.
+  ThreadPool* pool = pool_;
   pending_.fetch_sub(1, std::memory_order_acq_rel);
   // Every completion (not just the last) wakes sleepers: an ordered-reduce
   // consumer may be waiting on one specific block's flag, and a nested
   // waiter may now find a newly stealable task. Tasks are coarse, so one
   // notify per completion is cheap.
-  pool_->NotifyStateChange();
+  pool->NotifyStateChange();
 }
 
 void TaskGroup::Wait() {

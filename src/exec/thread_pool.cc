@@ -78,7 +78,7 @@ void ThreadPool::Enqueue(TaskGroup* group, std::function<void(int)> fn) {
 
 bool ThreadPool::TryGetTask(int self, const TaskGroup* only_group, Task* out) {
   FASTOFD_CHECK(self >= 0 && self < num_threads_);
-  const size_t shard_count = static_cast<size_t>(num_threads_) + 1;
+  const size_t num_shards = static_cast<size_t>(num_threads_) + 1;
   // Own deque first, newest task first (LIFO): a nested wait finds the
   // subtasks it just pushed while they are still hot in cache.
   {
@@ -98,8 +98,8 @@ bool ThreadPool::TryGetTask(int self, const TaskGroup* only_group, Task* out) {
   // of externally submitted work, not a steal — only tasks lifted from
   // another worker's deque count, so the stolen/executed ratio measures how
   // much the scheduler actually rebalanced.
-  for (size_t off = 1; off < shard_count; ++off) {
-    const size_t victim_index = (static_cast<size_t>(self) + off) % shard_count;
+  for (size_t off = 1; off < num_shards; ++off) {
+    const size_t victim_index = (static_cast<size_t>(self) + off) % num_shards;
     Shard& victim = ShardAt(victim_index);
     MutexLock lock(victim.mu);
     for (auto it = victim.tasks.begin(); it != victim.tasks.end(); ++it) {

@@ -52,7 +52,7 @@ class IncrementalVerifier {
 
   /// Total violating classes across Σ. Safe to read lock-free (relaxed
   /// atomic): the service's `list`/`stats` ops sample it while an exclusive
-  /// writer on another executor shard may be mid-update, so the value is a
+  /// writer of this session may be mid-update, so the value is a
   /// point-in-time snapshot, not a fence.
   int total_violating() const {
     return total_violating_.load(std::memory_order_relaxed);

@@ -29,7 +29,7 @@ class ServiceClient {
   /// Sends one request line and blocks for the next response line. Safe
   /// with a single outstanding request (the next line must answer it), but
   /// pipelining clients should match responses to requests by `id`: the
-  /// sharded executor preserves per-session FIFO for mutating ops, while
+  /// per-session strands preserve FIFO for mutating ops, while
   /// rejections, shed 503s, and concurrent snapshot reads (verify/discover)
   /// may complete out of order relative to other outstanding requests.
   Result<Json> Call(const Json& request);

@@ -13,20 +13,23 @@
 #ifndef FASTOFD_SERVICE_PROTOCOL_H_
 #define FASTOFD_SERVICE_PROTOCOL_H_
 
+#include <cstddef>
 #include <string>
 
 namespace fastofd {
 
 /// HTTP-flavoured error codes carried in failure responses.
 enum ServiceCode {
-  kCodeBadRequest = 400,       // Malformed JSON / missing or invalid fields.
+  kCodeBadRequest = 400,       // Malformed JSON / missing or invalid fields,
+                               // or a request line over kMaxRequestLineBytes
+                               // (the server then closes the connection).
   kCodeNotFound = 404,         // Unknown session or attribute name.
   kCodeConflict = 409,         // Session name already loaded.
   kCodeOverloaded = 503,       // Wait list full, server draining, or the
                                // request was shed from the wait list because
                                // its deadline could no longer be met.
   kCodeDeadlineExceeded = 504, // Deadline elapsed while queued (the request
-                               // reached an executor, too late to run).
+                               // reached the pool, too late to run).
   kCodeInternal = 500,         // Library-level failure.
 };
 
@@ -41,11 +44,15 @@ inline constexpr char kDiscover[] = "discover"; // Run OFD discovery.
 inline constexpr char kClean[] = "clean";       // Run OFDClean (read-only).
 inline constexpr char kUpdate[] = "update";     // Apply cell updates online.
 inline constexpr char kStats[] = "stats";       // Metrics + latency quantiles.
-inline constexpr char kSleep[] = "sleep";       // Debug: hold the executor.
+inline constexpr char kSleep[] = "sleep";       // Debug: hold a pool worker.
 inline constexpr char kShutdown[] = "shutdown"; // Begin graceful drain.
 }  // namespace ops
 
-/// True for ops the sharded executor may run as concurrent snapshot reads:
+/// Longest request line the server buffers. Requests carry file paths, not
+/// file contents, so real ones are a few KiB at most.
+inline constexpr size_t kMaxRequestLineBytes = size_t{16} << 20;
+
+/// True for ops a session's strand may run as concurrent snapshot reads:
 /// they never mutate the named session, so any number of them can run
 /// against its quiescent state while writers are excluded. Everything else
 /// (including sessionless ops like `list`, which serialize on the "" key)

@@ -7,6 +7,10 @@
 #include <sys/un.h>
 #include <unistd.h>
 
+#if defined(__GLIBC__)
+#include <malloc.h>
+#endif
+
 #include <algorithm>
 #include <cerrno>
 #include <chrono>
@@ -27,6 +31,10 @@
 namespace fastofd {
 
 namespace {
+
+/// Maximum consecutive same-session `update` requests coalesced into one
+/// pool task.
+constexpr size_t kMaxUpdateBatch = 64;
 
 double NowSeconds() {
   return std::chrono::duration<double>(
@@ -50,16 +58,10 @@ Json ErrResponse(const Json& request, int code, const std::string& message) {
   return response;
 }
 
-int ResolveShardCount(int configured) {
-  if (configured > 0) return configured;
-  int hw = ThreadPool::DefaultThreads();
-  return std::min(std::max(1, hw / 2), 8);
-}
-
 /// Deep invariant audit (common/audit.h) for the seqlock snapshot protocol:
 /// a read must run entirely against a quiescent session — version even at
-/// entry and unchanged at exit (writers hold the session exclusively and
-/// drain readers first, so any motion here is a shard-accounting bug).
+/// entry and unchanged at exit (a writer holds its strand alone and starts
+/// only once the readers drain, so any motion here is a strand bug).
 [[maybe_unused]] Status AuditSnapshotStable(const Session& session,
                                             uint64_t entry_version) {
   auto fail = [](const std::string& message) {
@@ -80,46 +82,19 @@ int ResolveShardCount(int configured) {
 }  // namespace
 
 // ---------------------------------------------------------------------------
-// Routing.
-
-size_t ServiceServer::ShardOf(const std::string& session, size_t shard_count) {
-  // FNV-1a, 64-bit: a stable hash (not std::hash, which may vary across
-  // implementations) so session -> shard routing is deterministic for tests
-  // and reproducible across runs.
-  uint64_t h = 14695981039346656037ull;
-  for (char c : session) {
-    h ^= static_cast<uint64_t>(static_cast<unsigned char>(c));
-    h *= 1099511628211ull;
-  }
-  return shard_count <= 1 ? 0 : static_cast<size_t>(h % shard_count);
-}
-
-// ---------------------------------------------------------------------------
 // Lifecycle.
 
 ServiceServer::ServiceServer(ServerConfig config, MetricsRegistry* metrics)
     : config_(std::move(config)),
       metrics_(metrics),
-      pool_(config_.threads),
-      reads_group_(&pool_) {
-  const int num_shards = ResolveShardCount(config_.shards);
-  shards_.reserve(static_cast<size_t>(num_shards));
-  for (int i = 0; i < num_shards; ++i) {
-    auto shard = std::make_unique<Shard>();
-    const std::string prefix = "serve.shard." + std::to_string(i);
-    shard->depth_gauge = prefix + ".depth";
-    shard->parked_gauge = prefix + ".parked";
-    shard->stolen_counter = prefix + ".stolen";
-    shard->executed_counter = prefix + ".executed";
-    metrics_->Set(shard->depth_gauge, 0);
-    metrics_->Set(shard->parked_gauge, 0);
-    metrics_->Add(shard->stolen_counter, 0);
-    metrics_->Add(shard->executed_counter, 0);
-    shards_.push_back(std::move(shard));
-  }
+      // A running request holds its worker, so one worker beyond `threads`
+      // keeps `threads` of them for a read's parallel kernels while a serial
+      // write (a load) runs. A 1-thread pool would run tasks inline on the
+      // submitter, which here is a connection reader.
+      pool_(std::max(2, config_.threads + 1)),
+      tasks_(&pool_) {
   // Register the fleet-facing counters at zero so the first `stats` or
   // metrics flush shows them even before traffic arrives.
-  metrics_->Set("serve.shards", static_cast<double>(num_shards));
   metrics_->Add("serve.rejected", 0);
   metrics_->Add("serve.shed", 0);
   metrics_->Add("serve.snapshot_reads", 0);
@@ -183,10 +158,6 @@ Status ServiceServer::Start() {
     return Status::Error("listen: " + ErrnoString(errno));
   }
   listener_ = std::thread([this] { ListenerLoop(); });
-  for (size_t i = 0; i < shards_.size(); ++i) {
-    shards_[i]->executor =
-        std::thread([this, i] { ExecutorLoop(static_cast<int>(i)); });
-  }
   started_ = true;
   return Status::Ok();
 }
@@ -201,14 +172,10 @@ void ServiceServer::NotifyShutdown() {
 void ServiceServer::Wait() {
   if (!started_ || joined_) return;
   if (listener_.joinable()) listener_.join();
-  // Listener closed every shard; each executor finishes every queued and
-  // parked request (parked entries are promoted or shed, never dropped).
-  for (auto& shard : shards_) {
-    if (shard->executor.joinable()) shard->executor.join();
-  }
-  // Snapshot reads dispatched by the executors may still be in flight on
-  // the pool; their responses must go out before connections close.
-  reads_group_.Wait();
+  // The listener closed admission. Every admitted request is in a task or
+  // behind one (parked entries are promoted or shed, never dropped), and
+  // each task dispatches its successors before it completes.
+  tasks_.Wait();
   // All responses are written; now tear down connections.
   {
     MutexLock lock(conns_mu_);
@@ -228,13 +195,9 @@ void ServiceServer::Wait() {
 }
 
 void ServiceServer::BeginDrain() {
-  draining_.store(true);
-  for (auto& shard : shards_) {
-    {
-      MutexLock lock(shard->mu);
-      shard->closed = true;
-    }
-    shard->work_cv.NotifyAll();
+  {
+    MutexLock lock(mu_);
+    draining_.store(true);
   }
   if (listen_fd_ != -1) {
     ::close(listen_fd_);
@@ -327,10 +290,10 @@ void ServiceServer::ReaderLoop(std::shared_ptr<Connection> conn,
         request.deadline_seconds = request.enqueue_seconds + deadline_ms / 1e3;
       }
       metrics_->Add("serve.requests." + request.op, 1);
-      // ShardPush only consumes the request on success, so `msg` is still
-      // valid when we build the rejection response below.
+      // Admit only consumes the request on success, so `msg` is still valid
+      // when we build the rejection response below.
       const Json& msg = request.msg;
-      if (!ShardPush(std::move(request))) {
+      if (!Admit(std::move(request))) {
         metrics_->Add("serve.rejected", 1);
         WriteResponse(*conn, ErrResponse(
                                  msg, kCodeOverloaded,
@@ -341,6 +304,15 @@ void ServiceServer::ReaderLoop(std::shared_ptr<Connection> conn,
       }
     }
     buffer.erase(0, start);
+    // What is left is one unterminated line: cap it, or a client that never
+    // sends '\n' grows this buffer without bound.
+    if (buffer.size() > kMaxRequestLineBytes) {
+      WriteResponse(*conn, ErrResponse(Json::Object(), kCodeBadRequest,
+                                       "request line exceeds " +
+                                           std::to_string(kMaxRequestLineBytes) +
+                                           " bytes"));
+      break;
+    }
   }
   {
     MutexLock wlock(conn->write_mu);
@@ -376,56 +348,77 @@ void ServiceServer::WriteResponse(Connection& conn, const Json& response) {
 }
 
 // ---------------------------------------------------------------------------
-// Shards: admission, parking, shedding, eligible pops.
+// Strands: admission, parking, shedding, dispatch.
 
-void ServiceServer::PublishShardGauges(int shard_index, size_t depth,
-                                       size_t parked) {
-  const Shard& shard = *shards_[static_cast<size_t>(shard_index)];
-  metrics_->Set(shard.depth_gauge, static_cast<double>(depth));
-  metrics_->Set(shard.parked_gauge, static_cast<double>(parked));
-}
-
-bool ServiceServer::ShardPush(Request&& request) {
-  const size_t index = ShardOf(request.session, shards_.size());
-  Shard& shard = *shards_[index];
+bool ServiceServer::Admit(Request&& request) {
   std::vector<Request> shed;
   bool admitted = false;
-  size_t depth = 0;
-  size_t parked = 0;
   {
-    MutexLock lock(shard.mu);
-    if (!shard.closed) {
-      ShedExpiredLocked(shard, &shed);
+    MutexLock lock(mu_);
+    if (!draining_.load()) {
+      ShedExpiredLocked(&shed);
       // Queue directly only when nobody is parked ahead of us — otherwise a
       // newcomer would overtake a parked request of the same session and
       // break per-session FIFO.
-      if (shard.parked.empty() &&
-          shard.queue.size() < static_cast<size_t>(config_.queue_depth)) {
-        shard.queue.push_back(std::move(request));
+      if (parked_.empty() &&
+          queued_ < static_cast<size_t>(config_.queue_depth)) {
+        EnqueueLocked(std::move(request));
         admitted = true;
-      } else if (shard.parked.size() <
-                 static_cast<size_t>(config_.max_parked)) {
-        shard.parked.push_back(std::move(request));
+      } else if (parked_.size() < static_cast<size_t>(config_.max_parked)) {
+        parked_.push_back(std::move(request));
         admitted = true;
       }
     }
-    depth = shard.queue.size();
-    parked = shard.parked.size();
   }
-  if (admitted) shard.work_cv.NotifyOne();
-  PublishShardGauges(static_cast<int>(index), depth, parked);
   RespondShed(shed);
   return admitted;
 }
 
-void ServiceServer::ShedExpiredLocked(Shard& shard,
-                                      std::vector<Request>* shed) {
-  if (shard.parked.empty()) return;
+void ServiceServer::EnqueueLocked(Request&& request) {
+  ++queued_;
+  const std::string session = request.session;
+  strands_[session].mailbox.push_back(std::move(request));
+  DispatchLocked(session);
+}
+
+void ServiceServer::DispatchLocked(const std::string& session) {
+  auto it = strands_.find(session);
+  if (it == strands_.end()) return;
+  Strand& strand = it->second;
+  while (!strand.mailbox.empty() && !strand.writer) {
+    const bool read = IsSnapshotReadOp(strand.mailbox.front().op);
+    if (!read && strand.readers > 0) break;  // The writer waits them out.
+    std::vector<Request> batch;
+    batch.push_back(std::move(strand.mailbox.front()));
+    strand.mailbox.pop_front();
+    if (read) {
+      ++strand.readers;
+    } else {
+      strand.writer = true;
+      // Micro-batch: the run of updates queued right behind this one rides
+      // the same task, so a burst of single-cell updates pays one dispatch.
+      while (batch.front().op == ops::kUpdate &&
+             batch.size() < kMaxUpdateBatch && !strand.mailbox.empty() &&
+             strand.mailbox.front().op == ops::kUpdate) {
+        batch.push_back(std::move(strand.mailbox.front()));
+        strand.mailbox.pop_front();
+      }
+    }
+    tasks_.Submit(
+        [this, batch = std::move(batch)](int) mutable { RunTask(batch); });
+  }
+  if (strand.mailbox.empty() && strand.readers == 0 && !strand.writer) {
+    strands_.erase(it);
+  }
+}
+
+void ServiceServer::ShedExpiredLocked(std::vector<Request>* shed) {
+  if (parked_.empty()) return;
   const double now = NowSeconds();
-  for (auto it = shard.parked.begin(); it != shard.parked.end();) {
+  for (auto it = parked_.begin(); it != parked_.end();) {
     if (it->deadline_seconds > 0 && now >= it->deadline_seconds) {
       shed->push_back(std::move(*it));
-      it = shard.parked.erase(it);
+      it = parked_.erase(it);
     } else {
       ++it;
     }
@@ -442,169 +435,38 @@ void ServiceServer::RespondShed(std::vector<Request>& shed) {
   shed.clear();
 }
 
-bool ServiceServer::PopUnitLocked(Shard& shard, Unit* unit,
-                                  std::vector<Request>* shed) {
-  ShedExpiredLocked(shard, shed);
-  // Promote parked requests into freed queue room, oldest first.
-  while (!shard.parked.empty() &&
-         shard.queue.size() < static_cast<size_t>(config_.queue_depth)) {
-    shard.queue.push_back(std::move(shard.parked.front()));
-    shard.parked.pop_front();
-  }
-  // First request whose session has no exclusive writer. Skipping a session
-  // blocks every later request of that session: cross-session reordering is
-  // allowed, intra-session reordering never.
-  std::set<std::string> skipped;
-  for (size_t i = 0; i < shard.queue.size(); ++i) {
-    const std::string& session = shard.queue[i].session;
-    if (shard.busy.count(session) != 0 || skipped.count(session) != 0) {
-      skipped.insert(session);
-      continue;
-    }
-    unit->home = &shard;
-    unit->is_read = IsSnapshotReadOp(shard.queue[i].op);
-    unit->batch.clear();
-    unit->batch.push_back(std::move(shard.queue[i]));
-    shard.queue.erase(shard.queue.begin() + static_cast<std::ptrdiff_t>(i));
-    if (unit->is_read) {
-      // Reader slot: blocks writers (they drain readers first) but not
-      // other reads of the same session — that is the whole point.
-      ++shard.readers[unit->batch.front().session];
-    } else {
-      shard.busy.insert(unit->batch.front().session);
-      if (unit->batch.front().op == ops::kUpdate) {
-        // Micro-batch: coalesce the run of same-session updates that
-        // directly followed the popped one, so a burst of single-cell
-        // updates pays one dispatch round trip.
-        while (static_cast<int>(unit->batch.size()) < config_.max_update_batch &&
-               i < shard.queue.size() && shard.queue[i].op == ops::kUpdate &&
-               shard.queue[i].session == unit->batch.front().session) {
-          unit->batch.push_back(std::move(shard.queue[i]));
-          shard.queue.erase(shard.queue.begin() +
-                            static_cast<std::ptrdiff_t>(i));
-        }
-      }
-    }
-    return true;
-  }
-  return false;
-}
-
-// ---------------------------------------------------------------------------
-// Executors.
-
-void ServiceServer::ExecutorLoop(int shard_index) {
-  Shard& home = *shards_[static_cast<size_t>(shard_index)];
-  const size_t num_shards = shards_.size();
+void ServiceServer::RunTask(std::vector<Request>& batch) {
+  const std::string session = batch.front().session;
+  const bool read = IsSnapshotReadOp(batch.front().op);
   std::vector<Request> shed;
-  for (;;) {
-    Unit unit;
-    bool got = false;
-    bool drained_out = false;
-    size_t depth = 0;
-    size_t parked = 0;
-    {
-      MutexLock lock(home.mu);
-      got = PopUnitLocked(home, &unit, &shed);
-      drained_out = !got && home.closed && home.queue.empty() &&
-                    home.parked.empty();
-      depth = home.queue.size();
-      parked = home.parked.size();
-    }
-    PublishShardGauges(shard_index, depth, parked);
-    RespondShed(shed);
-    if (got) {
-      RunUnit(std::move(unit), shard_index);
-      continue;
-    }
-    if (drained_out) break;
-    // Nothing runnable at home: steal an eligible unit from another shard.
-    // The busy/reader accounting stays in the victim, so per-session
-    // ordering is preserved; at most one Shard::mu is held at a time.
-    for (size_t off = 1; off < num_shards && !got; ++off) {
-      const size_t victim_index =
-          (static_cast<size_t>(shard_index) + off) % num_shards;
-      Shard& victim = *shards_[victim_index];
-      {
-        MutexLock lock(victim.mu);
-        got = PopUnitLocked(victim, &unit, &shed);
-      }
-      RespondShed(shed);
-      if (got) {
-        metrics_->Add(home.stolen_counter, 1);
-        RunUnit(std::move(unit), shard_index);
-      }
-    }
-    if (got) continue;
-    // Idle: sleep briefly. The timeout doubles as the polling cadence for
-    // deadline shedding of parked requests and for steal opportunities on
-    // other shards (a push only notifies its own shard's executor).
-    MutexLock lock(home.mu);
-    if (!(home.closed && home.queue.empty() && home.parked.empty())) {
-      home.work_cv.WaitFor(home.mu, std::chrono::milliseconds(2));
-    }
-  }
-}
-
-void ServiceServer::RunUnit(Unit unit, int executor_shard) {
-  const Shard& self = *shards_[static_cast<size_t>(executor_shard)];
-  metrics_->Add(self.executed_counter,
-                static_cast<int64_t>(unit.batch.size()));
-  if (unit.is_read) {
-    DispatchRead(std::move(unit));
-    return;
-  }
-  Shard& home = *unit.home;
-  const std::string session = unit.batch.front().session;
   {
-    // The session is already marked busy, so no new readers can start;
-    // wait out the in-flight ones before mutating.
-    MutexLock lock(home.mu);
-    while (home.readers.count(session) != 0) home.drain_cv.Wait(home.mu);
+    MutexLock lock(mu_);
+    queued_ -= batch.size();
+    ShedExpiredLocked(&shed);
+    // Promote parked requests into the freed room, oldest first.
+    while (!parked_.empty() &&
+           queued_ < static_cast<size_t>(config_.queue_depth)) {
+      Request promoted = std::move(parked_.front());
+      parked_.pop_front();
+      EnqueueLocked(std::move(promoted));
+    }
   }
-  if (unit.batch.size() > 1) {
+  RespondShed(shed);
+  if (read) {
+    metrics_->Add("serve.snapshot_reads", 1);
+  } else if (batch.size() > 1) {
     metrics_->Add("serve.batches", 1);
-    metrics_->Observe("serve.batch_size",
-                      static_cast<double>(unit.batch.size()));
+    metrics_->Observe("serve.batch_size", static_cast<double>(batch.size()));
   }
-  ExecuteBatch(unit.batch);
-  {
-    MutexLock lock(home.mu);
-    home.busy.erase(session);
+  ExecuteBatch(batch);
+  MutexLock lock(mu_);
+  Strand& strand = strands_.at(session);  // Held by us, so not erased.
+  if (read) {
+    --strand.readers;
+  } else {
+    strand.writer = false;
   }
-  // Wake the home executor (and any thief polling it): requests of this
-  // session are eligible again.
-  home.work_cv.NotifyAll();
-}
-
-void ServiceServer::DispatchRead(Unit unit) {
-  auto request = std::make_shared<Request>(std::move(unit.batch.front()));
-  Shard* home = unit.home;
-  metrics_->Add("serve.snapshot_reads", 1);
-  // Value captures only: the read outlives this scope (it runs on the
-  // pool), so the request rides a shared_ptr and the shard by pointer.
-  reads_group_.Submit([this, request, home](int) {
-    ExecuteOne(*request);
-    bool drained = false;
-    {
-      MutexLock lock(home->mu);
-      auto it = home->readers.find(request->session);
-      if (it != home->readers.end() && --(it->second) == 0) {
-        home->readers.erase(it);
-        drained = true;
-      }
-    }
-    if (drained) home->drain_cv.NotifyAll();
-  });
-}
-
-size_t ServiceServer::TotalQueued() {
-  size_t total = 0;
-  for (auto& shard : shards_) {
-    MutexLock lock(shard->mu);
-    total += shard->queue.size() + shard->parked.size();
-  }
-  return total;
+  DispatchLocked(session);
 }
 
 // ---------------------------------------------------------------------------
@@ -616,10 +478,10 @@ Status ServiceServer::AuditBatchShape(const std::vector<Request>& batch) const {
   };
   if (batch.empty()) return fail("empty batch popped");
   if (batch.size() > 1) {
-    if (static_cast<int>(batch.size()) > config_.max_update_batch) {
+    if (batch.size() > kMaxUpdateBatch) {
       return fail("batch of " + std::to_string(batch.size()) +
-                  " exceeds max_update_batch " +
-                  std::to_string(config_.max_update_batch));
+                  " exceeds kMaxUpdateBatch " +
+                  std::to_string(kMaxUpdateBatch));
     }
   }
   for (const Request& request : batch) {
@@ -691,9 +553,9 @@ Json ServiceServer::Execute(const Json& request) {
                                             : "serve.responses.error",
                 1);
   // Audit builds re-validate after each request. The deep audit is scoped
-  // to the request's own session — the one this executor holds exclusively
-  // (or reads under writer exclusion); auditing other sessions here would
-  // race their own shards' writers.
+  // to the request's own session — the one whose strand this task holds
+  // (alone, or as a reader with writers excluded); auditing other sessions
+  // here would race their own strands' writers.
   FASTOFD_AUDIT_OK(sessions_.AuditOne(request.Get("session").AsString()));
   return response;
 }
@@ -797,6 +659,12 @@ Json ServiceServer::HandleUnload(const Json& request) {
     return ErrResponse(request, kCodeNotFound, removed.message());
   }
   metrics_->Set("serve.sessions", static_cast<double>(sessions_.size()));
+#if defined(__GLIBC__)
+  // Any pool worker may have loaded the session, and glibc keeps what a
+  // thread frees in that thread's arena: hand the session's memory back to
+  // the OS, or every worker that ever ran a load holds a session's worth.
+  malloc_trim(0);
+#endif
   return OkResponse(request);
 }
 
@@ -842,8 +710,8 @@ Json ServiceServer::HandleVerify(const Json& request) {
   if (!session->has_sigma()) {
     return ErrResponse(request, kCodeBadRequest, "session has no sigma");
   }
-  // Snapshot read: the shard layer guarantees no writer touches this
-  // session while we run; the version audit at the end proves it.
+  // Snapshot read: the strand guarantees no writer touches this session
+  // while we run; the version audit at the end proves it.
   [[maybe_unused]] const uint64_t entry_version = session->version();
   const SigmaSet& sigma = session->sigma();
   OfdVerifier verifier(session->rel(), session->index(), &session->ontology());
@@ -1025,9 +893,9 @@ Json ServiceServer::HandleUpdate(const Json& request) {
           ? session->incremental()->classes_rechecked()
           : 0;
   // Seqlock write bracket: version goes odd while the session mutates. The
-  // shard layer already drained this session's snapshot readers and blocks
-  // new ones (busy), so no read ever observes the odd window — the version
-  // audit in the read handlers enforces exactly that.
+  // strand started this write only after its readers drained and holds off
+  // new ones, so no read ever observes the odd window — the version audit
+  // in the read handlers enforces exactly that.
   session->BeginWrite();
   int applied = 0;
   for (const ResolvedUpdate& ru : resolved) {
@@ -1057,7 +925,11 @@ Json ServiceServer::HandleUpdate(const Json& request) {
 }
 
 Json ServiceServer::HandleStats(const Json& request) {
-  size_t queued = TotalQueued();
+  size_t queued;
+  {
+    MutexLock lock(mu_);
+    queued = queued_ + parked_.size();
+  }
   metrics_->Set("serve.queue_depth", static_cast<double>(queued));
   MetricsSnapshot snapshot = metrics_->Snapshot();
   Json counters = Json::Object();
@@ -1089,7 +961,6 @@ Json ServiceServer::HandleStats(const Json& request) {
   }
   Json response = OkResponse(request);
   response.Set("queue_depth", Json::Int(static_cast<int64_t>(queued)));
-  response.Set("shards", Json::Int(static_cast<int64_t>(shards_.size())));
   response.Set("sessions", Json::Int(static_cast<int64_t>(sessions_.size())));
   response.Set("latency", std::move(latency));
   response.Set("counters", std::move(counters));

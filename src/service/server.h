@@ -2,50 +2,48 @@
 // over a UNIX-domain or TCP socket.
 //
 // Threading model (see docs/protocol.md for the wire format and
-// docs/architecture.md "Service layer" for the shard diagram):
+// docs/architecture.md "Service layer" for the strand diagram):
 //
 //   listener ──accept──► one reader thread per connection
-//                              │  parse line → Request
-//                              │  route: FNV-1a(session) % num_shards
+//                              │  parse line → Request → Admit
 //                              ▼
-//        ┌─ shard 0 ─────────┐ ┌─ shard 1 ─────────┐  … N shards, default
-//        │ queue   (bounded) │ │ queue   (bounded) │  min(hw/2, 8)
-//        │ parked  (bounded) │ │ parked  (bounded) │
-//        │ busy / readers    │ │ busy / readers    │
-//        │ executor thread ◄─┼─┼── steals when idle│
-//        └───────────────────┘ └───────────────────┘
+//        admission (one mutex): queue_depth admitted-not-started,
+//                               max_parked parked behind them
+//                              │
+//        ┌─ strand "a" ──────┐ ┌─ strand "b" ──────┐  one per active
+//        │ mailbox (FIFO)    │ │ mailbox (FIFO)    │  session, erased
+//        │ readers / writer  │ │ readers / writer  │  when idle
+//        └────────┬──────────┘ └────────┬──────────┘
+//                 └──── submit ─────────┴──► shared work-stealing ThreadPool
 //
-// Admission (reader thread): a request is queued while the shard's bounded
-// queue has room, *parked* in the shard's bounded wait list when it does
-// not, and rejected 503 only when the wait list is also full (or the server
-// is draining). Parked requests are shed 503 the moment their deadline can
-// no longer be met — load-shedding by deadline, not by instantaneous depth.
+// Admission (reader thread): a request enters its session's strand while
+// fewer than queue_depth requests are admitted but not started and nobody
+// is parked; otherwise it is *parked* in one server-wide wait list, and
+// rejected 503 only when the wait list is also full (or the server is
+// draining). Parked requests are promoted in arrival order as requests
+// start, and shed 503 once their deadline has passed — checked at every
+// admission and every request start, so no timer or poll is needed.
 //
-// Execution (per-shard executor threads): each executor pops the first
-// request of its shard whose session has no exclusive writer, preserving
-// per-session FIFO order (skipping a session blocks all its later
-// requests). Mutating ops mark the session busy and run exclusively, with
-// consecutive same-session `update` requests micro-batched; read-only ops
-// (`verify`/`discover`) take a reader slot and fan out to the shared
-// work-stealing ThreadPool, so concurrent clients on one hot session no
-// longer serialize — a writer drains the session's readers (drain_cv)
-// before mutating, and Session::version() seqlock-audits the quiescence.
-// An executor with an empty shard steals eligible requests from other
-// shards (busy/reader accounting stays in the victim shard, so per-session
-// ordering survives stealing).
+// Execution (pool tasks): a strand submits its head to the pool as soon as
+// it may run. Reads (`verify`/`discover`) at the head go at once and run
+// concurrently with each other; a write at the head waits until the
+// strand's readers reach zero, then holds the strand alone, with a run of
+// consecutive `update`s submitted as one batch. Whichever task releases the
+// strand last dispatches the next head, so no worker ever blocks waiting
+// for another request. Session::version() seqlock-audits that no read
+// overlaps a writer of its session.
 //
 // Graceful drain: NotifyShutdown() (async-signal-safe; SIGTERM handlers and
-// the `shutdown` op call it) stops the listener, closes every shard so new
-// requests are rejected with 503, lets each executor finish every queued
-// *and parked* request, waits out in-flight snapshot reads, and only then
-// tears connections down — no accepted request loses its response. Wait()
-// returns once the drain completes; the caller then flushes metrics.
+// the `shutdown` op call it) stops the listener and closes admission so new
+// requests are rejected with 503, waits for every admitted request —
+// queued, parked, or running — to be answered, and only then tears
+// connections down. Wait() returns once the drain completes; the caller
+// then flushes metrics.
 //
 // Observability: per-op request counters and latency histograms
-// (p50/p95/p99 via `stats`), per-shard depth/parked gauges and
-// stolen/executed counters under `serve.shard.<i>.*`, queue-wait and
-// batch-size histograms, and rejection/shed/deadline counters, all in the
-// shared MetricsRegistry under `serve.*`.
+// (p50/p95/p99 via `stats`), queue-wait and batch-size histograms, and
+// rejection/shed/deadline counters, all in the shared MetricsRegistry
+// under `serve.*`.
 
 #ifndef FASTOFD_SERVICE_SERVER_H_
 #define FASTOFD_SERVICE_SERVER_H_
@@ -54,11 +52,10 @@
 #include <cstdint>
 #include <deque>
 #include <list>
-#include <map>
 #include <memory>
-#include <set>
 #include <string>
 #include <thread>
+#include <unordered_map>
 #include <vector>
 
 #include "common/metrics.h"
@@ -78,24 +75,21 @@ struct ServerConfig {
   std::string unix_socket;
   /// TCP port on 127.0.0.1 (0 = ephemeral, see ServiceServer::port()).
   int tcp_port = 0;
-  /// Worker threads of the shared execution pool.
+  /// Parallel kernel threads. Every request runs on the shared pool, which
+  /// gets threads + 1 workers (at least 2): one request body may hold a
+  /// worker while reads keep `threads` for their kernels, and no request
+  /// ever runs inline on a connection reader.
   int threads = 1;
-  /// Session-shard executors (0 = auto: min(max(1, hw/2), 8)). Requests
-  /// route to shards by a stable hash of the session id.
-  int shards = 0;
-  /// Admission control: maximum queued (not yet executing) requests per
-  /// shard.
+  /// Admission control: maximum admitted requests not yet started, across
+  /// all sessions.
   int queue_depth = 64;
-  /// Bounded wait list per shard: requests that find the queue full park
-  /// here until capacity frees or their deadline can no longer be met
-  /// (shed 503). 0 disables parking (hard 503 at queue_depth).
+  /// Bounded wait list: requests that find the queue full park here until
+  /// capacity frees or their deadline passes (shed 503). 0 disables parking
+  /// (hard 503 at queue_depth).
   int max_parked = 1024;
   /// Default per-request deadline in ms (0 = none); requests may override
   /// with a `deadline_ms` field. The deadline covers time spent queued.
   double default_deadline_ms = 0.0;
-  /// Maximum consecutive same-session `update` requests coalesced into one
-  /// executor batch.
-  int max_update_batch = 64;
   /// Partition-cache budget per session, in bytes.
   int64_t cache_budget_bytes = PartitionCache::kUnbounded;
   /// Directory for compiled session snapshots (service/snapshot.h); empty
@@ -117,7 +111,7 @@ class ServiceServer {
   ServiceServer(const ServiceServer&) = delete;
   ServiceServer& operator=(const ServiceServer&) = delete;
 
-  /// Binds, listens, and spawns the listener + per-shard executor threads.
+  /// Binds, listens, and spawns the listener thread.
   Status Start();
 
   /// Begins a graceful drain. Async-signal-safe (writes one byte to an
@@ -131,18 +125,10 @@ class ServiceServer {
   int port() const { return port_; }
 
   /// Executes one request inline on the calling thread, bypassing the
-  /// socket and shard queues — the deterministic core the wire path wraps.
+  /// socket and the strands — the deterministic core the wire path wraps.
   /// Exposed for tests and the in-process bench. Not safe concurrently
   /// with itself or with a started server's traffic.
   Json Execute(const Json& request);
-
-  /// The stable session → shard routing (FNV-1a over the session id).
-  /// Exposed so tests can construct colliding / non-colliding session
-  /// names deterministically.
-  static size_t ShardOf(const std::string& session, size_t shard_count);
-
-  /// Number of shard executors this server resolved (>= 1).
-  int shard_count() const { return static_cast<int>(shards_.size()); }
 
  private:
   // write_mu serializes writers and guards fd against the reader's close.
@@ -165,49 +151,12 @@ class ServiceServer {
     double deadline_seconds = 0.0;  // Absolute; 0 = none.
   };
 
-  /// One session shard: a bounded admitted queue, a bounded wait list, the
-  /// per-session exclusion state, and the executor thread that drains them.
-  ///
-  /// Shard mutexes form an *unordered family*: code must hold at most one
-  /// Shard::mu at a time (a thief locks only the victim's mu, never its own
-  /// alongside), because lock order across the elements of a mutex array is
-  /// not expressible to the analysis — see src/common/sync.h.
-  struct Shard {
-    Mutex mu;
-    /// Executor sleep/wake: notified on push, busy-clear, and close.
-    CondVar work_cv;
-    /// Writers wait here until the session's snapshot readers drain.
-    CondVar drain_cv;
-    /// Admitted, not yet executing; at most config.queue_depth entries.
-    std::deque<Request> queue GUARDED_BY(mu);
-    /// Bounded wait list: admitted but waiting for queue room; shed 503
-    /// when the deadline passes. At most config.max_parked entries.
-    std::deque<Request> parked GUARDED_BY(mu);
-    /// Sessions currently held by an exclusive writer (possibly executing
-    /// on a *different* shard's executor after a steal — the accounting
-    /// stays here, in the session's home shard).
-    std::set<std::string> busy GUARDED_BY(mu);
-    /// Session → number of in-flight snapshot reads on the shared pool.
-    std::map<std::string, int> readers GUARDED_BY(mu);
-    bool closed GUARDED_BY(mu) = false;
-    std::thread executor;
-    // Precomputed metric names (constant after construction, unguarded):
-    // building "serve.shard.<i>.depth" per request would allocate on the
-    // admission hot path.
-    std::string depth_gauge;
-    std::string parked_gauge;
-    std::string stolen_counter;
-    std::string executed_counter;
-  };
-
-  /// One unit of work popped from a shard: either a single snapshot-read
-  /// request (a readers[] slot is already held in `home`) or an exclusive
-  /// batch (the session is marked busy in `home`). `home` is the shard the
-  /// unit was popped from — the victim, under stealing.
-  struct Unit {
-    std::vector<Request> batch;
-    bool is_read = false;
-    Shard* home = nullptr;
+  /// One session's strand: its admitted requests in arrival order, and who
+  /// holds it. Reads run while no writer does; a writer runs alone.
+  struct Strand {
+    std::deque<Request> mailbox;
+    int readers = 0;
+    bool writer = false;
   };
 
   void ListenerLoop();
@@ -215,8 +164,6 @@ class ServiceServer {
   /// to finished_readers_ for the listener (or Wait) to join.
   void ReaderLoop(std::shared_ptr<Connection> conn,
                   std::list<std::thread>::iterator self);
-  /// Drains shards_[shard_index], stealing from other shards when idle.
-  void ExecutorLoop(int shard_index);
   void BeginDrain();
   /// Joins every reader thread that has finished its loop. Cheap: joined
   /// threads have already exited.
@@ -226,31 +173,22 @@ class ServiceServer {
   /// The request is only consumed on success; on rejection the caller's
   /// object is untouched so it can still build the 503 (echoing the id).
   /// Also sheds expired parked requests as a side effect.
-  bool ShardPush(Request&& request);
-  /// Pops the next eligible unit: sheds expired parked entries into *shed,
-  /// promotes parked → queue while there is room, then takes the first
-  /// queued request whose session has no exclusive writer (skipping a
-  /// session blocks all its later requests — per-session FIFO). Marks the
-  /// reader slot / busy entry in `shard` before returning.
-  bool PopUnitLocked(Shard& shard, Unit* unit, std::vector<Request>* shed)
-      REQUIRES(shard.mu);
-  /// Moves parked requests whose deadline can no longer be met into *shed.
-  void ShedExpiredLocked(Shard& shard, std::vector<Request>* shed)
-      REQUIRES(shard.mu);
-  /// Writes the 503 shed responses. Call with no shard mutex held.
-  void RespondShed(std::vector<Request>& shed);
-  /// Executes one popped unit on the calling executor thread (exclusive
-  /// batches run inline after draining the session's readers; snapshot
-  /// reads dispatch to the shared pool and return immediately).
-  void RunUnit(Unit unit, int executor_shard);
-  /// Submits a snapshot read to the pool; the completion releases the
-  /// reader slot in unit.home and notifies its drain_cv.
-  void DispatchRead(Unit unit);
-  /// Publishes the shard's depth/parked gauges. Call outside shard.mu with
-  /// sizes snapshotted under it.
-  void PublishShardGauges(int shard_index, size_t depth, size_t parked);
-  /// Sum of queued + parked requests across shards (locks one at a time).
-  size_t TotalQueued();
+  bool Admit(Request&& request) EXCLUDES(mu_);
+  /// Appends an admitted request to its session's strand and dispatches.
+  void EnqueueLocked(Request&& request) REQUIRES(mu_);
+  /// Submits every request at the head of the session's strand that may
+  /// start now: reads while no writer holds the strand, a write (with the
+  /// run of updates behind it) once the readers reach zero. Erases the
+  /// strand when it is idle.
+  void DispatchLocked(const std::string& session) REQUIRES(mu_);
+  /// Moves parked requests whose deadline has passed into *shed.
+  void ShedExpiredLocked(std::vector<Request>* shed) REQUIRES(mu_);
+  /// Writes the 503 shed responses. Call without mu_ held.
+  void RespondShed(std::vector<Request>& shed) EXCLUDES(mu_);
+  /// Pool task body: releases the batch's queue slots (shedding and
+  /// promoting parked requests), executes it, then releases its hold on the
+  /// strand and dispatches the next head.
+  void RunTask(std::vector<Request>& batch) EXCLUDES(mu_);
 
   void WriteResponse(Connection& conn, const Json& response);
   /// Runs a batch of requests inline: per-request queue-wait/deadline
@@ -260,17 +198,17 @@ class ServiceServer {
   /// latency observation, response write.
   void ExecuteOne(Request& request);
 
-  /// Deep invariant audit (common/audit.h): a popped batch is non-empty,
-  /// within the micro-batch bound, every request carries a live connection
-  /// and an op matching its message, and multi-request batches are runs of
-  /// same-session updates — the shape PopUnitLocked promises.
+  /// Deep invariant audit (common/audit.h): a dispatched batch is
+  /// non-empty, within the micro-batch bound, every request carries a live
+  /// connection and an op matching its message, and multi-request batches
+  /// are runs of same-session updates — the shape DispatchLocked promises.
   Status AuditBatchShape(const std::vector<Request>& batch) const;
 
   /// Snapshot file for a session name, or "" when snapshots are disabled
   /// or the name contains characters unsafe for a filename.
   std::string SnapshotPathFor(const std::string& session) const;
 
-  // --- Handlers (executor threads; verify/discover also pool workers) ---
+  // --- Handlers (pool workers) ---
   Json HandlePing(const Json& request);
   Json HandleLoad(const Json& request);
   Json HandleUnload(const Json& request);
@@ -285,11 +223,20 @@ class ServiceServer {
   const ServerConfig config_;
   MetricsRegistry* const metrics_;
   ThreadPool pool_;
-  // Long-lived group for in-flight snapshot reads. Declared after pool_ so
-  // its destructor (which waits for the reads) runs before the pool's.
-  TaskGroup reads_group_;
+  // Long-lived group for every request task. Declared after pool_ so its
+  // destructor (which waits for the tasks) runs before the pool's.
+  TaskGroup tasks_;
   SessionRegistry sessions_;
-  std::vector<std::unique_ptr<Shard>> shards_;
+
+  // Admission and strand state. Tasks are submitted under mu_, and
+  // draining_ is set under it too, so once the drain begins tasks_.Wait()
+  // covers every admitted request. Invariant after each critical section: a
+  // non-empty mailbox has a task in flight for its strand, and parked_ is
+  // empty unless queued_ >= queue_depth.
+  Mutex mu_;
+  std::unordered_map<std::string, Strand> strands_ GUARDED_BY(mu_);
+  std::deque<Request> parked_ GUARDED_BY(mu_);
+  size_t queued_ GUARDED_BY(mu_) = 0;  // Admitted, not started.
 
   // listen_fd_ is single-threaded by phase: written by Start() before any
   // thread exists, then owned by the listener thread (ListenerLoop /
@@ -297,7 +244,7 @@ class ServiceServer {
   int listen_fd_ = -1;
   int port_ = 0;
   int shutdown_pipe_[2] = {-1, -1};
-  std::atomic<bool> draining_{false};
+  std::atomic<bool> draining_{false};  // Written under mu_.
   std::atomic<bool> shutdown_requested_{false};
 
   std::thread listener_;

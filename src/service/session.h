@@ -31,10 +31,10 @@ namespace fastofd {
 
 /// One loaded (relation, ontology, Σ) triple with warm derived state.
 ///
-/// Concurrency contract (enforced by ServiceServer's shard layer, not by
-/// locks in here): mutating requests (`update`, `load`, `unload`) hold the
-/// session exclusively — the owning shard marks the session busy and drains
-/// every in-flight snapshot reader first — while read-only requests
+/// Concurrency contract (enforced by ServiceServer's per-session strands,
+/// not by locks in here): mutating requests (`update`, `load`, `unload`)
+/// hold the session exclusively — the strand starts a writer only once
+/// every in-flight snapshot reader has finished — while read-only requests
 /// (`verify`, `discover`) may run concurrently with each other against the
 /// quiescent state. The seqlock-style version() counter makes the contract
 /// checkable: writers bracket mutations with BeginWrite()/EndWrite() (odd =
@@ -140,9 +140,9 @@ class Session {
 };
 
 /// Name -> Session map guarding the service's `load`/`unload`/`list` ops.
-/// Thread-safe for registration and lookup from any executor shard. Find
-/// hands out shared ownership so `list` (which walks every session from one
-/// shard) can never observe a concurrent `unload` from another shard as a
+/// Thread-safe for registration and lookup from any pool worker. Find
+/// hands out shared ownership so `list` (which walks every session) can
+/// never observe a concurrent `unload` of another session as a
 /// use-after-free: the map entry disappears immediately, the storage
 /// survives until the last in-flight reference drops.
 class SessionRegistry {
@@ -165,11 +165,11 @@ class SessionRegistry {
   /// mutating (e.g. tests, or a drained server).
   Status AuditInvariants() const EXCLUDES(mu_);
 
-  /// Per-request audit scope for the sharded executor: structural checks on
-  /// the whole registry (null entries, key/name agreement) under the lock,
-  /// then a deep Session::Audit of `name` only — the one session the
-  /// requesting shard holds exclusively (or reads while writers are
-  /// excluded), so the deep audit cannot race another shard's writer.
+  /// Per-request audit scope for the service: structural checks on the
+  /// whole registry (null entries, key/name agreement) under the lock, then
+  /// a deep Session::Audit of `name` only — the one session whose strand
+  /// the request holds (alone, or as a reader while writers are excluded),
+  /// so the deep audit cannot race another session's writer.
   /// Unknown or empty names get the structural pass alone.
   Status AuditOne(const std::string& name) const EXCLUDES(mu_);
 
@@ -178,7 +178,7 @@ class SessionRegistry {
   // sits outside each session's PartitionCache::mu_ (which in turn sits
   // outside the MetricsRegistry lock). AuditOne runs the deep audit after
   // releasing mu_ (the shared_ptr keeps the session alive), so concurrent
-  // Find/Add/Remove from other shards never stall behind it.
+  // Find/Add/Remove from other requests never stall behind it.
   mutable Mutex mu_;
   std::map<std::string, std::shared_ptr<Session>> sessions_ GUARDED_BY(mu_);
 };

@@ -250,7 +250,8 @@ std::vector<uint8_t> BuildSnapshotImage(
   // Header last: it needs the payload size and checksum.
   std::vector<uint8_t> image;
   image.reserve(kHeaderSize + payload.size());
-  image.insert(image.end(), kSnapshotMagic, kSnapshotMagic + 8);
+  image.resize(8);
+  std::memcpy(image.data(), kSnapshotMagic, 8);
   AppendU32(&image, kSnapshotVersion);
   AppendU32(&image, 0);  // Reserved.
   AppendU64(&image, payload.size());

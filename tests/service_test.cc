@@ -2,6 +2,11 @@
 // request core, and the full socket path (admission control, deadlines,
 // micro-batching, graceful drain).
 
+#include <arpa/inet.h>
+#include <netinet/in.h>
+#include <sys/socket.h>
+#include <unistd.h>
+
 #include <atomic>
 #include <chrono>
 #include <cstdio>
@@ -373,6 +378,44 @@ TEST_F(ServiceSocketTest, MalformedLineGets400WithoutKillingConnection) {
   EXPECT_TRUE(again.value().Get("ok").AsBool());
 }
 
+TEST_F(ServiceSocketTest, OverlongLineGets400AndClosesConnection) {
+  StartServer(ServerConfig{});
+
+  // ServiceClient always terminates its lines, so write the bytes raw.
+  int fd = ::socket(AF_INET, SOCK_STREAM, 0);
+  ASSERT_GE(fd, 0);
+  sockaddr_in addr{};
+  addr.sin_family = AF_INET;
+  addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
+  addr.sin_port = htons(static_cast<uint16_t>(server_->port()));
+  ASSERT_EQ(::connect(fd, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)), 0);
+  const std::string line(kMaxRequestLineBytes + 1, 'a');  // No newline.
+  for (size_t off = 0; off < line.size();) {
+    ssize_t n = ::send(fd, line.data() + off, line.size() - off, MSG_NOSIGNAL);
+    ASSERT_GT(n, 0);
+    off += static_cast<size_t>(n);
+  }
+  std::string received;
+  char chunk[4096];
+  for (ssize_t n; (n = ::recv(fd, chunk, sizeof(chunk), 0)) > 0;) {
+    received.append(chunk, static_cast<size_t>(n));
+  }
+  ::close(fd);  // recv returned 0: the server closed the connection.
+  ASSERT_FALSE(received.empty());
+  ASSERT_EQ(received.back(), '\n');
+  received.pop_back();
+  auto resp = Json::Parse(received);  // Exactly one response line.
+  ASSERT_TRUE(resp.ok()) << received;
+  EXPECT_FALSE(resp.value().Get("ok").AsBool());
+  EXPECT_EQ(resp.value().Get("code").AsInt(), kCodeBadRequest);
+
+  // Other connections are unaffected.
+  ServiceClient client = Connect();
+  auto pong = client.Call(Req(ops::kPing, 2));
+  ASSERT_TRUE(pong.ok());
+  EXPECT_TRUE(pong.value().Get("ok").AsBool());
+}
+
 TEST_F(ServiceSocketTest, QueueOverflowIsRejectedWith503) {
   ServerConfig config;
   config.queue_depth = 2;
@@ -381,12 +424,12 @@ TEST_F(ServiceSocketTest, QueueOverflowIsRejectedWith503) {
   config.max_parked = 2;
   StartServer(config);
 
-  // Park the executor in a sleep, then overfill the queue.
+  // Hold the "" strand with a sleep, then overfill the queue.
   ServiceClient blocker = Connect();
   Json sleep_req = Req(ops::kSleep);
   sleep_req.Set("ms", Json::Number(400));
   ASSERT_TRUE(blocker.Send(sleep_req).ok());
-  // Give the executor time to pop the sleep off the queue.
+  // Give a pool worker time to start the sleep.
   std::this_thread::sleep_for(std::chrono::milliseconds(50));
 
   ServiceClient flood = Connect();
@@ -411,8 +454,8 @@ TEST_F(ServiceSocketTest, QueueOverflowIsRejectedWith503) {
       ++rejected;
     }
   }
-  // The shard admits queue_depth + max_parked requests (minus one queue slot
-  // if the sleep had not been popped yet); everything else must have been
+  // The server admits queue_depth + max_parked requests (minus one queue
+  // slot if the sleep had not started yet); everything else must have been
   // admission-rejected, and every admitted ping answered after the sleep.
   EXPECT_GE(rejected, kSent - 2 - 2 - 1);
   EXPECT_GE(ok, 3);
@@ -445,14 +488,13 @@ TEST_F(ServiceSocketTest, ExpiredDeadlineGets504) {
 
 TEST_F(ServiceSocketTest, ParkedRequestIsShedWhenDeadlineCannotBeMet) {
   ServerConfig config;
-  config.shards = 1;       // Deterministic: no thief can drain the shard.
   config.queue_depth = 1;  // One queue slot, so the probe must park.
   config.max_parked = 4;
   StartServer(config);
   ServiceClient client = Connect();
 
-  // Occupy the executor, fill the single queue slot, then park a request
-  // whose deadline expires long before the executor frees up.
+  // Hold the "" strand, fill the single queue slot, then park a request
+  // whose deadline expires long before the strand frees up.
   Json sleep_req = Req(ops::kSleep, 1);
   sleep_req.Set("ms", Json::Number(300));
   ASSERT_TRUE(client.Send(sleep_req).ok());
@@ -463,7 +505,7 @@ TEST_F(ServiceSocketTest, ParkedRequestIsShedWhenDeadlineCannotBeMet) {
   ASSERT_TRUE(client.Send(doomed).ok());
 
   // All three must be answered: the shed 503 must carry the parked
-  // request's id (not a 504 — it never reached an executor), and shedding
+  // request's id (not a 504 — it never reached the pool), and shedding
   // must not disturb the admitted requests.
   int pongs = 0;
   bool shed_seen = false;
@@ -485,12 +527,12 @@ TEST_F(ServiceSocketTest, ParkedRequestIsShedWhenDeadlineCannotBeMet) {
   EXPECT_EQ(snapshot.Counter("serve.deadline_exceeded"), 0);
   EXPECT_EQ(snapshot.Counter("serve.rejected"), 0);
 
-  // The shed entry must not leak a wait-list slot: the shard reports an
-  // empty wait list, and the shard still serves traffic.
-  auto parked_it = snapshot.gauges.find("serve.shard.0.parked");
-  ASSERT_NE(parked_it, snapshot.gauges.end());
-  EXPECT_EQ(parked_it->second, 0.0);
-  auto after = client.Call(Req(ops::kPing, 4));
+  // The shed entry must not leak a wait-list slot: nothing is queued or
+  // parked, and the server still serves traffic.
+  auto stats = client.Call(Req(ops::kStats, 4));
+  ASSERT_TRUE(stats.ok());
+  EXPECT_EQ(stats.value().Get("queue_depth").AsInt(-1), 0);
+  auto after = client.Call(Req(ops::kPing, 5));
   ASSERT_TRUE(after.ok());
   EXPECT_TRUE(after.value().Get("ok").AsBool());
 }
@@ -498,19 +540,17 @@ TEST_F(ServiceSocketTest, ParkedRequestIsShedWhenDeadlineCannotBeMet) {
 TEST_F(ServiceSocketTest, ConsecutiveUpdatesAreMicroBatched) {
   ServerConfig config;
   config.queue_depth = 64;
-  // One shard: with more, an idle executor could steal the first updates
-  // off the blocked shard before the whole run is queued, splitting the
-  // batch this test asserts on.
-  config.shards = 1;
   StartServer(config);
   ServiceClient client = Connect();
   auto loaded = client.Call(LoadReq("s"));
   ASSERT_TRUE(loaded.ok());
   ASSERT_TRUE(loaded.value().Get("ok").AsBool());
 
-  // Park the executor so the updates pile up in the queue, then verify they
-  // are popped as one batch but answered individually.
+  // Hold session s's strand with a sleep so the updates pile up in its
+  // mailbox, then verify they run as one batch but are answered
+  // individually.
   Json sleep_req = Req(ops::kSleep);
+  sleep_req.Set("session", Json::Str("s"));
   sleep_req.Set("ms", Json::Number(200));
   ASSERT_TRUE(client.Send(sleep_req).ok());
   std::this_thread::sleep_for(std::chrono::milliseconds(50));
@@ -541,8 +581,8 @@ TEST_F(ServiceSocketTest, GracefulDrainAnswersEveryAcceptedRequest) {
   for (int i = 0; i < kPings; ++i) {
     ASSERT_TRUE(client.Send(Req(ops::kPing, 10 + i)).ok());
   }
-  // Let the reader enqueue everything (the sleep holds the executor, so the
-  // pings are sitting in the queue) before the drain begins.
+  // Let the reader enqueue everything (the sleep holds the "" strand, so the
+  // pings are sitting in its mailbox) before the drain begins.
   std::this_thread::sleep_for(std::chrono::milliseconds(50));
   server_->NotifyShutdown();
 

@@ -272,7 +272,7 @@ def check_serve_closed_loop(table, reject_max_pct, p99_max_ms):
     """Hard gates for the service closed-loop sweep, conditioned on hardware
     (the `hw` column is the producing machine's hardware concurrency):
 
-      * rejection rate: on capable hardware (hw >= 8) the sharded executors
+      * rejection rate: on capable hardware (hw >= 8) the per-session strands
         with bounded waiting must answer virtually everything — the 503 rate
         (rejected_503 / sent) must stay under reject_max_pct on every row;
       * tail latency: p99_ms must stay under p99_max_ms, but only on rows
@@ -393,10 +393,10 @@ def self_test():
          "rows": [[1, 16, 0.80, 1.00, 0.10, 1.00, 0.70, 1.00, "yes"],
                   [8, 16, 0.15, 5.33, 0.02, 5.00, 0.13, 5.38, "yes"]]},
         {"bench": "serve_closed_loop",
-         "columns": ["clients", "queue_depth", "shards", "hw", "sent", "ok",
+         "columns": ["clients", "queue_depth", "hw", "sent", "ok",
                      "rejected_503", "p50_ms", "p95_ms", "p99_ms"],
-         "rows": [[32, 64, 8, 16, 1600, 1600, 0, 0.9, 2.1, 3.2],
-                  [256, 64, 8, 16, 12800, 12795, 5, 4.0, 7.5, 9.8]]},
+         "rows": [[32, 64, 16, 1600, 1600, 0, 0.9, 2.1, 3.2],
+                  [256, 64, 16, 12800, 12795, 5, 4.0, 7.5, 9.8]]},
         {"bench": "storage_bytes",
          "columns": ["dataset", "rows", "flat_kb", "comp_kb", "flat_b_row",
                      "comp_b_row", "ratio", "identical"],
@@ -516,8 +516,8 @@ def self_test():
     # 13. Serve floors on capable hardware (hw >= 8): a rejection rate over
     #     the maximum fails even when the latency columns look healthy ...
     rejecting = clone(baseline)
-    rejecting[5]["rows"][0][5] = 1280   # ok
-    rejecting[5]["rows"][0][6] = 320    # rejected_503: 20% of sent
+    rejecting[5]["rows"][0][4] = 1280   # ok
+    rejecting[5]["rows"][0][5] = 320    # rejected_503: 20% of sent
     failures = gate(rejecting)
     checks.append(("serve rejection rate over maximum fails",
                    len(failures) == 1 and "rejected" in failures[0]
@@ -525,7 +525,7 @@ def self_test():
     #     ... and a p99 above the floor fails on a drivable row
     #     (clients <= 4*hw).
     slow_tail = clone(baseline)
-    slow_tail[5]["rows"][0][9] = 14.0   # p99_ms at 32 clients, hw=16
+    slow_tail[5]["rows"][0][8] = 14.0   # p99_ms at 32 clients, hw=16
     failures = gate(slow_tail)
     checks.append(("serve p99 over floor fails on drivable row",
                    any("p99" in f and "14" in f for f in failures)))
@@ -535,12 +535,12 @@ def self_test():
     slow_oversub = clone(baseline)
     # p99_ms at 256 clients, hw=16: above the 10 ms floor (which does not
     # arm at 256 > 4*16 clients) yet within the row-wise time tolerance.
-    slow_oversub[5]["rows"][1][9] = 12.0
+    slow_oversub[5]["rows"][1][8] = 12.0
     checks.append(("oversubscribed row exempt from p99 floor",
                    gate(slow_oversub) == []))
     rejecting_oversub = clone(baseline)
-    rejecting_oversub[5]["rows"][1][5] = 10800
-    rejecting_oversub[5]["rows"][1][6] = 2000  # 15.6% rejected
+    rejecting_oversub[5]["rows"][1][4] = 10800
+    rejecting_oversub[5]["rows"][1][5] = 2000  # 15.6% rejected
     failures = gate(rejecting_oversub)
     checks.append(("oversubscribed row still rejection-gated",
                    len(failures) == 1 and "rejected" in failures[0]))
@@ -551,8 +551,8 @@ def self_test():
     #     against the baseline by the generic comparison.
     small_serve = clone(baseline)
     for row in small_serve[5]["rows"]:
-        row[3] = 1                        # hw = 1
-    small_serve[5]["rows"][0][6] = 500  # heavy rejection: no floor to trip
+        row[2] = 1                        # hw = 1
+    small_serve[5]["rows"][0][5] = 500  # heavy rejection: no floor to trip
     checks.append(("serve floors skipped when hw < 8",
                    gate(small_serve) == []))
 

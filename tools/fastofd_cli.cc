@@ -16,9 +16,8 @@
 //               [--out data.csv] [--ontology-out o.txt] [--sigma-out s.txt]
 //       Generate a synthetic instance (data + ontology + Σ + ground truth).
 //
-//   fastofd serve (--socket PATH | --port N) [--shards S] [--queue-depth D]
-//                 [--max-parked P] [--deadline-ms MS] [--max-batch B]
-//                 [--snapshot-dir DIR]
+//   fastofd serve (--socket PATH | --port N) [--queue-depth D]
+//                 [--max-parked P] [--deadline-ms MS] [--snapshot-dir DIR]
 //       Run the resident cleaning service (NDJSON over a UNIX-domain or
 //       loopback TCP socket; see docs/protocol.md). Drains gracefully on
 //       SIGTERM/SIGINT: in-flight requests finish, new ones get 503.
@@ -32,8 +31,11 @@
 // Flags common to all subcommands:
 //   --threads N        worker threads for the shared execution pool
 //                      (default 1; 0 = all hardware threads). Output is
-//                      identical for any thread count. `gen` accepts the
-//                      flag for symmetry but generation itself is serial.
+//                      identical for any thread count. `serve` runs every
+//                      request on this pool and gives it N + 1 workers
+//                      (at least 2).
+//                      `gen` accepts the flag for symmetry but generation
+//                      itself is serial.
 //   --metrics[=json]   after the run, dump the metrics registry (counters,
 //                      gauges, timers — including partition-cache
 //                      hit/miss/eviction counts and per-level timers) to
@@ -348,11 +350,9 @@ int RunServe(const Flags& flags) {
     return 2;
   }
   config.threads = ExecContext::ResolveThreads(flags);
-  config.shards = static_cast<int>(flags.GetInt("shards", 0));
   config.queue_depth = static_cast<int>(flags.GetInt("queue-depth", 64));
   config.max_parked = static_cast<int>(flags.GetInt("max-parked", 1024));
   config.default_deadline_ms = flags.GetDouble("deadline-ms", 0.0);
-  config.max_update_batch = static_cast<int>(flags.GetInt("max-batch", 64));
   config.cache_budget_bytes = ExecContext::ResolveCacheBudget(flags);
   config.snapshot_dir = flags.GetString("snapshot-dir", "");
 
