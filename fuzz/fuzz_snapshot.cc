@@ -6,13 +6,17 @@
 // replays every input with a *fixed-up* header — correct magic, version,
 // payload size, and recomputed checksum — forcing the section parsers and
 // the embedded CompressedPartition validator to face the mutated payload.
-// Anything that parses must parse identically again (determinism).
+// Anything that parses must parse identically again (determinism), and
+// every accepted partition must refine identically whether streamed or
+// decoded first.
 
 #include <cstdint>
 #include <cstring>
 #include <vector>
 
 #include "common/check.h"
+#include "relation/compressed_partition.h"
+#include "relation/partition.h"
 #include "service/snapshot.h"
 
 extern "C" int LLVMFuzzerTestOneInput(const uint8_t* data, size_t size) {
@@ -49,6 +53,25 @@ extern "C" int LLVMFuzzerTestOneInput(const uint8_t* data, size_t size) {
     FASTOFD_CHECK(first.value().columns == second.value().columns);
     FASTOFD_CHECK(first.value().partitions.size() ==
                   second.value().partitions.size());
+
+    // The one compressed kernel: refining a partition straight off its
+    // stream must give the classes of refining its decoded flat form.
+    const SnapshotContents& snap = first.value();
+    if (!snap.columns.empty()) {
+      const std::vector<ValueId>& column = snap.columns[0];
+      PartitionScratch scratch;
+      for (const auto& entry : snap.partitions) {
+        const CompressedPartition& compressed = entry.second;
+        if (compressed.num_rows() != static_cast<int64_t>(column.size())) continue;
+        StrippedPartition streamed;
+        StrippedPartition::RefineInto(compressed, column, snap.dict_strings.size(),
+                                      &scratch, &streamed);
+        StrippedPartition flat;
+        StrippedPartition::RefineInto(compressed.Decode(), column,
+                                      snap.dict_strings.size(), &scratch, &flat);
+        FASTOFD_CHECK(streamed.ToClassVectors() == flat.ToClassVectors());
+      }
+    }
   }
   return 0;
 }

@@ -1,7 +1,5 @@
 #include "relation/compressed_partition.h"
 
-#include <algorithm>
-#include <cstring>
 #include <string>
 #include <utility>
 
@@ -78,8 +76,7 @@ uint64_t ReadU64(const uint8_t* p) {
 
 // Encodes one class (strictly ascending rows, size >= 2) under the smallest
 // of the three codecs.
-void EncodeClass(RowSpan cls, std::vector<uint8_t>* out,
-                 CompressedPartition::EncodingStats* stats) {
+void EncodeClass(RowSpan cls, std::vector<uint8_t>* out) {
   const uint64_t first = static_cast<uint64_t>(cls.front());
   const uint64_t last = static_cast<uint64_t>(cls.back());
   const uint64_t span = last - first + 1;
@@ -112,13 +109,10 @@ void EncodeClass(RowSpan cls, std::vector<uint8_t>* out,
   CompressedPartition::Encoding tag;
   if (gap_cost <= bitmap_cost && gap_cost <= comp_cost) {
     tag = CompressedPartition::Encoding::kGap;
-    ++stats->gap_classes;
   } else if (bitmap_cost <= comp_cost) {
     tag = CompressedPartition::Encoding::kBitmap;
-    ++stats->bitmap_classes;
   } else {
     tag = CompressedPartition::Encoding::kComplement;
-    ++stats->complement_classes;
   }
 
   AppendVarint(out, (static_cast<uint64_t>(size) << 2) |
@@ -172,7 +166,7 @@ CompressedPartition CompressedPartition::Encode(const StrippedPartition& p) {
   c.num_classes_ = p.num_classes();
   // Dense classes encode near 1 byte/row; reserve that and trim after.
   c.owned_.reserve(static_cast<size_t>(p.sum_sizes()) + 16);
-  for (RowSpan cls : p.classes()) EncodeClass(cls, &c.owned_, &c.stats_);
+  for (RowSpan cls : p.classes()) EncodeClass(cls, &c.owned_);
   c.owned_.shrink_to_fit();
   return c;
 }
@@ -291,7 +285,7 @@ Status CompressedPartition::ValidateStream(const uint8_t* data, size_t size,
     } else if (tag == static_cast<uint64_t>(Encoding::kBitmap)) {
       uint64_t span = 0;
       if (!ReadVarintChecked(&pos, end, &span) || span < cls_size ||
-          first + span > rows_bound) {
+          span > rows_bound - first) {
         return AuditError("bad bitmap span at class " + std::to_string(classes));
       }
       const uint64_t nbytes = (span + 7) / 8;
@@ -320,7 +314,7 @@ Status CompressedPartition::ValidateStream(const uint8_t* data, size_t size,
     } else if (tag == static_cast<uint64_t>(Encoding::kComplement)) {
       uint64_t span = 0;
       if (!ReadVarintChecked(&pos, end, &span) || span < cls_size ||
-          first + span > rows_bound) {
+          span > rows_bound - first) {
         return AuditError("bad complement span at class " +
                           std::to_string(classes));
       }
@@ -419,238 +413,8 @@ Result<CompressedPartition> CompressedPartition::FromBytes(
   c.backing_ = std::move(backing);
   Status valid = c.AuditInvariants();
   if (!valid.ok()) return valid;
-  // Recover the per-codec stats (cheap second pass over headers only would
-  // need span skips anyway; reuse the cursor).
-  const uint8_t* pos = c.view_data_;
-  const uint8_t* const end = pos + c.view_size_;
-  while (pos < end) {
-    const uint64_t header = ReadVarintFast(&pos);
-    const uint64_t cls_size = header >> 2;
-    const Encoding tag = static_cast<Encoding>(header & 3);
-    const uint64_t first = ReadVarintFast(&pos);
-    (void)first;
-    if (tag == Encoding::kGap) {
-      ++c.stats_.gap_classes;
-      for (uint64_t i = 1; i < cls_size; ++i) (void)ReadVarintFast(&pos);
-    } else if (tag == Encoding::kBitmap) {
-      ++c.stats_.bitmap_classes;
-      const uint64_t span = ReadVarintFast(&pos);
-      pos += (span + 7) / 8;
-    } else {
-      ++c.stats_.complement_classes;
-      const uint64_t span = ReadVarintFast(&pos);
-      for (uint64_t i = 0; i < span - cls_size; ++i) (void)ReadVarintFast(&pos);
-    }
-  }
   if (consumed != nullptr) *consumed = kHeader + c.view_size_;
   return c;
-}
-
-// ---------------------------------------------------------------------------
-// Streaming kernels: compressed left operand, flat right operand. Identical
-// output to the flat kernels — the probe-table algorithm only ever walks
-// classes sequentially on either side, so a one-class-at-a-time cursor slots
-// straight in.
-
-void StrippedPartition::IntersectInto(const CompressedPartition& a,
-                                      const StrippedPartition& b,
-                                      PartitionScratch* scratch,
-                                      StrippedPartition* out) {
-  FASTOFD_CHECK(a.num_rows() == b.num_rows_);
-  FASTOFD_CHECK(out != &b);
-  out->num_rows_ = b.num_rows_;
-  out->rows_.clear();
-  out->offsets_.clear();
-  if (a.IsSuperkey() || b.IsSuperkey()) return;
-  if (a.IsAllRowsClass()) {
-    out->rows_ = b.rows_;
-    out->offsets_ = b.offsets_;
-    return;
-  }
-  if (b.IsAllRowsClass()) {
-    *out = a.Decode();
-    return;
-  }
-  scratch->EnsureRows(static_cast<size_t>(b.num_rows_));
-  std::vector<int32_t>& probe = scratch->probe_;
-  const bool a_probes = a.sum_sizes() <= b.sum_sizes();
-  if (a_probes) {
-    scratch->EnsureClasses(static_cast<size_t>(a.num_classes()));
-    int32_t ci = 0;
-    for (CompressedPartition::Cursor cur(a); cur.Next(); ++ci) {
-      for (RowId r : cur.rows()) probe[static_cast<size_t>(r)] = ci;
-    }
-    EmitIntersection(b, 0, b.NumClassesSize(), probe, scratch, &out->rows_,
-                     &out->offsets_);
-    for (CompressedPartition::Cursor cur(a); cur.Next();) {
-      for (RowId r : cur.rows()) probe[static_cast<size_t>(r)] = -1;
-    }
-    return;
-  }
-  scratch->EnsureClasses(b.NumClassesSize());
-  const size_t num_probe_classes = b.NumClassesSize();
-  for (size_t ci = 0; ci < num_probe_classes; ++ci) {
-    for (RowId r : b.Class(ci)) {
-      probe[static_cast<size_t>(r)] = static_cast<int32_t>(ci);
-    }
-  }
-  // Outer side streams off the compressed form: same two-pass count/scatter
-  // as EmitIntersection, reading the cursor's span instead of the arena.
-  std::vector<int32_t>& counts = scratch->counts_;
-  std::vector<int32_t>& slot = scratch->slot_;
-  std::vector<int32_t>& touched = scratch->touched_;
-  for (CompressedPartition::Cursor cur(a); cur.Next();) {
-    const RowSpan cls = cur.rows();
-    for (RowId r : cls) {
-      int32_t ci = probe[static_cast<size_t>(r)];
-      if (ci < 0) continue;
-      if (counts[static_cast<size_t>(ci)]++ == 0) touched.push_back(ci);
-    }
-    const size_t old_size = out->rows_.size();
-    size_t pos = old_size;
-    for (int32_t ci : touched) {
-      int32_t c = counts[static_cast<size_t>(ci)];
-      if (c < 2) continue;
-      slot[static_cast<size_t>(ci)] = static_cast<int32_t>(pos);
-      pos += static_cast<size_t>(c);
-      if (out->offsets_.empty()) out->offsets_.push_back(0);
-      out->offsets_.push_back(static_cast<uint32_t>(pos));
-    }
-    if (pos != old_size) {
-      out->rows_.resize(pos);
-      for (RowId r : cls) {
-        int32_t ci = probe[static_cast<size_t>(r)];
-        if (ci < 0) continue;
-        int32_t& s = slot[static_cast<size_t>(ci)];
-        if (s >= 0) out->rows_[static_cast<size_t>(s++)] = r;
-      }
-    }
-    for (int32_t ci : touched) {
-      counts[static_cast<size_t>(ci)] = 0;
-      slot[static_cast<size_t>(ci)] = -1;
-    }
-    touched.clear();
-  }
-  for (RowId r : b.rows()) probe[static_cast<size_t>(r)] = -1;
-}
-
-void StrippedPartition::RefineInto(const CompressedPartition& a,
-                                   const std::vector<ValueId>& column,
-                                   size_t num_values, PartitionScratch* scratch,
-                                   StrippedPartition* out) {
-  out->num_rows_ = a.num_rows();
-  out->rows_.clear();
-  out->offsets_.clear();
-  if (a.IsSuperkey()) return;
-  scratch->EnsureValues(num_values);
-  std::vector<int32_t>& counts = scratch->val_counts_;
-  std::vector<int32_t>& slot = scratch->val_slot_;
-  std::vector<ValueId>& touched = scratch->touched_vals_;
-  for (CompressedPartition::Cursor cur(a); cur.Next();) {
-    const RowSpan cls = cur.rows();
-    for (RowId r : cls) {
-      ValueId v = column[static_cast<size_t>(r)];
-      if (counts[static_cast<size_t>(v)]++ == 0) touched.push_back(v);
-    }
-    const size_t old_size = out->rows_.size();
-    size_t pos = old_size;
-    for (ValueId v : touched) {
-      int32_t c = counts[static_cast<size_t>(v)];
-      if (c < 2) continue;
-      slot[static_cast<size_t>(v)] = static_cast<int32_t>(pos);
-      pos += static_cast<size_t>(c);
-      if (out->offsets_.empty()) out->offsets_.push_back(0);
-      out->offsets_.push_back(static_cast<uint32_t>(pos));
-    }
-    if (pos != old_size) {
-      out->rows_.resize(pos);
-      for (RowId r : cls) {
-        int32_t& s = slot[static_cast<size_t>(column[static_cast<size_t>(r)])];
-        if (s >= 0) out->rows_[static_cast<size_t>(s++)] = r;
-      }
-    }
-    for (ValueId v : touched) {
-      counts[static_cast<size_t>(v)] = 0;
-      slot[static_cast<size_t>(v)] = -1;
-    }
-    touched.clear();
-  }
-}
-
-int64_t StrippedPartition::IntersectError(const CompressedPartition& a,
-                                          const StrippedPartition& b,
-                                          PartitionScratch* scratch,
-                                          int64_t max_error) {
-  FASTOFD_CHECK(a.num_rows() == b.num_rows_);
-  if (a.IsSuperkey() || b.IsSuperkey()) return 0;
-  if (a.IsAllRowsClass()) return b.error();
-  if (b.IsAllRowsClass()) return a.error();
-  scratch->EnsureRows(static_cast<size_t>(b.num_rows_));
-  std::vector<int32_t>& probe = scratch->probe_;
-  std::vector<int32_t>& counts = scratch->counts_;
-  std::vector<int32_t>& touched = scratch->touched_;
-  int64_t err = 0;
-  const bool a_probes = a.sum_sizes() <= b.sum_sizes();
-  if (a_probes) {
-    scratch->EnsureClasses(static_cast<size_t>(a.num_classes()));
-    int32_t ci = 0;
-    for (CompressedPartition::Cursor cur(a); cur.Next(); ++ci) {
-      for (RowId r : cur.rows()) probe[static_cast<size_t>(r)] = ci;
-    }
-    const size_t num_outer = b.NumClassesSize();
-    for (size_t oc = 0; oc < num_outer && err <= max_error; ++oc) {
-      for (RowId r : b.Class(oc)) {
-        int32_t ci2 = probe[static_cast<size_t>(r)];
-        if (ci2 < 0) continue;
-        if (counts[static_cast<size_t>(ci2)]++ == 0) touched.push_back(ci2);
-      }
-      for (int32_t ci2 : touched) {
-        int32_t c = counts[static_cast<size_t>(ci2)];
-        if (c >= 2) err += c - 1;
-        counts[static_cast<size_t>(ci2)] = 0;
-      }
-      touched.clear();
-    }
-    for (CompressedPartition::Cursor cur(a); cur.Next();) {
-      for (RowId r : cur.rows()) probe[static_cast<size_t>(r)] = -1;
-    }
-    return err;
-  }
-  scratch->EnsureClasses(b.NumClassesSize());
-  const size_t num_probe_classes = b.NumClassesSize();
-  for (size_t ci = 0; ci < num_probe_classes; ++ci) {
-    for (RowId r : b.Class(ci)) {
-      probe[static_cast<size_t>(r)] = static_cast<int32_t>(ci);
-    }
-  }
-  for (CompressedPartition::Cursor cur(a); cur.Next() && err <= max_error;) {
-    for (RowId r : cur.rows()) {
-      int32_t ci = probe[static_cast<size_t>(r)];
-      if (ci < 0) continue;
-      if (counts[static_cast<size_t>(ci)]++ == 0) touched.push_back(ci);
-    }
-    for (int32_t ci : touched) {
-      int32_t c = counts[static_cast<size_t>(ci)];
-      if (c >= 2) err += c - 1;
-      counts[static_cast<size_t>(ci)] = 0;
-    }
-    touched.clear();
-  }
-  for (RowId r : b.rows()) probe[static_cast<size_t>(r)] = -1;
-  return err;
-}
-
-StrippedPartition StrippedPartition::FromParts(std::vector<RowId> rows,
-                                               std::vector<uint32_t> offsets,
-                                               int64_t num_rows) {
-  FASTOFD_CHECK(num_rows >= 0);
-  FASTOFD_CHECK(offsets.empty() ||
-                (offsets.front() == 0 && offsets.back() == rows.size()));
-  StrippedPartition p;
-  p.rows_ = std::move(rows);
-  p.offsets_ = std::move(offsets);
-  p.num_rows_ = num_rows;
-  return p;
 }
 
 }  // namespace fastofd

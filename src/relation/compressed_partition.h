@@ -10,13 +10,12 @@
 //   complement  delta-gap varints of the *absent* ids in (first, last) —
 //               dense classes (near-runs) where the holes are few.
 //
-// The stream is append-only and classes decode strictly in order, which is
-// all the partition kernels need: IntersectInto / RefineInto / IntersectError
-// only ever walk both operands' classes sequentially, so a Cursor that
-// decodes one class at a time into a reusable buffer lets a compressed
-// operand feed the kernels without ever materializing the flat arena
-// (see the compressed overloads on StrippedPartition). Decode() rebuilds the
-// flat form byte-identically (same class order, same rows) for hot paths.
+// The stream is append-only and classes decode strictly in order. A Cursor
+// decodes one class at a time into a reusable buffer; that is all the
+// compressed StrippedPartition::RefineInto needs, so a cold cached prefix
+// refines by a column without ever materializing the flat arena. Decode()
+// rebuilds the flat form byte-identically (same class order, same rows) for
+// hot paths.
 //
 // A CompressedPartition either owns its stream (Encode) or is a non-owning
 // view over external bytes (FromBytes over a memory-mapped snapshot, kept
@@ -42,14 +41,6 @@ class CompressedPartition {
  public:
   /// Per-class codec tags (two low bits of the class header varint).
   enum class Encoding : uint8_t { kGap = 0, kBitmap = 1, kComplement = 2 };
-
-  /// How many classes each codec won, plus total encoded bytes — the
-  /// bench_storage breakdown.
-  struct EncodingStats {
-    int64_t gap_classes = 0;
-    int64_t bitmap_classes = 0;
-    int64_t complement_classes = 0;
-  };
 
   CompressedPartition() = default;
 
@@ -119,8 +110,6 @@ class CompressedPartition {
 
   bool IsView() const { return backing_ != nullptr; }
 
-  EncodingStats encoding_stats() const { return stats_; }
-
   /// Deep invariant audit (common/audit.h): re-walks the stream with full
   /// validation (the FromBytes checks) — decodable end to end, rows in
   /// range, ascending, disjoint, counters consistent. Returns the first
@@ -128,8 +117,6 @@ class CompressedPartition {
   Status AuditInvariants() const;
 
  private:
-  friend class StrippedPartition;
-
   const uint8_t* data() const {
     return view_data_ != nullptr ? view_data_ : owned_.data();
   }
@@ -150,7 +137,6 @@ class CompressedPartition {
   int64_t num_rows_ = 0;
   int64_t sum_sizes_ = 0;
   int64_t num_classes_ = 0;
-  EncodingStats stats_;
 };
 
 }  // namespace fastofd

@@ -194,6 +194,19 @@ StrippedPartition StrippedPartition::Build(const Relation& rel, AttrId attr) {
   return p;
 }
 
+StrippedPartition StrippedPartition::FromParts(std::vector<RowId> rows,
+                                               std::vector<uint32_t> offsets,
+                                               int64_t num_rows) {
+  FASTOFD_CHECK(num_rows >= 0);
+  FASTOFD_CHECK(offsets.empty() ||
+                (offsets.front() == 0 && offsets.back() == rows.size()));
+  StrippedPartition p;
+  p.rows_ = std::move(rows);
+  p.offsets_ = std::move(offsets);
+  p.num_rows_ = num_rows;
+  return p;
+}
+
 StrippedPartition StrippedPartition::BuildForSet(const Relation& rel, AttrSet attrs) {
   if (attrs.empty()) {
     StrippedPartition p;
@@ -232,55 +245,111 @@ StrippedPartition StrippedPartition::Refine(const StrippedPartition& a,
   return out;
 }
 
-void StrippedPartition::EmitIntersection(const StrippedPartition& outer, size_t first,
-                                         size_t last, const std::vector<int32_t>& probe,
-                                         PartitionScratch* scratch,
-                                         std::vector<RowId>* rows,
-                                         std::vector<uint32_t>* offsets) {
+namespace {
+
+// Class sources for EmitGroups: a flat view, or a compressed partition
+// decoded one class at a time.
+template <typename Fn>
+void ForEachClass(const ClassesView& classes, Fn&& fn) {
+  for (RowSpan cls : classes) fn(cls);
+}
+
+template <typename Fn>
+void ForEachClass(const CompressedPartition& classes, Fn&& fn) {
+  for (CompressedPartition::Cursor cur(classes); cur.Next();) fn(cur.rows());
+}
+
+// The one count loop: tallies the rows of `cls` per key(row), recording each
+// key's first touch. A negative key is a row stripped on the probe side.
+template <typename Key>
+void CountGroups(RowSpan cls, Key key, std::vector<int32_t>& counts,
+                 std::vector<int32_t>& touched) {
+  for (RowId r : cls) {
+    const int32_t k = key(r);
+    if (k < 0) continue;
+    if (counts[static_cast<size_t>(k)]++ == 0) touched.push_back(k);
+  }
+}
+
+// Group keys: the probe-side class of a row, or its value in a column.
+struct ProbeKey {
+  const int32_t* probe;
+  int32_t operator()(RowId r) const { return probe[static_cast<size_t>(r)]; }
+};
+
+struct ColumnKey {
+  const ValueId* column;
+  int32_t operator()(RowId r) const { return column[static_cast<size_t>(r)]; }
+};
+
+}  // namespace
+
+template <typename Classes, typename Key>
+void StrippedPartition::EmitGroups(const Classes& classes, Key key,
+                                   PartitionScratch* scratch,
+                                   std::vector<RowId>* rows,
+                                   std::vector<uint32_t>* offsets) {
   std::vector<int32_t>& counts = scratch->counts_;
   std::vector<int32_t>& slot = scratch->slot_;
   std::vector<int32_t>& touched = scratch->touched_;
-  for (size_t oc = first; oc < last; ++oc) {
-    const uint32_t begin = outer.offsets_[oc];
-    const uint32_t end = outer.offsets_[oc + 1];
-    // Pass 1: count this outer class's rows per probe-side class.
-    for (uint32_t k = begin; k < end; ++k) {
-      int32_t ci = probe[static_cast<size_t>(outer.rows_[k])];
-      if (ci < 0) continue;
-      if (counts[static_cast<size_t>(ci)]++ == 0) touched.push_back(ci);
-    }
-    if (touched.empty()) continue;
+  ForEachClass(classes, [&](RowSpan cls) {
+    CountGroups(cls, key, counts, touched);
+    if (touched.empty()) return;
     // Assign each surviving group (count >= 2) a contiguous slot range at
     // the end of the arena; groups appear in first-touch order, which is
     // deterministic and independent of chunking.
     const size_t old_size = rows->size();
     size_t pos = old_size;
-    for (int32_t ci : touched) {
-      int32_t c = counts[static_cast<size_t>(ci)];
+    for (int32_t k : touched) {
+      int32_t c = counts[static_cast<size_t>(k)];
       if (c < 2) continue;
-      slot[static_cast<size_t>(ci)] = static_cast<int32_t>(pos);
+      slot[static_cast<size_t>(k)] = static_cast<int32_t>(pos);
       pos += static_cast<size_t>(c);
       if (offsets->empty()) offsets->push_back(0);
       offsets->push_back(static_cast<uint32_t>(pos));
     }
     if (pos != old_size) {
       rows->resize(pos);
-      // Pass 2: scatter. Iterating the outer class in order keeps every
-      // emitted class strictly ascending.
-      for (uint32_t k = begin; k < end; ++k) {
-        RowId r = outer.rows_[k];
-        int32_t ci = probe[static_cast<size_t>(r)];
-        if (ci < 0) continue;
-        int32_t& s = slot[static_cast<size_t>(ci)];
+      // Scatter. Iterating the class in order keeps every emitted class
+      // strictly ascending.
+      for (RowId r : cls) {
+        const int32_t k = key(r);
+        if (k < 0) continue;
+        int32_t& s = slot[static_cast<size_t>(k)];
         if (s >= 0) (*rows)[static_cast<size_t>(s++)] = r;
       }
     }
-    for (int32_t ci : touched) {
-      counts[static_cast<size_t>(ci)] = 0;
-      slot[static_cast<size_t>(ci)] = -1;
+    for (int32_t k : touched) {
+      counts[static_cast<size_t>(k)] = 0;
+      slot[static_cast<size_t>(k)] = -1;
     }
     touched.clear();
+  });
+}
+
+template <typename Fn>
+void StrippedPartition::WithProbe(const StrippedPartition& a,
+                                  const StrippedPartition& b,
+                                  PartitionScratch* scratch, Fn&& fn) {
+  // Probe from the smaller side: the probe table costs one write per
+  // probe-side row, so putting the bigger operand on the outer loop keeps
+  // total work at min + max instead of 2 * max.
+  const bool a_probes = a.sum_sizes() <= b.sum_sizes();
+  const StrippedPartition& probe_side = a_probes ? a : b;
+  const StrippedPartition& outer = a_probes ? b : a;
+  scratch->EnsureRows(static_cast<size_t>(a.num_rows_));
+  scratch->EnsureKeys(probe_side.NumClassesSize());
+  std::vector<int32_t>& probe = scratch->probe_;
+  const size_t num_probe_classes = probe_side.NumClassesSize();
+  for (size_t ci = 0; ci < num_probe_classes; ++ci) {
+    for (RowId r : probe_side.Class(ci)) {
+      probe[static_cast<size_t>(r)] = static_cast<int32_t>(ci);
+    }
   }
+  fn(outer, ProbeKey{probe.data()});
+  // Reset only the touched probe entries so the next call starts clean
+  // without an O(num_rows) clear.
+  for (RowId r : probe_side.rows()) probe[static_cast<size_t>(r)] = -1;
 }
 
 void StrippedPartition::IntersectInto(const StrippedPartition& a,
@@ -303,26 +372,9 @@ void StrippedPartition::IntersectInto(const StrippedPartition& a,
     out->offsets_ = a.offsets_;
     return;
   }
-  // Probe from the smaller side: the probe table costs one write per
-  // probe-side row, so putting the bigger operand on the outer loop keeps
-  // total work at min + max instead of 2 * max.
-  const bool a_probes = a.sum_sizes() <= b.sum_sizes();
-  const StrippedPartition& probe_side = a_probes ? a : b;
-  const StrippedPartition& outer = a_probes ? b : a;
-  scratch->EnsureRows(static_cast<size_t>(a.num_rows_));
-  scratch->EnsureClasses(probe_side.NumClassesSize());
-  std::vector<int32_t>& probe = scratch->probe_;
-  const size_t num_probe_classes = probe_side.NumClassesSize();
-  for (size_t ci = 0; ci < num_probe_classes; ++ci) {
-    for (RowId r : probe_side.Class(ci)) {
-      probe[static_cast<size_t>(r)] = static_cast<int32_t>(ci);
-    }
-  }
-  EmitIntersection(outer, 0, outer.NumClassesSize(), probe, scratch, &out->rows_,
-                   &out->offsets_);
-  // Reset only the touched probe entries so the next call starts clean
-  // without an O(num_rows) clear.
-  for (RowId r : probe_side.rows()) probe[static_cast<size_t>(r)] = -1;
+  WithProbe(a, b, scratch, [&](const StrippedPartition& outer, ProbeKey key) {
+    EmitGroups(outer.classes(), key, scratch, &out->rows_, &out->offsets_);
+  });
 }
 
 void StrippedPartition::RefineInto(const StrippedPartition& a,
@@ -333,45 +385,22 @@ void StrippedPartition::RefineInto(const StrippedPartition& a,
   out->num_rows_ = a.num_rows_;
   out->rows_.clear();
   out->offsets_.clear();
-  if (a.IsSuperkey()) return;
-  scratch->EnsureValues(num_values);
-  std::vector<int32_t>& counts = scratch->val_counts_;
-  std::vector<int32_t>& slot = scratch->val_slot_;
-  std::vector<ValueId>& touched = scratch->touched_vals_;
-  const size_t num_classes = a.NumClassesSize();
-  for (size_t ac = 0; ac < num_classes; ++ac) {
-    const uint32_t begin = a.offsets_[ac];
-    const uint32_t end = a.offsets_[ac + 1];
-    // Same two-pass shape as EmitIntersection, but keyed by the column's
-    // value id directly — the column's own partition is never built.
-    for (uint32_t k = begin; k < end; ++k) {
-      ValueId v = column[static_cast<size_t>(a.rows_[k])];
-      if (counts[static_cast<size_t>(v)]++ == 0) touched.push_back(v);
-    }
-    const size_t old_size = out->rows_.size();
-    size_t pos = old_size;
-    for (ValueId v : touched) {
-      int32_t c = counts[static_cast<size_t>(v)];
-      if (c < 2) continue;
-      slot[static_cast<size_t>(v)] = static_cast<int32_t>(pos);
-      pos += static_cast<size_t>(c);
-      if (out->offsets_.empty()) out->offsets_.push_back(0);
-      out->offsets_.push_back(static_cast<uint32_t>(pos));
-    }
-    if (pos != old_size) {
-      out->rows_.resize(pos);
-      for (uint32_t k = begin; k < end; ++k) {
-        RowId r = a.rows_[k];
-        int32_t& s = slot[static_cast<size_t>(column[static_cast<size_t>(r)])];
-        if (s >= 0) out->rows_[static_cast<size_t>(s++)] = r;
-      }
-    }
-    for (ValueId v : touched) {
-      counts[static_cast<size_t>(v)] = 0;
-      slot[static_cast<size_t>(v)] = -1;
-    }
-    touched.clear();
-  }
+  // Keyed by the column's value id directly: the column's own partition is
+  // never built.
+  scratch->EnsureKeys(num_values);
+  EmitGroups(a.classes(), ColumnKey{column.data()}, scratch, &out->rows_,
+             &out->offsets_);
+}
+
+void StrippedPartition::RefineInto(const CompressedPartition& a,
+                                   const std::vector<ValueId>& column,
+                                   size_t num_values, PartitionScratch* scratch,
+                                   StrippedPartition* out) {
+  out->num_rows_ = a.num_rows();
+  out->rows_.clear();
+  out->offsets_.clear();
+  scratch->EnsureKeys(num_values);
+  EmitGroups(a, ColumnKey{column.data()}, scratch, &out->rows_, &out->offsets_);
 }
 
 int64_t StrippedPartition::IntersectError(const StrippedPartition& a,
@@ -382,40 +411,23 @@ int64_t StrippedPartition::IntersectError(const StrippedPartition& a,
   if (a.IsSuperkey() || b.IsSuperkey()) return 0;
   if (a.IsAllRowsClass()) return b.error();
   if (b.IsAllRowsClass()) return a.error();
-  const bool a_probes = a.sum_sizes() <= b.sum_sizes();
-  const StrippedPartition& probe_side = a_probes ? a : b;
-  const StrippedPartition& outer = a_probes ? b : a;
-  scratch->EnsureRows(static_cast<size_t>(a.num_rows_));
-  scratch->EnsureClasses(probe_side.NumClassesSize());
-  std::vector<int32_t>& probe = scratch->probe_;
-  const size_t num_probe_classes = probe_side.NumClassesSize();
-  for (size_t ci = 0; ci < num_probe_classes; ++ci) {
-    for (RowId r : probe_side.Class(ci)) {
-      probe[static_cast<size_t>(r)] = static_cast<int32_t>(ci);
-    }
-  }
   std::vector<int32_t>& counts = scratch->counts_;
   std::vector<int32_t>& touched = scratch->touched_;
   int64_t err = 0;
-  const size_t num_outer = outer.NumClassesSize();
-  for (size_t oc = 0; oc < num_outer && err <= max_error; ++oc) {
-    const uint32_t begin = outer.offsets_[oc];
-    const uint32_t end = outer.offsets_[oc + 1];
-    for (uint32_t k = begin; k < end; ++k) {
-      int32_t ci = probe[static_cast<size_t>(outer.rows_[k])];
-      if (ci < 0) continue;
-      if (counts[static_cast<size_t>(ci)]++ == 0) touched.push_back(ci);
+  WithProbe(a, b, scratch, [&](const StrippedPartition& outer, ProbeKey key) {
+    for (RowSpan cls : outer.classes()) {
+      // err is exact when <= max_error; any larger value only signals "over
+      // threshold" (the remaining outer classes are skipped).
+      if (err > max_error) break;
+      CountGroups(cls, key, counts, touched);
+      for (int32_t ci : touched) {
+        int32_t c = counts[static_cast<size_t>(ci)];
+        if (c >= 2) err += c - 1;
+        counts[static_cast<size_t>(ci)] = 0;
+      }
+      touched.clear();
     }
-    for (int32_t ci : touched) {
-      int32_t c = counts[static_cast<size_t>(ci)];
-      if (c >= 2) err += c - 1;
-      counts[static_cast<size_t>(ci)] = 0;
-    }
-    touched.clear();
-  }
-  // err is exact when <= max_error; any larger value only signals "over
-  // threshold" (the remaining outer classes were skipped).
-  for (RowId r : probe_side.rows()) probe[static_cast<size_t>(r)] = -1;
+  });
   return err;
 }
 
@@ -476,9 +488,11 @@ StrippedPartition StrippedPartition::ProductParallel(const StrippedPartition& a,
   // oversized product borrows idle workers instead of running serially.
   pool->ParallelForGrained(num_chunks, /*grain=*/1, [&](size_t i, int /*worker*/) {
     PartitionScratch& scratch = ThreadLocalScratch();
-    scratch.EnsureClasses(num_probe_classes);
-    EmitIntersection(outer, bounds[i], bounds[i + 1], probe, &scratch,
-                     &chunks[i].rows, &chunks[i].offsets);
+    scratch.EnsureKeys(num_probe_classes);
+    const ClassesView slice(outer.rows_.data(), outer.offsets_.data() + bounds[i],
+                            bounds[i + 1] - bounds[i]);
+    EmitGroups(slice, ProbeKey{probe.data()}, &scratch, &chunks[i].rows,
+               &chunks[i].offsets);
   });
 
   StrippedPartition out;
@@ -504,11 +518,8 @@ StrippedPartition StrippedPartition::ProductParallel(const StrippedPartition& a,
 }
 
 PartitionCache::PartitionCache(const Relation& rel, int64_t budget_bytes,
-                               MetricsRegistry* metrics, bool compress_cold)
-    : rel_(rel),
-      budget_bytes_(budget_bytes),
-      metrics_(metrics),
-      compress_cold_(compress_cold) {
+                               MetricsRegistry* metrics)
+    : rel_(rel), budget_bytes_(budget_bytes), metrics_(metrics) {
   if (metrics_ != nullptr) {
     // Register the counters at zero so every metrics dump includes them.
     metrics_->Add("partition_cache.hits", 0);
@@ -562,28 +573,26 @@ void PartitionCache::EvictToBudgetLocked(AttrSet keep) {
   // entries in place. A compressed entry keeps serving hits (decode +
   // promote, or in-place refinement for prefixes), so shrinking cold entries
   // is strictly better than dropping them while the budget allows it.
-  if (compress_cold_) {
-    for (auto rit = lru_.rbegin();
-         bytes_ > budget_bytes_ && rit != lru_.rend(); ++rit) {
-      if (*rit == keep) continue;
-      Entry& e = cache_.find(*rit)->second;
-      if (e.flat == nullptr || e.incompressible) continue;
-      auto comp = std::make_shared<const CompressedPartition>(
-          CompressedPartition::Encode(*e.flat));
-      const int64_t new_bytes = FootprintBytes(*comp);
-      if (new_bytes >= e.bytes) {
-        e.incompressible = true;  // Remember; don't re-encode every eviction.
-        continue;
-      }
-      bytes_ += new_bytes - e.bytes;
-      cold_bytes_ += new_bytes;
-      ++cold_entries_;
-      e.flat = nullptr;
-      e.compressed = std::move(comp);
-      e.bytes = new_bytes;
-      ++compressions_;
-      if (metrics_ != nullptr) metrics_->Add("partition_cache.compressions", 1);
+  for (auto rit = lru_.rbegin();
+       bytes_ > budget_bytes_ && rit != lru_.rend(); ++rit) {
+    if (*rit == keep) continue;
+    Entry& e = cache_.find(*rit)->second;
+    if (e.flat == nullptr || e.incompressible) continue;
+    auto comp = std::make_shared<const CompressedPartition>(
+        CompressedPartition::Encode(*e.flat));
+    const int64_t new_bytes = FootprintBytes(*comp);
+    if (new_bytes >= e.bytes) {
+      e.incompressible = true;  // Remember; don't re-encode every eviction.
+      continue;
     }
+    bytes_ += new_bytes - e.bytes;
+    cold_bytes_ += new_bytes;
+    ++cold_entries_;
+    e.flat = nullptr;
+    e.compressed = std::move(comp);
+    e.bytes = new_bytes;
+    ++compressions_;
+    if (metrics_ != nullptr) metrics_->Add("partition_cache.compressions", 1);
   }
   // Pass 2 — still over budget: evict outright from the cold end.
   while (bytes_ > budget_bytes_ && !lru_.empty()) {
@@ -635,7 +644,7 @@ StrippedPartition PartitionCache::ComputeMissing(
   }
   if (flat != nullptr) return StrippedPartition::Refine(*flat, rel_, first);
   if (cold != nullptr) {
-    // Refine straight off the compressed form via the streaming kernel —
+    // Refine straight off the compressed form, one cursor class at a time —
     // cold prefixes never pay a decode (or a promotion) just to produce
     // their successor.
     StrippedPartition out;

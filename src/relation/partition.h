@@ -123,9 +123,10 @@ class ClassesView {
 /// O(capacity) clears happen on the hot path):
 ///   probe      row -> class index in the probe-side partition, -1 if the
 ///              row is stripped there (singleton).
-///   counts     per probe-side class: rows seen in the current outer class.
-///   slot       per probe-side class: output write cursor, -1 = dropped.
-///   val_*      the same pair keyed by ValueId, for column refinement.
+///   counts     per group key (a probe-side class index, or a ValueId when
+///              refining by a column): rows seen in the current class.
+///   slot       per group key: output write cursor, -1 = dropped.
+///   touched    the keys the current class hit, in first-touch order.
 class PartitionScratch {
  public:
   PartitionScratch() = default;
@@ -138,16 +139,10 @@ class PartitionScratch {
   void EnsureRows(size_t num_rows) {
     if (probe_.size() < num_rows) probe_.resize(num_rows, -1);
   }
-  void EnsureClasses(size_t num_classes) {
-    if (counts_.size() < num_classes) {
-      counts_.resize(num_classes, 0);
-      slot_.resize(num_classes, -1);
-    }
-  }
-  void EnsureValues(size_t num_values) {
-    if (val_counts_.size() < num_values) {
-      val_counts_.resize(num_values, 0);
-      val_slot_.resize(num_values, -1);
+  void EnsureKeys(size_t num_keys) {
+    if (counts_.size() < num_keys) {
+      counts_.resize(num_keys, 0);
+      slot_.resize(num_keys, -1);
     }
   }
 
@@ -155,9 +150,6 @@ class PartitionScratch {
   std::vector<int32_t> counts_;
   std::vector<int32_t> slot_;
   std::vector<int32_t> touched_;
-  std::vector<int32_t> val_counts_;
-  std::vector<int32_t> val_slot_;
-  std::vector<ValueId> touched_vals_;
 };
 
 /// A stripped partition: equivalence classes of size >= 2 over some
@@ -228,16 +220,10 @@ class StrippedPartition {
                                      std::vector<uint32_t> offsets,
                                      int64_t num_rows);
 
-  // Compressed-operand kernels (relation/compressed_partition.cc): identical
-  // results to the flat kernels, but the compressed side is walked with a
-  // streaming one-class-at-a-time cursor — no full decode, no arena
-  // materialization. This is what lets the cache's cold tier feed
-  // intersection/refinement (e.g. recursive-prefix computation) in place.
-  static void IntersectInto(const CompressedPartition& a, const StrippedPartition& b,
-                            PartitionScratch* scratch, StrippedPartition* out);
-  static int64_t IntersectError(const CompressedPartition& a,
-                                const StrippedPartition& b,
-                                PartitionScratch* scratch, int64_t max_error);
+  /// RefineInto over a compressed operand: the same kernel body, fed one
+  /// class at a time by a CompressedPartition::Cursor, so a cold cached
+  /// prefix refines without materializing its flat arena. Byte-identical
+  /// to RefineInto(a.Decode(), ...).
   static void RefineInto(const CompressedPartition& a, const std::vector<ValueId>& column,
                          size_t num_values, PartitionScratch* scratch,
                          StrippedPartition* out);
@@ -333,14 +319,22 @@ class StrippedPartition {
     return offsets_.empty() ? 0 : offsets_.size() - 1;
   }
 
-  // Shared emission loop: intersects classes [first, last) of `outer`
-  // against `probe` (the probe-side class index per row, -1 = stripped),
-  // appending kept classes to rows/offsets. `offsets` must carry the
-  // leading 0 of its arena segment already.
-  static void EmitIntersection(const StrippedPartition& outer, size_t first, size_t last,
-                               const std::vector<int32_t>& probe,
-                               PartitionScratch* scratch, std::vector<RowId>* rows,
-                               std::vector<uint32_t>* offsets);
+  // The one emission loop behind every kernel. For each class of `classes`
+  // (a ClassesView, whole or sliced, or a CompressedPartition walked by its
+  // Cursor) it groups the rows by `key(row)` (a probe-side class index or a
+  // ValueId; negative = stripped row) and appends every group of size >= 2
+  // to rows/offsets, in first-touch order. The leading 0 of `offsets` is
+  // pushed with the first emitted class. The caller sizes the key range
+  // with scratch->EnsureKeys first.
+  template <typename Classes, typename Key>
+  static void EmitGroups(const Classes& classes, Key key, PartitionScratch* scratch,
+                         std::vector<RowId>* rows, std::vector<uint32_t>* offsets);
+
+  // Fills scratch's probe table from the smaller of `a` and `b`, runs
+  // fn(outer, probe_key) with the other operand, then resets the table.
+  template <typename Fn>
+  static void WithProbe(const StrippedPartition& a, const StrippedPartition& b,
+                        PartitionScratch* scratch, Fn&& fn);
 
   // rows_ holds every class back to back; class i spans
   // rows_[offsets_[i], offsets_[i+1]). offsets_ is empty when there are no
@@ -368,7 +362,7 @@ class MetricsRegistry;  // common/metrics.h
 /// budget, evicted outright from the cold end. A Get() that lands on a
 /// compressed entry decodes and promotes it back to the hot tier; the
 /// recursive-prefix path instead refines straight off the compressed form
-/// via the streaming kernels, so cold prefixes never pay a decode.
+/// via the compressed RefineInto, so cold prefixes never pay a decode.
 ///
 /// Entries are charged by a full footprint: the partition's allocated bytes
 /// plus the fixed per-entry bookkeeping (hash-map node, LRU list node,
@@ -390,8 +384,7 @@ class PartitionCache {
 
   explicit PartitionCache(const Relation& rel,
                           int64_t budget_bytes = kUnbounded,
-                          MetricsRegistry* metrics = nullptr,
-                          bool compress_cold = true);
+                          MetricsRegistry* metrics = nullptr);
 
   /// Returns the stripped partition for `attrs`, computing (and caching)
   /// it and any missing prefixes on demand. A partition whose footprint
@@ -474,8 +467,8 @@ class PartitionCache {
     int64_t bytes = 0;
   };
 
-  // Computes Π*_attrs, reusing cached prefixes (flat or, via the streaming
-  // kernels, compressed in place) and appending newly computed prefixes to
+  // Computes Π*_attrs, reusing cached prefixes (flat or, via the compressed
+  // RefineInto, compressed in place) and appending newly computed prefixes to
   // `pending` instead of inserting them. Runs unlocked except for lookups.
   StrippedPartition ComputeMissing(AttrSet attrs,
                                    std::vector<PendingInsert>* pending) EXCLUDES(mu_);
@@ -497,7 +490,6 @@ class PartitionCache {
   const Relation& rel_;
   const int64_t budget_bytes_;
   MetricsRegistry* const metrics_;
-  const bool compress_cold_;
 
   // mu_ is held only around map/LRU bookkeeping plus cold-tier compression
   // (one linear encode pass per victim); partition computation, promotion

@@ -203,10 +203,9 @@ TEST(FlatAuditTest, AcceptsWellFormedLayoutAndRejectsCorruption) {
 // allocated arena bytes, so filling the cache past a small budget must
 // evict (before the fix, undercounted footprints let the cache blow its
 // --cache-mb budget without ever evicting). Audit-backed: the cache's own
-// invariant auditor re-derives every charge and the budget check.
-// compress_cold=false pins the single-tier policy: with the compressed cold
-// tier enabled these dense partitions shrink ~4x and all four fit the same
-// budget without a single eviction (covered in storage_test.cc).
+// invariant auditor re-derives every charge and the budget check. The
+// budget is about one flat footprint, so even with cold entries compressed
+// the four partitions cannot all stay resident.
 TEST(PartitionCacheTest, EvictsWhenArenaBytesExceedBudget) {
   Relation rel = MakeRandomRelation(2000, {"four-cols", {50, 50, 50, 50}}, 9);
   StrippedPartition sample = StrippedPartition::Build(rel, 0);
@@ -214,9 +213,7 @@ TEST(PartitionCacheTest, EvictsWhenArenaBytesExceedBudget) {
   const int64_t footprint = PartitionCache::FootprintBytes(sample);
   ASSERT_GT(footprint, 0);
 
-  // Room for roughly two compacted single-attribute partitions.
-  PartitionCache cache(rel, footprint * 2 + footprint / 2,
-                       /*metrics=*/nullptr, /*compress_cold=*/false);
+  PartitionCache cache(rel, footprint + footprint / 8);
   for (AttrId a = 0; a < 4; ++a) {
     std::shared_ptr<const StrippedPartition> p = cache.Get(AttrSet::Single(a));
     ASSERT_NE(p, nullptr);

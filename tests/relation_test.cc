@@ -265,9 +265,12 @@ TEST(PartitionCacheTest, LruEvictionOrder) {
   AttrSet a = AttrSet::Of({0});  // CC
   AttrSet b = AttrSet::Of({2});  // SYMP
   AttrSet c = AttrSet::Of({3});  // TEST
-  // Budget admits any two of the three partitions, never all three.
-  PartitionCache cache(
-      rel, Footprint(rel, a) + Footprint(rel, b) + Footprint(rel, c) - 1);
+  // Budget admits any two of the three partitions, never all three — not
+  // even once the cache compresses its cold entries.
+  const int64_t fa = Footprint(rel, a);
+  const int64_t fb = Footprint(rel, b);
+  const int64_t fc = Footprint(rel, c);
+  PartitionCache cache(rel, std::max({fa + fb, fa + fc, fb + fc}));
 
   cache.Get(a);
   cache.Get(b);
