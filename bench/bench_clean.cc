@@ -3,7 +3,7 @@
 // level's scoring, not the final materialization).
 //
 // Table 1 compares full per-node re-scoring against the incremental scorer
-// (memoized level-0 costs + affected-class re-costing) in the same process on
+// (memoized per-class summaries + slot flips) in the same process on
 // the same data, with a results-identical check; the `speedup` column is a
 // machine-independent ratio that tools/bench_gate.py enforces (>= 2x).
 // Table 2 scales the worker threads with incremental scoring on, again
@@ -170,10 +170,12 @@ int main(int argc, char** argv) {
   WriteJsonIfRequested(flags, "clean_threads", threads_table);
 
   std::printf(
-      "expected shape: incremental scoring re-costs only the few classes a\n"
-      "node's insertions can affect, so its advantage grows with the class\n"
-      "count; tools/bench_gate.py enforces `speedup` >= 2 on every clean_beam\n"
-      "row. Both tables must report identical=yes: overlays + pre-sized\n"
-      "slots make the search byte-identical for any mode or thread count.\n");
+      "expected shape: full scoring re-tallies every class's histogram\n"
+      "slots per node, incremental scoring only adjusts the memoized summaries\n"
+      "of the few classes whose slots a node flips, so its advantage grows\n"
+      "with the class count; tools/bench_gate.py enforces `speedup` >= 2 on\n"
+      "every clean_beam row. Both tables must report identical=yes: const\n"
+      "scoring + pre-sized slots make the search byte-identical for any mode\n"
+      "or thread count.\n");
   return 0;
 }

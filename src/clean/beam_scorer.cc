@@ -2,9 +2,9 @@
 
 #include <algorithm>
 #include <cstdint>
+#include <functional>
 #include <limits>
 #include <string>
-#include <unordered_map>
 #include <utility>
 
 #include "common/audit.h"
@@ -14,152 +14,119 @@
 
 namespace fastofd {
 
+namespace {
+
+// Data repairs RepairData makes in a class with this tally. It rewrites
+// every uncovered tuple whose value differs from the repair target. With a
+// covered target, no uncovered value can equal it, so the cost is exactly
+// the uncovered occurrences. With no covered value but a sense, the target
+// is a sense value absent from the class — every tuple changes (the sense
+// has values: BeamScorer CHECKs it). Otherwise the majority value survives.
+int64_t RepairCost(const ClassTally& tally, SenseId sense) {
+  if (!tally.violating()) return 0;
+  if (tally.best_covered != kInvalidValue) return tally.uncovered_occurrences;
+  if (sense != kInvalidSense) return tally.size;
+  return tally.size - tally.majority_count;
+}
+
+void ForEachIndex(ThreadPool* pool, size_t n, const std::function<void(size_t)>& fn) {
+  if (pool != nullptr) {
+    pool->ParallelFor(n, [&](size_t i, int) { fn(i); });
+  } else {
+    for (size_t i = 0; i < n; ++i) fn(i);
+  }
+}
+
+}  // namespace
+
 BeamScorer::BeamScorer(const Relation& rel, const SynonymIndex& index,
                        const SigmaSet& sigma, const SenseAssignmentResult& assignment,
                        ThreadPool* pool)
     : rel_(rel), index_(index), sigma_(sigma), assignment_(assignment) {
+  histograms_.resize(sigma_.size());
+  ForEachIndex(pool, sigma_.size(), [&](size_t i) {
+    StrippedPartition::HistogramInto(assignment_.partitions[i],
+                                     rel_.Column(sigma_[i].rhs), rel_.dict().size(),
+                                     &StrippedPartition::ThreadLocalScratch(),
+                                     &histograms_[i]);
+  });
   for (int i = 0; i < static_cast<int>(sigma_.size()); ++i) {
-    const auto& classes = assignment_.partitions[static_cast<size_t>(i)].classes();
-    for (int c = 0; c < static_cast<int>(classes.size()); ++c) {
-      items_.push_back(Item{i, c});
+    const auto& senses = assignment_.senses[static_cast<size_t>(i)];
+    for (int c = 0; c < static_cast<int>(senses.size()); ++c) {
+      items_.push_back(Item{i, c, senses[static_cast<size_t>(c)], {}, 0});
     }
   }
-  level0_cost_.assign(items_.size(), 0);
-  auto memoize = [&](size_t item) {
-    level0_cost_[item] = ClassCost(item, nullptr);
-  };
-  if (pool != nullptr) {
-    pool->ParallelFor(items_.size(), [&](size_t item, int) { memoize(item); });
-  } else {
-    for (size_t item = 0; item < items_.size(); ++item) memoize(item);
-  }
-  for (int64_t cost : level0_cost_) base_cost_ += cost;
+  ForEachIndex(pool, items_.size(), [&](size_t item) {
+    Item& it = items_[item];
+    FASTOFD_CHECK(it.sense == kInvalidSense || !index_.SenseValues(it.sense).empty());
+    for (const ClassHistogram::Slot& slot :
+         histograms_[static_cast<size_t>(it.ofd)].Class(static_cast<size_t>(it.cls))) {
+      const bool covered =
+          it.sense != kInvalidSense && index_.SenseContains(it.sense, slot.value);
+      it.base.Add(slot.value, slot.count, covered);
+    }
+    it.base_cost = RepairCost(it.base, it.sense);
+  });
+  for (const Item& it : items_) base_cost_ += it.base_cost;
 }
 
 void BeamScorer::SetCandidates(std::vector<OntologyAddition> candidates,
-                               std::vector<std::vector<uint32_t>> affected) {
-  FASTOFD_CHECK(candidates.size() == affected.size());
+                               std::vector<std::vector<Flip>> flips) {
+  FASTOFD_CHECK(candidates.size() == flips.size());
   candidates_ = std::move(candidates);
-  affected_ = std::move(affected);
-}
-
-int64_t BeamScorer::ClassCost(size_t item, const SynonymIndexOverlay* overlay) const {
-  const auto [i, c] = items_[item];
-  AttrId rhs = sigma_[static_cast<size_t>(i)].rhs;
-  RowSpan rows =
-      assignment_.partitions[static_cast<size_t>(i)].classes()[static_cast<size_t>(c)];
-  SenseId sense = assignment_.senses[static_cast<size_t>(i)][static_cast<size_t>(c)];
-
-  std::unordered_map<ValueId, int64_t> freq;
-  for (RowId r : rows) ++freq[rel_.At(r, rhs)];
-  if (freq.size() <= 1) return 0;  // All equal: never violating.
-
-  auto covered = [&](ValueId v) {
-    if (sense == kInvalidSense) return false;
-    return overlay != nullptr ? overlay->SenseContains(sense, v)
-                              : index_.SenseContains(sense, v);
-  };
-  // One pass over the distinct values; all tie-breaks (max count, then min
-  // value id) match RepairValue in repair.cc, and none depend on the hash
-  // map's iteration order.
-  bool all_covered = sense != kInvalidSense;
-  int64_t uncovered_occurrences = 0;
-  ValueId best_covered = kInvalidValue;
-  int64_t best_covered_count = -1;
-  ValueId majority = kInvalidValue;
-  int64_t majority_count = -1;
-  for (const auto& [v, count] : freq) {
-    if (count > majority_count || (count == majority_count && v < majority)) {
-      majority = v;
-      majority_count = count;
-    }
-    if (covered(v)) {
-      if (count > best_covered_count ||
-          (count == best_covered_count && v < best_covered)) {
-        best_covered = v;
-        best_covered_count = count;
-      }
-    } else {
-      all_covered = false;
-      uncovered_occurrences += count;
-    }
-  }
-  if (all_covered) return 0;  // Co-covered by λ: not violating.
-
-  const int64_t size = static_cast<int64_t>(rows.size());
-  // RepairData rewrites every uncovered tuple whose value differs from the
-  // repair target. With a covered target, no uncovered value can equal it,
-  // so the cost is exactly the uncovered occurrences. With no covered value
-  // but a non-empty sense, the target is a sense value absent from the
-  // class — every tuple changes. Otherwise the majority value survives.
-  if (best_covered != kInvalidValue) return uncovered_occurrences;
-  if (sense != kInvalidSense &&
-      (overlay != nullptr ? overlay->SenseHasValues(sense)
-                          : !index_.SenseValues(sense).empty())) {
-    return size;
-  }
-  return size - majority_count;
-}
-
-SynonymIndexOverlay BeamScorer::MakeOverlay(const std::vector<int>& picks) const {
-  SynonymIndexOverlay overlay(index_);
-  for (int p : picks) {
-    const OntologyAddition& add = candidates_[static_cast<size_t>(p)];
-    overlay.Add(add.sense, add.value);
-  }
-  return overlay;
+  flips_ = std::move(flips);
 }
 
 BeamScorer::NodeScore BeamScorer::ScoreFull(const std::vector<int>& picks) const {
-  ScoreScratch scratch(index_);
-  return ScoreFull(picks, &scratch);
-}
-
-BeamScorer::NodeScore BeamScorer::ScoreFull(const std::vector<int>& picks,
-                                            ScoreScratch* scratch) const {
-  SynonymIndexOverlay& overlay = scratch->overlay_;
-  overlay.Clear();
-  for (int p : picks) {
-    const OntologyAddition& add = candidates_[static_cast<size_t>(p)];
-    overlay.Add(add.sense, add.value);
+  auto picked = [&](SenseId sense, ValueId v) {
+    return std::any_of(picks.begin(), picks.end(), [&](int p) {
+      return candidates_[static_cast<size_t>(p)] == OntologyAddition{sense, v};
+    });
+  };
+  NodeScore score{0, static_cast<int64_t>(items_.size())};
+  for (const Item& it : items_) {
+    ClassTally tally;
+    for (const ClassHistogram::Slot& slot :
+         histograms_[static_cast<size_t>(it.ofd)].Class(static_cast<size_t>(it.cls))) {
+      const bool covered =
+          it.sense != kInvalidSense && (index_.SenseContains(it.sense, slot.value) ||
+                                        picked(it.sense, slot.value));
+      tally.Add(slot.value, slot.count, covered);
+    }
+    score.data_changes += RepairCost(tally, it.sense);
   }
-  const SynonymIndexOverlay* view = picks.empty() ? nullptr : &overlay;
-  NodeScore score;
-  for (size_t item = 0; item < items_.size(); ++item) {
-    score.data_changes += ClassCost(item, view);
-  }
-  score.classes_rescored = static_cast<int64_t>(items_.size());
   return score;
 }
 
 BeamScorer::NodeScore BeamScorer::ScoreIncremental(const std::vector<int>& picks) const {
-  ScoreScratch scratch(index_);
+  ScoreScratch scratch;
   return ScoreIncremental(picks, &scratch);
 }
 
 BeamScorer::NodeScore BeamScorer::ScoreIncremental(const std::vector<int>& picks,
                                                    ScoreScratch* scratch) const {
-  if (picks.empty()) return NodeScore{base_cost_, 0};
-  SynonymIndexOverlay& overlay = scratch->overlay_;
-  overlay.Clear();
+  // Gather the picks' flips and group them by class. Distinct candidates
+  // never flip the same slot (one slot per value per class).
+  std::vector<Flip>& flips = scratch->flips_;
+  flips.clear();
   for (int p : picks) {
-    const OntologyAddition& add = candidates_[static_cast<size_t>(p)];
-    overlay.Add(add.sense, add.value);
+    const std::vector<Flip>& list = flips_[static_cast<size_t>(p)];
+    flips.insert(flips.end(), list.begin(), list.end());
   }
-  // Union of the picks' affected-class lists (each ascending).
-  std::vector<uint32_t>& affected = scratch->affected_;
-  affected.clear();
-  for (int p : picks) {
-    const std::vector<uint32_t>& list = affected_[static_cast<size_t>(p)];
-    affected.insert(affected.end(), list.begin(), list.end());
-  }
-  std::sort(affected.begin(), affected.end());
-  affected.erase(std::unique(affected.begin(), affected.end()), affected.end());
+  std::sort(flips.begin(), flips.end());
 
-  NodeScore score{base_cost_, static_cast<int64_t>(affected.size())};
-  for (uint32_t item : affected) {
-    score.data_changes -= level0_cost_[item];
-    score.data_changes += ClassCost(item, &overlay);
+  NodeScore score{base_cost_, 0};
+  for (size_t f = 0; f < flips.size();) {
+    const uint32_t item = flips[f].item;
+    const Item& it = items_[item];
+    const ClassHistogram& hist = histograms_[static_cast<size_t>(it.ofd)];
+    ClassTally tally = it.base;
+    for (; f < flips.size() && flips[f].item == item; ++f) {
+      const ClassHistogram::Slot& slot = hist.slots[flips[f].slot];
+      tally.Cover(slot.value, slot.count);
+    }
+    score.data_changes += RepairCost(tally, it.sense) - it.base_cost;
+    ++score.classes_rescored;
   }
   return score;
 }
@@ -169,10 +136,6 @@ Status BeamScorer::AuditNodeScore(const std::vector<int>& picks,
   auto fail = [](const std::string& message) {
     return audit::internal::Counted(Status::Error("beam scorer audit: " + message));
   };
-  SynonymIndexOverlay overlay = MakeOverlay(picks);
-  Status overlay_ok = AuditSynonymIndexOverlay(overlay);
-  if (!overlay_ok.ok()) return audit::internal::Counted(overlay_ok);
-
   NodeScore full = ScoreFull(picks);
   NodeScore incremental = ScoreIncremental(picks);
   if (full.data_changes != data_changes ||

@@ -8,26 +8,34 @@
 //   1. Per-class independence. With each OFD repairing its own consequent
 //      column and classes of one partition disjoint, the repair count
 //      decomposes into a sum of per-class costs, each a function of only the
-//      class's rows, its assigned sense λ, and the synonym view.
+//      class's consequent histogram, its assigned sense λ, and which of its
+//      distinct values λ covers.
 //   2. Locality of insertions. Adding (λ, v) to the ontology can change the
 //      cost of class x only when λ_x = λ and v occurs among x's consequent
-//      values (it flips those occurrences from uncovered to covered; the
-//      covered set of any other class is untouched). So each candidate
-//      carries the precomputed list of classes it can affect, and a node is
-//      re-scored over the union of its picks' lists: the memoized level-0
-//      cost stands in for every unaffected class.
-//   3. No shared mutable state. Each node layers its insertions over the
-//      shared base index with a SynonymIndexOverlay instead of
-//      AddValue/RemoveValue, so a level's expansions can be scored
-//      concurrently with ThreadPool::ParallelFor.
+//      values: it flips exactly one histogram slot of x from uncovered to
+//      covered, and the covered set of any other class is untouched. (This
+//      needs every assigned sense to hold at least one value already, or the
+//      insertion would also change the fallback target of λ's classes that
+//      do not contain v; the constructor CHECKs it.) So each candidate
+//      carries its precomputed (class, slot) flips.
+//   3. Memoize once, then flip slots. Construction builds one value
+//      histogram per Σ partition (StrippedPartition::HistogramInto) and
+//      summarizes each class once against the base index (ClassTally). A
+//      node's score is the memoized base cost plus, for each class its picks
+//      flip, the cost of that class's summary with the flipped slots moved
+//      to covered. Nothing is shared mutably and the base index is never
+//      consulted, so a level's expansions are scored concurrently with
+//      ThreadPool::ParallelFor.
 //
-// ScoreFull (a fresh pass over every class) and ScoreIncremental compute the
-// same function; audit mode additionally cross-checks both against a
-// from-scratch RepairData on a materialized index copy.
+// ScoreFull (every class recomputed from its histogram slots) and
+// ScoreIncremental compute the same function; audit mode additionally
+// cross-checks both against a from-scratch RepairData on a materialized
+// index copy.
 
 #ifndef FASTOFD_CLEAN_BEAM_SCORER_H_
 #define FASTOFD_CLEAN_BEAM_SCORER_H_
 
+#include <compare>
 #include <cstdint>
 #include <vector>
 
@@ -36,6 +44,7 @@
 #include "common/status.h"
 #include "ofd/ofd.h"
 #include "ontology/synonym_index.h"
+#include "relation/partition.h"
 #include "relation/relation.h"
 
 namespace fastofd {
@@ -43,23 +52,35 @@ namespace fastofd {
 class ThreadPool;  // exec/thread_pool.h
 
 /// Scores ontology-repair beam nodes against a fixed sense assignment.
-/// Construction memoizes the level-0 (no insertions) cost of every class;
-/// const thereafter, so one instance is safely shared by concurrent node
-/// evaluations.
+/// Construction builds the per-OFD consequent histograms and memoizes every
+/// class's base summary and cost; const thereafter, so one instance is
+/// safely shared by concurrent node evaluations.
 class BeamScorer {
  public:
-  /// Memoizes per-class level-0 repair costs (on `pool` when provided; the
-  /// memo is byte-identical for any thread count).
+  /// One histogram slot a candidate insertion turns covered: `item` is the
+  /// flattened class index (OFDs in Σ order, classes in partition order),
+  /// `slot` an index into that OFD's histogram slots.
+  struct Flip {
+    uint32_t item = 0;
+    uint32_t slot = 0;
+    friend auto operator<=>(const Flip&, const Flip&) = default;
+  };
+
+  /// Builds the histograms and memoizes the base (no insertions) summaries
+  /// (on `pool` when provided; the memo is byte-identical for any thread
+  /// count). CHECKs that every assigned sense has at least one value in
+  /// `index` (observation 2).
   BeamScorer(const Relation& rel, const SynonymIndex& index, const SigmaSet& sigma,
              const SenseAssignmentResult& assignment, ThreadPool* pool = nullptr);
 
-  /// Registers the candidate set. `affected[i]` lists the flattened class
-  /// indices (OFDs in Σ order, classes in partition order) whose cost can
-  /// change when candidates[i] is inserted — the classes whose assigned
-  /// sense matches and whose consequent rows contain the value. Lists must
-  /// be ascending (the collection pass produces them that way).
+  /// Consequent histogram of OFD `ofd`'s partition, aligned with its classes.
+  const ClassHistogram& histogram(size_t ofd) const { return histograms_[ofd]; }
+
+  /// Registers the candidate set. `flips[i]` lists, in ascending order, the
+  /// slots candidates[i] turns covered — one per class whose assigned sense
+  /// matches and whose histogram holds the value, none already covered.
   void SetCandidates(std::vector<OntologyAddition> candidates,
-                     std::vector<std::vector<uint32_t>> affected);
+                     std::vector<std::vector<Flip>> flips);
 
   struct NodeScore {
     /// Data repairs still required with the node's insertions applied.
@@ -68,41 +89,35 @@ class BeamScorer {
     int64_t classes_rescored = 0;
   };
 
-  /// Reusable per-worker scoring state: the overlay the node's insertions
-  /// are layered into and the affected-class union buffer. One instance per
-  /// worker, reused across every node that worker scores in a batch,
-  /// eliminates the per-node overlay/vector allocations that dominated
-  /// fine-grained expansion (the old one-node-per-dispatch shape). Scores
-  /// are independent of which scratch (or how warm) is used.
+  /// Reusable per-worker scoring state: the buffer a node's flips are
+  /// gathered and grouped in. One instance per worker, reused across every
+  /// node that worker scores in a batch, keeps the hot loop allocation-free.
+  /// Scores are independent of which scratch (or how warm) is used.
   class ScoreScratch {
-   public:
-    explicit ScoreScratch(const SynonymIndex& base) : overlay_(base) {}
-
    private:
     friend class BeamScorer;
-    SynonymIndexOverlay overlay_;
-    std::vector<uint32_t> affected_;
+    std::vector<Flip> flips_;
   };
 
   /// Scores a node (candidate indices into the registered set) by
-  /// recomputing every class under the node's overlay.
+  /// recomputing every class from its histogram slots, a value counting as
+  /// covered when the base index or one of the picks holds it. The
+  /// reference path.
   NodeScore ScoreFull(const std::vector<int>& picks) const;
-  NodeScore ScoreFull(const std::vector<int>& picks, ScoreScratch* scratch) const;
 
-  /// Scores a node by recomputing only the classes its picks can affect;
-  /// returns exactly ScoreFull's data_changes.
+  /// Scores a node from the memoized base summaries plus the picks' slot
+  /// flips; returns exactly ScoreFull's data_changes.
   NodeScore ScoreIncremental(const std::vector<int>& picks) const;
   NodeScore ScoreIncremental(const std::vector<int>& picks,
                              ScoreScratch* scratch) const;
 
-  /// Σ of the memoized level-0 per-class costs (== ScoreFull({})).
+  /// Σ of the memoized base per-class costs (== ScoreFull({})).
   int64_t base_cost() const { return base_cost_; }
 
   /// Flattened class count across all OFDs.
   size_t num_classes() const { return items_.size(); }
 
-  /// Deep audit for one scored node: the overlay invariants hold
-  /// (AuditSynonymIndexOverlay), incremental and full scoring agree on
+  /// Deep audit for one scored node: incremental and full scoring agree on
   /// `data_changes`, and — when the instance is small enough
   /// (audit::kDeepAuditMaxRows) and the OFDs' attribute sets are disjoint
   /// enough for per-class independence (distinct consequents, no
@@ -114,22 +129,20 @@ class BeamScorer {
   struct Item {
     int ofd = 0;
     int cls = 0;
+    SenseId sense = kInvalidSense;
+    ClassTally base;  // Against the base index.
+    int64_t base_cost = 0;
   };
-
-  /// Repair cost of one class under the given view (null = base index).
-  int64_t ClassCost(size_t item, const SynonymIndexOverlay* overlay) const;
-
-  SynonymIndexOverlay MakeOverlay(const std::vector<int>& picks) const;
 
   const Relation& rel_;
   const SynonymIndex& index_;
   const SigmaSet& sigma_;
   const SenseAssignmentResult& assignment_;
+  std::vector<ClassHistogram> histograms_;
   std::vector<Item> items_;
-  std::vector<int64_t> level0_cost_;
   int64_t base_cost_ = 0;
   std::vector<OntologyAddition> candidates_;
-  std::vector<std::vector<uint32_t>> affected_;
+  std::vector<std::vector<Flip>> flips_;
 };
 
 }  // namespace fastofd

@@ -5,7 +5,6 @@
 #include <limits>
 #include <optional>
 #include <unordered_map>
-#include <unordered_set>
 #include <utility>
 
 #include "clean/beam_scorer.h"
@@ -22,32 +21,14 @@ namespace {
 // Best repair value for a class under sense λ: the most frequent value of
 // the class covered by λ; falls back to the sense's canonical value, then to
 // the class majority value (λ invalid / nothing covered).
-ValueId RepairValue(const Relation& rel, const SynonymIndex& index,
-                    RowSpan rows, AttrId rhs, SenseId sense) {
-  std::unordered_map<ValueId, int64_t> freq;
-  for (RowId r : rows) ++freq[rel.At(r, rhs)];
-  ValueId best_covered = kInvalidValue;
-  int64_t best_covered_count = -1;
-  ValueId majority = kInvalidValue;
-  int64_t majority_count = -1;
-  for (const auto& [v, c] : freq) {
-    if (c > majority_count || (c == majority_count && v < majority)) {
-      majority = v;
-      majority_count = c;
-    }
-    if (sense != kInvalidSense && index.SenseContains(sense, v)) {
-      if (c > best_covered_count || (c == best_covered_count && v < best_covered)) {
-        best_covered = v;
-        best_covered_count = c;
-      }
-    }
-  }
-  if (best_covered != kInvalidValue) return best_covered;
+ValueId RepairValue(const ClassTally& tally, const SynonymIndex& index,
+                    SenseId sense) {
+  if (tally.best_covered != kInvalidValue) return tally.best_covered;
   if (sense != kInvalidSense && !index.SenseValues(sense).empty()) {
     return *std::min_element(index.SenseValues(sense).begin(),
                              index.SenseValues(sense).end());
   }
-  return majority;
+  return tally.majority;
 }
 
 }  // namespace
@@ -73,18 +54,31 @@ RepairResult RepairData(const Relation& rel, const SynonymIndex& index,
     RowId a, b;
     int ofd, cls;
   };
-  auto class_violating = [&](RowSpan rows, AttrId rhs,
-                             SenseId sense) {
-    ValueId first = out.At(rows[0], rhs);
-    bool all_equal = true;
-    bool all_covered = sense != kInvalidSense;
-    for (RowId r : rows) {
-      ValueId v = out.At(r, rhs);
-      all_equal &= (v == first);
-      if (all_covered && !index.SenseContains(sense, v)) all_covered = false;
-    }
-    return !all_equal && !all_covered;
+  auto covered = [&](SenseId sense, ValueId v) {
+    return sense != kInvalidSense && index.SenseContains(sense, v);
   };
+  // Per-OFD consequent histograms of `out` as it stands, and one class's
+  // tally under its assigned sense.
+  std::vector<ClassHistogram> histograms(sigma.size());
+  auto build_histogram = [&](size_t i) {
+    StrippedPartition::HistogramInto(assignment.partitions[i],
+                                     out.Column(sigma[i].rhs), out.dict().size(),
+                                     &StrippedPartition::ThreadLocalScratch(),
+                                     &histograms[i]);
+  };
+  auto tally_class = [&](size_t i, size_t c) {
+    SenseId sense = assignment.senses[i][c];
+    ClassTally tally;
+    for (const ClassHistogram::Slot& slot : histograms[i].Class(c)) {
+      tally.Add(slot.value, slot.count, covered(sense, slot.value));
+    }
+    return tally;
+  };
+  if (pool != nullptr) {
+    pool->ParallelFor(sigma.size(), [&](size_t i, int) { build_histogram(i); });
+  } else {
+    for (size_t i = 0; i < sigma.size(); ++i) build_histogram(i);
+  }
 
   std::vector<std::pair<int, int>> class_items;  // (OFD index, class index).
   for (int i = 0; i < static_cast<int>(sigma.size()); ++i) {
@@ -100,12 +94,11 @@ RepairResult RepairData(const Relation& rel, const SynonymIndex& index,
     const auto& rows =
         assignment.partitions[static_cast<size_t>(i)].classes()[static_cast<size_t>(c)];
     SenseId sense = assignment.senses[static_cast<size_t>(i)][static_cast<size_t>(c)];
-    if (!class_violating(rows, rhs, sense)) return;
+    if (!tally_class(static_cast<size_t>(i), static_cast<size_t>(c)).violating()) return;
     RowId covered_rep = -1;
     std::vector<RowId> uncovered;
     for (RowId r : rows) {
-      ValueId v = out.At(r, rhs);
-      if (sense != kInvalidSense && index.SenseContains(sense, v)) {
+      if (covered(sense, out.At(r, rhs))) {
         if (covered_rep < 0) covered_rep = r;
       } else {
         uncovered.push_back(r);
@@ -135,37 +128,41 @@ RepairResult RepairData(const Relation& rel, const SynonymIndex& index,
     edges.insert(edges.end(), local.begin(), local.end());
   }
 
-  // 2-approximation: take both endpoints of any uncovered edge.
-  std::unordered_set<RowId> cover;
+  // 2-approximation: take both endpoints of any uncovered edge. Endpoints
+  // are distinct rows (a covered representative, or a neighbour of a
+  // different value).
+  std::vector<bool> cover(static_cast<size_t>(rel.num_rows()), false);
+  int64_t cover_tuples = 0;
   for (const Conflict& e : edges) {
-    if (!cover.count(e.a) && !cover.count(e.b)) {
-      cover.insert(e.a);
-      cover.insert(e.b);
+    if (!cover[static_cast<size_t>(e.a)] && !cover[static_cast<size_t>(e.b)]) {
+      cover[static_cast<size_t>(e.a)] = true;
+      cover[static_cast<size_t>(e.b)] = true;
+      cover_tuples += 2;
     }
   }
   if (metrics != nullptr) {
     metrics->Add("repair.conflict_edges", static_cast<int64_t>(edges.size()));
-    metrics->Add("repair.cover_tuples", static_cast<int64_t>(cover.size()));
+    metrics->Add("repair.cover_tuples", cover_tuples);
   }
 
   // ---- Repair pass: rewrite covered tuples class by class, then fix up
-  // any residual violations (guarantees consistency). -----------------
+  // any residual violations (guarantees consistency). Each OFD's histogram
+  // is retaken from `out` first: an earlier OFD (or pass) may have rewritten
+  // its consequent column, while its own classes are disjoint. ----------
   auto repair_classes = [&](bool only_cover) {
-    for (int i = 0; i < static_cast<int>(sigma.size()); ++i) {
-      AttrId rhs = sigma[static_cast<size_t>(i)].rhs;
-      const auto& classes = assignment.partitions[static_cast<size_t>(i)].classes();
-      for (int c = 0; c < static_cast<int>(classes.size()); ++c) {
-        const auto& rows = classes[static_cast<size_t>(c)];
-        SenseId sense =
-            assignment.senses[static_cast<size_t>(i)][static_cast<size_t>(c)];
-        if (!class_violating(rows, rhs, sense)) continue;
-        ValueId target = RepairValue(out, index, rows, rhs, sense);
-        for (RowId r : rows) {
+    for (size_t i = 0; i < sigma.size(); ++i) {
+      AttrId rhs = sigma[i].rhs;
+      const auto& classes = assignment.partitions[i].classes();
+      build_histogram(i);
+      for (size_t c = 0; c < classes.size(); ++c) {
+        SenseId sense = assignment.senses[i][c];
+        ClassTally tally = tally_class(i, c);
+        if (!tally.violating()) continue;
+        ValueId target = RepairValue(tally, index, sense);
+        for (RowId r : classes[c]) {
           ValueId v = out.At(r, rhs);
-          bool ok = (sense != kInvalidSense && index.SenseContains(sense, v)) ||
-                    v == target;
-          if (ok) continue;
-          if (only_cover && !cover.count(r)) continue;
+          if (covered(sense, v) || v == target) continue;
+          if (only_cover && !cover[static_cast<size_t>(r)]) continue;
           out.SetId(r, rhs, target);
           ++result.data_changes;
           if (result.data_changes > max_changes) {
@@ -222,8 +219,8 @@ OfdCleanResult OfdClean::Run() {
 
   SynonymIndex index(ontology_, rel_.dict());
   // The freshly compiled index must agree with the ontology exactly. The
-  // beam search scores nodes through side-effect-free overlays; only the
-  // final materialization mutates (and restores) the index.
+  // beam search only reads it; only the final materialization mutates (and
+  // restores) the index.
   FASTOFD_AUDIT_OK(AuditOntologyIndex(ontology_, rel_.dict(), index));
   SenseAssignConfig assign_config{config_.theta};
   assign_config.pool = pool;
@@ -239,28 +236,37 @@ OfdCleanResult OfdClean::Run() {
       config_.tau * static_cast<double>(rhs_attrs.size()) *
       static_cast<double>(rel_.num_rows()));
 
+  // Node scoring: side-effect-free and, by default, incremental (only the
+  // classes whose histogram slots a node's insertions flip are re-costed).
+  // Scores are exact repair counts — never truncated by the τ budget — so
+  // feasibility is simply `score <= budget`. `clean.beam.seconds` covers
+  // the scorer's histograms and base memo, candidate collection from those
+  // histograms, every level's scoring, and the sorts — not the final
+  // materialization (bench_clean reports full-vs-incremental speedups from
+  // this timer).
+  ScopedTimer beam_timer(&metrics, "clean.beam.seconds");
+  BeamScorer scorer(rel_, index, sigma_, result.assignment, pool);
+
   // Cand(S) (paper §7.1): (value, sense) pairs where the value occurs in a
   // class but is not in S *under the class's assigned sense* — this includes
   // values known to other senses (Table 5's "ASA (FDA)" candidate). Counted
   // by occurrence (an insertion can save at most that many data repairs);
-  // only the top max_candidates by count are explored. One hash lookup per
-  // uncovered cell keeps the pass linear in the dirty cells; candidate
-  // order stays first-occurrence order. The same pass records, per
-  // candidate, the flattened class indices whose cost the insertion can
-  // change — the incremental scorer's affected lists.
+  // only the top max_candidates by count are explored. The pass walks the
+  // scorer's histogram slots: slots are in first-row order, so candidate
+  // order stays first-occurrence order, and each uncovered slot is one
+  // class's flip for that candidate.
   std::vector<OntologyAddition> candidates;
   std::vector<int64_t> cand_count;
-  std::vector<std::vector<uint32_t>> cand_affected;
+  std::vector<std::vector<BeamScorer::Flip>> cand_flips;
   std::unordered_map<uint64_t, size_t> cand_pos;
   uint32_t item = 0;  // Flattened (OFD, class) index, BeamScorer's order.
   for (size_t i = 0; i < sigma_.size(); ++i) {
-    AttrId rhs = sigma_[i].rhs;
-    const auto& classes = result.assignment.partitions[i].classes();
-    for (size_t c = 0; c < classes.size(); ++c, ++item) {
+    const ClassHistogram& hist = scorer.histogram(i);
+    for (size_t c = 0; c < hist.num_classes(); ++c, ++item) {
       SenseId sense = result.assignment.senses[i][c];
       if (sense == kInvalidSense) continue;
-      for (RowId r : classes[c]) {
-        ValueId v = rel_.At(r, rhs);
+      for (uint32_t slot = hist.offsets[c]; slot < hist.offsets[c + 1]; ++slot) {
+        const auto [v, count] = hist.slots[slot];
         if (index.SenseContains(sense, v)) continue;
         uint64_t key = (static_cast<uint64_t>(static_cast<uint32_t>(sense)) << 32) |
                        static_cast<uint32_t>(v);
@@ -269,34 +275,29 @@ OfdCleanResult OfdClean::Run() {
         if (inserted) {
           candidates.push_back(OntologyAddition{sense, v});
           cand_count.push_back(0);
-          cand_affected.emplace_back();
+          cand_flips.emplace_back();
         }
-        ++cand_count[pos];
-        // Classes are visited in ascending `item` order, so per-class dedup
-        // is a check against the list's tail.
-        if (cand_affected[pos].empty() || cand_affected[pos].back() != item) {
-          cand_affected[pos].push_back(item);
-        }
+        cand_count[pos] += count;
+        cand_flips[pos].push_back(BeamScorer::Flip{item, slot});
       }
     }
   }
   // Class-support filter: localized (single-class) erroneous values are
-  // dropped when min_candidate_classes > 1.
+  // dropped when min_candidate_classes > 1 (one flip per class).
   if (config_.min_candidate_classes > 1) {
     std::vector<OntologyAddition> kept;
     std::vector<int64_t> kept_count;
-    std::vector<std::vector<uint32_t>> kept_affected;
+    std::vector<std::vector<BeamScorer::Flip>> kept_flips;
     for (size_t i = 0; i < candidates.size(); ++i) {
-      if (static_cast<int>(cand_affected[i].size()) >=
-          config_.min_candidate_classes) {
+      if (static_cast<int>(cand_flips[i].size()) >= config_.min_candidate_classes) {
         kept.push_back(candidates[i]);
         kept_count.push_back(cand_count[i]);
-        kept_affected.push_back(std::move(cand_affected[i]));
+        kept_flips.push_back(std::move(cand_flips[i]));
       }
     }
     candidates = std::move(kept);
     cand_count = std::move(kept_count);
-    cand_affected = std::move(kept_affected);
+    cand_flips = std::move(kept_flips);
   }
   result.num_candidates = static_cast<int64_t>(candidates.size());
   if (static_cast<int>(candidates.size()) > config_.max_candidates) {
@@ -307,14 +308,15 @@ OfdCleanResult OfdClean::Run() {
       return a < b;
     });
     std::vector<OntologyAddition> kept;
-    std::vector<std::vector<uint32_t>> kept_affected;
+    std::vector<std::vector<BeamScorer::Flip>> kept_flips;
     for (int i = 0; i < config_.max_candidates; ++i) {
       kept.push_back(candidates[order[static_cast<size_t>(i)]]);
-      kept_affected.push_back(std::move(cand_affected[order[static_cast<size_t>(i)]]));
+      kept_flips.push_back(std::move(cand_flips[order[static_cast<size_t>(i)]]));
     }
     candidates = std::move(kept);
-    cand_affected = std::move(kept_affected);
+    cand_flips = std::move(kept_flips);
   }
+  scorer.SetCandidates(candidates, std::move(cand_flips));
 
   // Beam size: secretary rule ⌊w/e⌋, at least 1.
   int beam = config_.beam_size > 0
@@ -323,36 +325,22 @@ OfdCleanResult OfdClean::Run() {
                                         static_cast<double>(candidates.size()) /
                                         std::exp(1.0))));
 
-  // Node scoring: side-effect-free (overlay over the shared index) and, by
-  // default, incremental (only the classes a node's insertions can affect
-  // are re-costed). Scores are exact repair counts — never truncated by the
-  // τ budget — so feasibility is simply `score <= budget`.
-  // `clean.beam.seconds` covers exactly the node-evaluation work: level-0
-  // memoization, every level's scoring, and the sorts — not the final
-  // materialization (bench_clean reports full-vs-incremental speedups from
-  // this timer).
-  ScopedTimer beam_timer(&metrics, "clean.beam.seconds");
-  BeamScorer scorer(rel_, index, sigma_, result.assignment, pool);
-  scorer.SetCandidates(candidates, std::move(cand_affected));
-
   struct Node {
     std::vector<int> picks;
     int64_t data_changes = 0;
     bool tau_feasible = true;
   };
   int64_t classes_rescored = 0;
-  // One scoring scratch (overlay + affected-union buffer) per worker, warm
-  // across every node of every level: batch-grained dispatch below hands
-  // each worker a run of nodes, so the per-node allocations that made
-  // fine-grained expansion regress are gone.
-  std::vector<BeamScorer::ScoreScratch> scratches;
-  scratches.reserve(static_cast<size_t>(pool->num_threads()));
-  for (int w = 0; w < pool->num_threads(); ++w) scratches.emplace_back(index);
+  // One scoring scratch (flip buffer) per worker, warm across every node of
+  // every level: batch-grained dispatch below hands each worker a run of
+  // nodes, so the hot loop allocates nothing per node.
+  std::vector<BeamScorer::ScoreScratch> scratches(
+      static_cast<size_t>(pool->num_threads()));
   auto score_node = [&](std::vector<int> picks,
                         BeamScorer::ScoreScratch* scratch) -> std::pair<Node, int64_t> {
     BeamScorer::NodeScore s = config_.incremental_scoring
                                   ? scorer.ScoreIncremental(picks, scratch)
-                                  : scorer.ScoreFull(picks, scratch);
+                                  : scorer.ScoreFull(picks);
     FASTOFD_AUDIT_OK(scorer.AuditNodeScore(picks, s.data_changes));
     return {Node{std::move(picks), s.data_changes, s.data_changes <= budget},
             s.classes_rescored};
@@ -402,8 +390,8 @@ OfdCleanResult OfdClean::Run() {
     };
     // Batch grain: a run of candidate expansions per task (not one node per
     // dispatch), so scheduling cost amortizes over the batch while work
-    // stealing still rebalances the uneven tail (nodes with long
-    // affected-class lists). The level result is byte-identical for any
+    // stealing still rebalances the uneven tail (nodes with long flip
+    // lists). The level result is byte-identical for any
     // grain or thread count — slots, then one deterministic sort below.
     const size_t beam_grain =
         config_.beam_grain > 0

@@ -8,10 +8,10 @@
 // combinations of these insertions (top-b nodes per level, default
 // b = ⌊|Cand(S)|/e⌋ by the secretary rule), and every candidate ontology
 // repair is scored by the number of data repairs still required. Nodes are
-// scored side-effect-free (SynonymIndexOverlay over the shared index, see
-// clean/beam_scorer.h), incrementally (only the classes a node's insertions
-// can affect are re-costed against the memoized level-0 per-class costs),
-// and in parallel (each level's expansions in candidate batches on the
+// scored side-effect-free and incrementally (see clean/beam_scorer.h: each
+// class's consequent histogram is summarized once against the shared index,
+// and a node re-costs only the classes whose slots its insertions flip to
+// covered), and in parallel (each level's expansions in candidate batches on the
 // work-stealing pool, per-worker scoring scratch, byte-identical output for
 // any thread count, grain, or scoring mode). Only the
 // chosen repair is materialized with a full RepairData. Data repair builds
@@ -92,6 +92,48 @@ struct OntologyAddition {
   friend bool operator==(const OntologyAddition& a, const OntologyAddition& b) {
     return a.sense == b.sense && a.value == b.value;
   }
+};
+
+/// One class's consequent histogram (ClassHistogram slots) summarized under
+/// its assigned sense: the figures RepairData picks a class's repair value
+/// from and the beam scorer costs it from. Ties break to the minimum value
+/// id, so no figure depends on slot order.
+struct ClassTally {
+  int64_t size = 0;
+  int64_t distinct = 0;
+  ValueId majority = kInvalidValue;
+  int64_t majority_count = -1;
+  ValueId best_covered = kInvalidValue;
+  int64_t best_covered_count = -1;
+  int64_t uncovered_occurrences = 0;
+  int64_t uncovered_slots = 0;
+
+  /// Folds in one slot: `count` rows holding `v`, covered by the sense or not.
+  void Add(ValueId v, int64_t count, bool covered) {
+    size += count;
+    ++distinct;
+    if (count > majority_count || (count == majority_count && v < majority)) {
+      majority = v;
+      majority_count = count;
+    }
+    ++uncovered_slots;
+    uncovered_occurrences += count;
+    if (covered) Cover(v, count);
+  }
+
+  /// Moves an uncovered slot to covered (an ontology insertion of `v`).
+  void Cover(ValueId v, int64_t count) {
+    --uncovered_slots;
+    uncovered_occurrences -= count;
+    if (count > best_covered_count ||
+        (count == best_covered_count && v < best_covered)) {
+      best_covered = v;
+      best_covered_count = count;
+    }
+  }
+
+  /// The class violates its OFD: its values differ and are not all covered.
+  bool violating() const { return distinct > 1 && uncovered_slots > 0; }
 };
 
 /// A materialized repair.

@@ -16,7 +16,6 @@
 //                                        (two-tier accounting + metrics
 //                                        gauges vs recomputed footprints)
 //   AuditOntologyIndex                   ontology/synonym_index.{h,cc}
-//   AuditSynonymIndexOverlay             ontology/synonym_index.{h,cc}
 //   BeamScorer::AuditNodeScore           clean/beam_scorer.{h,cc}
 //   IncrementalVerifier::AuditState      ofd/incremental.{h,cc}
 //   Session::Audit / SessionRegistry::AuditInvariants  service/session.{h,cc}

@@ -94,102 +94,13 @@ void SynonymIndex::RemoveValue(SenseId s, ValueId v) {
   values.erase(vit);
 }
 
-bool SynonymIndexOverlay::Add(SenseId s, ValueId v) {
-  FASTOFD_CHECK(s >= 0 && s < base_->num_senses());
-  FASTOFD_CHECK(v >= 0);
-  if (SenseContains(s, v)) return false;
-  added_.emplace_back(s, v);
-  return true;
-}
-
-std::vector<SenseId> SynonymIndexOverlay::Senses(ValueId v) const {
-  std::vector<SenseId> merged = base_->Senses(v);
-  for (const auto& [as, av] : added_) {
-    if (av != v) continue;
-    merged.insert(std::lower_bound(merged.begin(), merged.end(), as), as);
-  }
-  return merged;
-}
-
-std::vector<ValueId> SynonymIndexOverlay::SenseValues(SenseId s) const {
-  std::vector<ValueId> merged = base_->SenseValues(s);
-  for (const auto& [as, av] : added_) {
-    if (as == s) merged.push_back(av);
-  }
-  return merged;
-}
-
-bool SynonymIndexOverlay::SenseHasValues(SenseId s) const {
-  if (!base_->SenseValues(s).empty()) return true;
-  for (const auto& add : added_) {
-    if (add.first == s) return true;
-  }
-  return false;
-}
-
 namespace {
 
 Status OntologyAuditError(const std::string& message) {
   return audit::internal::Counted(Status::Error("ontology audit: " + message));
 }
 
-Status OverlayAuditError(const std::string& message) {
-  return audit::internal::Counted(Status::Error("overlay audit: " + message));
-}
-
 }  // namespace
-
-Status AuditSynonymIndexOverlay(const SynonymIndexOverlay& overlay) {
-  const SynonymIndex& base = overlay.base();
-  const auto& added = overlay.additions();
-  for (size_t i = 0; i < added.size(); ++i) {
-    auto [s, v] = added[i];
-    if (s < 0 || s >= base.num_senses() || v < 0) {
-      return OverlayAuditError("addition " + std::to_string(i) +
-                               " out of range");
-    }
-    if (base.SenseContains(s, v)) {
-      return OverlayAuditError("addition (" + std::to_string(s) + ", " +
-                               std::to_string(v) +
-                               ") already present in the base index");
-    }
-    for (size_t j = i + 1; j < added.size(); ++j) {
-      if (added[j] == added[i]) {
-        return OverlayAuditError("addition (" + std::to_string(s) + ", " +
-                                 std::to_string(v) + ") listed twice");
-      }
-    }
-  }
-  // Read-through accessors must agree with a materialized copy of the base
-  // that had the additions applied via AddValue.
-  SynonymIndex materialized = base;
-  for (const auto& [s, v] : added) {
-    if (!materialized.AddValue(s, v)) {
-      return OverlayAuditError("materializing addition (" + std::to_string(s) +
-                               ", " + std::to_string(v) + ") was a no-op");
-    }
-  }
-  for (const auto& [s, v] : added) {
-    if (!overlay.SenseContains(s, v)) {
-      return OverlayAuditError("SenseContains misses addition (" +
-                               std::to_string(s) + ", " + std::to_string(v) +
-                               ")");
-    }
-    if (overlay.Senses(v) != materialized.Senses(v)) {
-      return OverlayAuditError("Senses(" + std::to_string(v) +
-                               ") disagrees with the materialized index");
-    }
-    if (overlay.SenseValues(s) != materialized.SenseValues(s)) {
-      return OverlayAuditError("SenseValues(" + std::to_string(s) +
-                               ") disagrees with the materialized index");
-    }
-    if (!overlay.SenseHasValues(s)) {
-      return OverlayAuditError("SenseHasValues(" + std::to_string(s) +
-                               ") false despite addition");
-    }
-  }
-  return audit::internal::Counted(Status::Ok());
-}
 
 Status AuditOntologyIndex(const Ontology& ontology, const Dictionary& dict,
                           const SynonymIndex& index,

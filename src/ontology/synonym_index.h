@@ -9,7 +9,6 @@
 #ifndef FASTOFD_ONTOLOGY_SYNONYM_INDEX_H_
 #define FASTOFD_ONTOLOGY_SYNONYM_INDEX_H_
 
-#include <utility>
 #include <vector>
 
 #include "common/dictionary.h"
@@ -74,61 +73,6 @@ class SynonymIndex {
   // sense id -> interned member values.
   std::vector<std::vector<ValueId>> sense_values_;
 };
-
-/// A side-effect-free view of a SynonymIndex plus a small set of candidate
-/// (sense, value) insertions — the ontology-repair beam search evaluates one
-/// node by layering the node's insertions over the shared base index instead
-/// of mutating it (AddValue/RemoveValue), so nodes can be scored
-/// concurrently. Reads go through to the base; the addition set is expected
-/// to stay small (bounded by the beam depth, ≤ ~12), so membership probes
-/// are linear scans.
-class SynonymIndexOverlay {
- public:
-  explicit SynonymIndexOverlay(const SynonymIndex& base) : base_(&base) {}
-
-  /// Layers the insertion (s, v) over the base. Ignored (returns false) when
-  /// the base already contains the mapping or it was already added.
-  bool Add(SenseId s, ValueId v);
-
-  /// Drops all additions (the view reverts to the plain base).
-  void Clear() { added_.clear(); }
-
-  /// True iff sense `s` contains value `v` in the base or the additions.
-  bool SenseContains(SenseId s, ValueId v) const {
-    if (base_->SenseContains(s, v)) return true;
-    for (const auto& [as, av] : added_) {
-      if (as == s && av == v) return true;
-    }
-    return false;
-  }
-
-  /// Merged names(v): base senses plus added senses, ascending.
-  std::vector<SenseId> Senses(ValueId v) const;
-
-  /// Merged member values of sense `s`: base values then added values (in
-  /// addition order).
-  std::vector<ValueId> SenseValues(SenseId s) const;
-
-  /// True iff sense `s` has at least one member value (base or added) —
-  /// cheaper than SenseValues(s).empty(), which materializes the merge.
-  bool SenseHasValues(SenseId s) const;
-
-  int num_senses() const { return base_->num_senses(); }
-  const SynonymIndex& base() const { return *base_; }
-  const std::vector<std::pair<SenseId, ValueId>>& additions() const {
-    return added_;
-  }
-
- private:
-  const SynonymIndex* base_;
-  std::vector<std::pair<SenseId, ValueId>> added_;
-};
-
-/// Deep invariant audit for an overlay: every addition must be absent from
-/// the base (Add() dedups), in-range, and free of duplicates, and the
-/// read-through accessors must agree with a copy of the base index that had
-/// the additions applied via AddValue.
-Status AuditSynonymIndexOverlay(const SynonymIndexOverlay& overlay);
 
 /// Deep invariant audit (common/audit.h): the ontology's is-a tree is
 /// well-formed (parent/child lists agree, no cycles) and the compiled index

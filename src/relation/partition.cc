@@ -403,6 +403,26 @@ void StrippedPartition::RefineInto(const CompressedPartition& a,
   EmitGroups(a, ColumnKey{column.data()}, scratch, &out->rows_, &out->offsets_);
 }
 
+void StrippedPartition::HistogramInto(const StrippedPartition& a,
+                                      const std::vector<ValueId>& column,
+                                      size_t num_values, PartitionScratch* scratch,
+                                      ClassHistogram* out) {
+  out->slots.clear();
+  out->offsets.assign(1, 0);
+  scratch->EnsureKeys(num_values);
+  std::vector<int32_t>& counts = scratch->counts_;
+  std::vector<int32_t>& touched = scratch->touched_;
+  for (RowSpan cls : a.classes()) {
+    CountGroups(cls, ColumnKey{column.data()}, counts, touched);
+    for (int32_t v : touched) {
+      out->slots.push_back(ClassHistogram::Slot{v, counts[static_cast<size_t>(v)]});
+      counts[static_cast<size_t>(v)] = 0;
+    }
+    touched.clear();
+    out->offsets.push_back(static_cast<uint32_t>(out->slots.size()));
+  }
+}
+
 int64_t StrippedPartition::IntersectError(const StrippedPartition& a,
                                           const StrippedPartition& b,
                                           PartitionScratch* scratch,

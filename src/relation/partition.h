@@ -21,6 +21,7 @@
 #include <limits>
 #include <list>
 #include <memory>
+#include <span>
 #include <unordered_map>
 #include <vector>
 
@@ -152,6 +153,26 @@ class PartitionScratch {
   std::vector<int32_t> touched_;
 };
 
+/// Per-class value histogram of a partition over one column
+/// (StrippedPartition::HistogramInto): class i's distinct values and their
+/// row counts occupy slots[offsets[i], offsets[i+1]), in first-touch (first
+/// row) order, so building it never sorts.
+struct ClassHistogram {
+  struct Slot {
+    ValueId value = kInvalidValue;
+    int32_t count = 0;
+  };
+
+  std::vector<Slot> slots;
+  // num_classes + 1 entries starting at 0 (just {0} for no classes).
+  std::vector<uint32_t> offsets;
+
+  size_t num_classes() const { return offsets.empty() ? 0 : offsets.size() - 1; }
+  std::span<const Slot> Class(size_t i) const {
+    return std::span<const Slot>(slots).subspan(offsets[i], offsets[i + 1] - offsets[i]);
+  }
+};
+
 /// A stripped partition: equivalence classes of size >= 2 over some
 /// attribute set, stored as a flat arena (rows buffer + class offsets),
 /// plus the statistics discovery algorithms need.
@@ -197,6 +218,14 @@ class StrippedPartition {
   /// The returned value is exact when <= max_error.
   static int64_t IntersectError(const StrippedPartition& a, const StrippedPartition& b,
                                 PartitionScratch* scratch, int64_t max_error);
+
+  /// Tallies every class of `a` by its value in `column` into `out` (reused
+  /// across calls): the count loop behind RefineInto, but emitting each
+  /// class's (value, count) slots instead of its refined row groups.
+  /// `num_values` bounds the column's value ids (dict size).
+  static void HistogramInto(const StrippedPartition& a,
+                            const std::vector<ValueId>& column, size_t num_values,
+                            PartitionScratch* scratch, ClassHistogram* out);
 
   /// Product on `pool` for large operands: the outer side's classes are
   /// chunked across workers and the per-chunk arenas concatenated in class

@@ -1,22 +1,29 @@
 // Tests for the OFDClean stack: EMD, sense assignment, data/ontology
-// repair, the end-to-end driver on the paper's running example, and the
-// HoloCleanLite baseline.
+// repair, the class-histogram kernel and beam-node scoring, the end-to-end
+// driver on the paper's running example, and the HoloCleanLite baseline.
 
 #include <algorithm>
+#include <cstdint>
+#include <limits>
+#include <map>
+#include <set>
 #include <string>
 #include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
 
+#include "clean/beam_scorer.h"
 #include "clean/emd.h"
 #include "clean/holoclean_lite.h"
 #include "clean/repair.h"
 #include "clean/sense_assignment.h"
+#include "common/rng.h"
 #include "datagen/datagen.h"
 #include "ofd/verifier.h"
 #include "ontology/ontology.h"
 #include "ontology/synonym_index.h"
+#include "relation/partition.h"
 #include "relation/relation.h"
 
 namespace fastofd {
@@ -536,6 +543,366 @@ TEST(OfdCleanTest, RejectsOverlappingAntecedentConsequent) {
   SigmaSet sigma = {{AttrSet::Single(0), 1, OfdKind::kSynonym},
                     {AttrSet::Single(1), 2, OfdKind::kSynonym}};
   EXPECT_DEATH(OfdClean(rel, ont, sigma), "CHECK failed");
+}
+
+// ---------------------------------------------------------------------------
+// Class histograms (StrippedPartition::HistogramInto).
+
+ClassHistogram HistogramOf(const Relation& rel, const StrippedPartition& p,
+                           AttrId attr, ClassHistogram hist = {}) {
+  StrippedPartition::HistogramInto(p, rel.Column(attr), rel.dict().size(),
+                                   &StrippedPartition::ThreadLocalScratch(), &hist);
+  return hist;
+}
+
+// Checks the kernel against a std::map tally per class: the same distinct
+// values in first-row order, the same counts, summing to the class size.
+void ExpectHistogramMatchesReference(const Relation& rel, const StrippedPartition& p,
+                                     AttrId attr) {
+  ClassHistogram hist = HistogramOf(rel, p, attr);
+  ASSERT_EQ(hist.num_classes(), static_cast<size_t>(p.num_classes()));
+  ASSERT_EQ(hist.offsets.size(), hist.num_classes() + 1);
+  EXPECT_EQ(hist.offsets.front(), 0u);
+  EXPECT_EQ(hist.offsets.back(), hist.slots.size());
+  for (size_t c = 0; c < hist.num_classes(); ++c) {
+    std::map<ValueId, int32_t> counts;
+    std::vector<ValueId> first_row_order;
+    for (RowId r : p.Class(c)) {
+      if (counts[rel.At(r, attr)]++ == 0) first_row_order.push_back(rel.At(r, attr));
+    }
+    auto slots = hist.Class(c);
+    ASSERT_EQ(slots.size(), first_row_order.size());
+    int64_t sum = 0;
+    for (size_t j = 0; j < slots.size(); ++j) {
+      EXPECT_EQ(slots[j].value, first_row_order[j]);
+      EXPECT_EQ(slots[j].count, counts[first_row_order[j]]);
+      sum += slots[j].count;
+    }
+    EXPECT_EQ(sum, static_cast<int64_t>(p.Class(c).size()));
+  }
+}
+
+TEST(ClassHistogramTest, MatchesMapReferenceInFirstRowOrder) {
+  DataGenConfig dg;
+  dg.num_rows = 600;
+  dg.error_rate = 0.05;
+  dg.seed = 11;
+  GeneratedData data = GenerateData(dg);
+  for (const Ofd& ofd : data.sigma) {
+    StrippedPartition p = StrippedPartition::BuildForSet(data.rel, ofd.lhs);
+    ASSERT_GT(p.num_classes(), 1);
+    ExpectHistogramMatchesReference(data.rel, p, ofd.rhs);
+  }
+}
+
+TEST(ClassHistogramTest, EmptyPartitionAndAllRowsClass) {
+  Relation rel(Schema({"K", "V"}));
+  for (const char* v : {"b", "a", "b", "c", "a"}) {
+    rel.AppendRow({"k" + std::to_string(rel.num_rows()), v});
+  }
+  // A superkey's partition has no classes; a reused output is reset.
+  StrippedPartition key = StrippedPartition::Build(rel, 0);
+  ASSERT_TRUE(key.IsSuperkey());
+  ClassHistogram stale;
+  stale.slots.push_back({0, 9});
+  stale.offsets = {0, 1};
+  ClassHistogram empty = HistogramOf(rel, key, 1, stale);
+  EXPECT_EQ(empty.num_classes(), 0u);
+  EXPECT_TRUE(empty.slots.empty());
+  EXPECT_EQ(empty.offsets, std::vector<uint32_t>{0});
+
+  // The empty attribute set's single all-rows class.
+  StrippedPartition all = StrippedPartition::BuildForSet(rel, AttrSet());
+  ASSERT_TRUE(all.IsAllRowsClass());
+  ClassHistogram hist = HistogramOf(rel, all, 1);
+  ASSERT_EQ(hist.num_classes(), 1u);
+  auto slots = hist.Class(0);
+  ASSERT_EQ(slots.size(), 3u);
+  EXPECT_EQ(slots[0].value, rel.dict().Lookup("b"));
+  EXPECT_EQ(slots[0].count, 2);
+  EXPECT_EQ(slots[1].value, rel.dict().Lookup("a"));
+  EXPECT_EQ(slots[1].count, 2);
+  EXPECT_EQ(slots[2].value, rel.dict().Lookup("c"));
+  EXPECT_EQ(slots[2].count, 1);
+  ExpectHistogramMatchesReference(rel, all, 1);
+}
+
+// ---------------------------------------------------------------------------
+// Beam-node scoring (BeamScorer).
+
+// Cand(S) as OfdClean::Run collects it, untruncated: every (assigned sense,
+// value) pair the index lacks, in first-occurrence order, with one flip per
+// class holding the value.
+struct CandidateSet {
+  std::vector<OntologyAddition> candidates;
+  std::vector<std::vector<BeamScorer::Flip>> flips;
+};
+
+CandidateSet CollectCandidates(const BeamScorer& scorer, const SynonymIndex& index,
+                               const SenseAssignmentResult& assignment) {
+  CandidateSet set;
+  uint32_t item = 0;
+  for (size_t i = 0; i < assignment.senses.size(); ++i) {
+    const ClassHistogram& hist = scorer.histogram(i);
+    for (size_t c = 0; c < hist.num_classes(); ++c, ++item) {
+      SenseId sense = assignment.senses[i][c];
+      if (sense == kInvalidSense) continue;
+      for (uint32_t slot = hist.offsets[c]; slot < hist.offsets[c + 1]; ++slot) {
+        OntologyAddition add{sense, hist.slots[slot].value};
+        if (index.SenseContains(add.sense, add.value)) continue;
+        auto it = std::find(set.candidates.begin(), set.candidates.end(), add);
+        if (it == set.candidates.end()) {
+          set.candidates.push_back(add);
+          set.flips.emplace_back();
+          it = set.candidates.end() - 1;
+        }
+        set.flips[static_cast<size_t>(it - set.candidates.begin())].push_back(
+            BeamScorer::Flip{item, slot});
+      }
+    }
+  }
+  return set;
+}
+
+// Repairs a from-scratch RepairData makes with the picks inserted into a
+// copy of the index.
+int64_t MaterializedRepairs(const Relation& rel, const SynonymIndex& index,
+                            const SigmaSet& sigma,
+                            const SenseAssignmentResult& assignment,
+                            const CandidateSet& set, const std::vector<int>& picks) {
+  SynonymIndex materialized = index;
+  for (int p : picks) {
+    const OntologyAddition& add = set.candidates[static_cast<size_t>(p)];
+    materialized.AddValue(add.sense, add.value);
+  }
+  return RepairData(rel, materialized, sigma, assignment,
+                    std::numeric_limits<int64_t>::max())
+      .data_changes;
+}
+
+TEST(BeamScorerTest, IncrementalFullAndRepairDataAgreeOnRandomNodes) {
+  for (uint64_t seed : {3u, 17u, 29u}) {
+    SCOPED_TRACE("seed=" + std::to_string(seed));
+    DataGenConfig dg;
+    dg.num_rows = 500;
+    dg.num_senses = 4;
+    dg.error_rate = 0.05;
+    dg.incompleteness_rate = 0.15;
+    dg.seed = seed;
+    GeneratedData data = GenerateData(dg);
+    // Per-class independence, under which RepairData's count decomposes
+    // into the scorer's per-class costs.
+    AttrSet lhs_attrs, rhs_attrs;
+    for (const Ofd& ofd : data.sigma) {
+      ASSERT_FALSE(rhs_attrs.Contains(ofd.rhs));
+      lhs_attrs = lhs_attrs.Union(ofd.lhs);
+      rhs_attrs = rhs_attrs.With(ofd.rhs);
+    }
+    ASSERT_FALSE(lhs_attrs.Intersects(rhs_attrs));
+
+    SynonymIndex index(data.ontology, data.rel.dict());
+    SenseSelector selector(data.rel, index, data.sigma);
+    SenseAssignmentResult assignment = selector.Run();
+    BeamScorer scorer(data.rel, index, data.sigma, assignment);
+    CandidateSet set = CollectCandidates(scorer, index, assignment);
+    ASSERT_GE(set.candidates.size(), 4u);
+    scorer.SetCandidates(set.candidates, set.flips);
+    EXPECT_EQ(scorer.ScoreFull({}).data_changes, scorer.base_cost());
+    EXPECT_EQ(scorer.ScoreIncremental({}).data_changes, scorer.base_cost());
+    EXPECT_EQ(MaterializedRepairs(data.rel, index, data.sigma, assignment, set, {}),
+              scorer.base_cost());
+
+    Rng rng(seed);
+    BeamScorer::ScoreScratch scratch;  // Reused across nodes, as per worker.
+    const int n = static_cast<int>(set.candidates.size());
+    for (int trial = 0; trial < 30; ++trial) {
+      std::vector<int> picks;  // Ascending, as the beam builds them.
+      for (int p = 0; p < n; ++p) {
+        if (rng.NextBernoulli(std::min(1.0, 4.0 / n))) picks.push_back(p);
+      }
+      BeamScorer::NodeScore incremental = scorer.ScoreIncremental(picks, &scratch);
+      BeamScorer::NodeScore full = scorer.ScoreFull(picks);
+      EXPECT_EQ(incremental.data_changes, full.data_changes);
+      EXPECT_EQ(incremental.data_changes,
+                MaterializedRepairs(data.rel, index, data.sigma, assignment, set, picks));
+      std::set<uint32_t> flipped;
+      for (int p : picks) {
+        for (const BeamScorer::Flip& f : set.flips[static_cast<size_t>(p)]) {
+          flipped.insert(f.item);
+        }
+      }
+      EXPECT_EQ(incremental.classes_rescored, static_cast<int64_t>(flipped.size()));
+      EXPECT_EQ(full.classes_rescored, static_cast<int64_t>(scorer.num_classes()));
+    }
+  }
+}
+
+// One OFD X -> MED over classes and senses a test spells out. Sense S holds
+// {g1, g2} and T holds {t1}; singleton padding rows intern those values (and
+// any `early` ones) first, so their ids are the smallest and both senses
+// have dictionary values.
+struct HandBuilt {
+  Relation rel{Schema({"X", "MED"})};
+  Ontology ont;
+  SenseId s = kInvalidSense;
+  SenseId t = kInvalidSense;
+  SigmaSet sigma = {{AttrSet::Single(0), 1, OfdKind::kSynonym}};
+
+  explicit HandBuilt(const std::vector<std::string>& early = {}) {
+    s = ont.AddSense("S");
+    ont.AddValue(s, "g1");
+    ont.AddValue(s, "g2");
+    t = ont.AddSense("T");
+    ont.AddValue(t, "t1");
+    std::vector<std::string> pad = {"g1", "g2", "t1"};
+    pad.insert(pad.end(), early.begin(), early.end());
+    for (const std::string& v : pad) {
+      rel.AppendRow({"pad" + std::to_string(rel.num_rows()), v});
+    }
+  }
+
+  // Appends one equivalence class (rows sharing X = x).
+  void AddClass(const std::string& x, const std::vector<std::string>& values) {
+    for (const std::string& v : values) rel.AppendRow({x, v});
+  }
+
+  // The partition of X with the given per-class senses (classes in
+  // first-row order).
+  SenseAssignmentResult Assign(std::vector<SenseId> senses) const {
+    SenseAssignmentResult assignment;
+    assignment.partitions.push_back(StrippedPartition::Build(rel, 0));
+    EXPECT_EQ(static_cast<size_t>(assignment.partitions[0].num_classes()),
+              senses.size());
+    assignment.senses.push_back(std::move(senses));
+    return assignment;
+  }
+
+  int Pick(const CandidateSet& set, SenseId sense, const std::string& value) const {
+    OntologyAddition add{sense, rel.dict().Lookup(value)};
+    auto it = std::find(set.candidates.begin(), set.candidates.end(), add);
+    EXPECT_NE(it, set.candidates.end()) << value;
+    return static_cast<int>(it - set.candidates.begin());
+  }
+};
+
+// Scores `picks` three ways — incremental, full, and a from-scratch
+// RepairData on a materialized index — and checks all equal `expected`.
+void ExpectNodeCost(const HandBuilt& h, const SynonymIndex& index,
+                    const SenseAssignmentResult& assignment, const BeamScorer& scorer,
+                    const CandidateSet& set, std::vector<int> picks, int64_t expected) {
+  std::sort(picks.begin(), picks.end());
+  EXPECT_EQ(scorer.ScoreIncremental(picks).data_changes, expected);
+  EXPECT_EQ(scorer.ScoreFull(picks).data_changes, expected);
+  EXPECT_EQ(MaterializedRepairs(h.rel, index, h.sigma, assignment, set, picks),
+            expected);
+}
+
+TEST(BeamScorerTest, SingleValueClassNeverCosts) {
+  HandBuilt h;
+  h.AddClass("x1", {"u", "u", "u"});  // One value, uncovered by S.
+  SynonymIndex index(h.ont, h.rel.dict());
+  SenseAssignmentResult assignment = h.Assign({h.s});
+  BeamScorer scorer(h.rel, index, h.sigma, assignment);
+  CandidateSet set = CollectCandidates(scorer, index, assignment);
+  scorer.SetCandidates(set.candidates, set.flips);
+  EXPECT_EQ(scorer.base_cost(), 0);
+  ExpectNodeCost(h, index, assignment, scorer, set, {}, 0);
+  ExpectNodeCost(h, index, assignment, scorer, set, {h.Pick(set, h.s, "u")}, 0);
+}
+
+TEST(BeamScorerTest, InvalidSenseClassKeepsItsMajority) {
+  HandBuilt h;
+  h.AddClass("x1", {"a", "a", "b"});  // No sense: majority repair.
+  h.AddClass("x2", {"g1", "u"});
+  SynonymIndex index(h.ont, h.rel.dict());
+  SenseAssignmentResult assignment = h.Assign({kInvalidSense, h.s});
+  BeamScorer scorer(h.rel, index, h.sigma, assignment);
+  CandidateSet set = CollectCandidates(scorer, index, assignment);
+  scorer.SetCandidates(set.candidates, set.flips);
+  // Only x2 yields candidates; the invalid-sense class never flips.
+  ASSERT_EQ(set.candidates.size(), 1u);
+  EXPECT_EQ(set.flips[0].size(), 1u);
+  ExpectNodeCost(h, index, assignment, scorer, set, {}, 2);
+  ExpectNodeCost(h, index, assignment, scorer, set, {h.Pick(set, h.s, "u")}, 1);
+  RepairResult repaired = RepairData(h.rel, index, h.sigma, assignment, 100);
+  EXPECT_EQ(repaired.repaired.StringAt(h.rel.num_rows() - 3, 1), "a");
+}
+
+TEST(BeamScorerTest, CountTiesBreakToMinimumValueId) {
+  // "za" is interned before "zb", but "zb" and "g2" own their classes' first
+  // slots: the tie-breaks must follow value ids, not slot order.
+  HandBuilt h({"za"});
+  h.AddClass("x1", {"g2", "g2", "g1", "g1", "u"});
+  h.AddClass("x2", {"zb", "za", "za", "zb", "zc"});
+  SynonymIndex index(h.ont, h.rel.dict());
+  SenseAssignmentResult assignment = h.Assign({h.s, kInvalidSense});
+  BeamScorer scorer(h.rel, index, h.sigma, assignment);
+  CandidateSet set = CollectCandidates(scorer, index, assignment);
+  scorer.SetCandidates(set.candidates, set.flips);
+  // x1 rewrites "u" to a covered value; x2 rewrites all but its majority.
+  ExpectNodeCost(h, index, assignment, scorer, set, {}, 1 + 3);
+  ExpectNodeCost(h, index, assignment, scorer, set, {h.Pick(set, h.s, "u")}, 3);
+
+  RepairResult repaired = RepairData(h.rel, index, h.sigma, assignment, 100);
+  const RowId x1 = h.rel.num_rows() - 10;
+  const RowId x2 = h.rel.num_rows() - 5;
+  EXPECT_EQ(repaired.repaired.StringAt(x1 + 4, 1), "g1");
+  for (RowId r = x2; r < x2 + 5; ++r) {
+    EXPECT_EQ(repaired.repaired.StringAt(r, 1), "za");
+  }
+}
+
+TEST(BeamScorerTest, PickCoveringLastUncoveredSlotCostsNothing) {
+  HandBuilt h;
+  h.AddClass("x1", {"g1", "g1", "u", "u"});  // u is the only uncovered slot.
+  h.AddClass("x2", {"u", "v"});              // Nothing covered: all rows change.
+  SynonymIndex index(h.ont, h.rel.dict());
+  SenseAssignmentResult assignment = h.Assign({h.s, h.s});
+  BeamScorer scorer(h.rel, index, h.sigma, assignment);
+  CandidateSet set = CollectCandidates(scorer, index, assignment);
+  scorer.SetCandidates(set.candidates, set.flips);
+  const int u = h.Pick(set, h.s, "u");
+  EXPECT_EQ(set.flips[static_cast<size_t>(u)].size(), 2u);  // Flips both classes.
+  ExpectNodeCost(h, index, assignment, scorer, set, {}, 2 + 2);
+  ExpectNodeCost(h, index, assignment, scorer, set, {u}, 0 + 1);
+  ExpectNodeCost(h, index, assignment, scorer, set, {u, h.Pick(set, h.s, "v")}, 0);
+  EXPECT_EQ(scorer.ScoreIncremental({u}).classes_rescored, 2);
+}
+
+TEST(BeamScorerTest, TwoPicksInOneClass) {
+  HandBuilt h;
+  h.AddClass("x1", {"g1", "u", "u", "v"});
+  h.AddClass("x2", {"u", "v", "v"});  // Under T: nothing covered.
+  SynonymIndex index(h.ont, h.rel.dict());
+  SenseAssignmentResult assignment = h.Assign({h.s, h.t});
+  BeamScorer scorer(h.rel, index, h.sigma, assignment);
+  CandidateSet set = CollectCandidates(scorer, index, assignment);
+  scorer.SetCandidates(set.candidates, set.flips);
+  const int su = h.Pick(set, h.s, "u");
+  const int sv = h.Pick(set, h.s, "v");
+  const int tu = h.Pick(set, h.t, "u");
+  const int tv = h.Pick(set, h.t, "v");
+  ExpectNodeCost(h, index, assignment, scorer, set, {}, 3 + 3);
+  ExpectNodeCost(h, index, assignment, scorer, set, {su}, 1 + 3);
+  ExpectNodeCost(h, index, assignment, scorer, set, {sv}, 2 + 3);
+  ExpectNodeCost(h, index, assignment, scorer, set, {su, sv}, 0 + 3);
+  ExpectNodeCost(h, index, assignment, scorer, set, {tv}, 3 + 1);
+  ExpectNodeCost(h, index, assignment, scorer, set, {su, sv, tu, tv}, 0);
+  std::vector<int> same_class = {su, sv};
+  std::sort(same_class.begin(), same_class.end());
+  EXPECT_EQ(scorer.ScoreIncremental(same_class).classes_rescored, 1);
+}
+
+TEST(BeamScorerTest, RejectsAssignedSenseWithoutValues) {
+  // Slot flips assume every assigned sense already holds a value: inserting
+  // into an empty sense would change the fallback target of its classes
+  // that lack the inserted value, which no flip list records.
+  HandBuilt h;
+  SenseId empty = h.ont.AddSense("E");
+  h.AddClass("x1", {"u", "v"});
+  SynonymIndex index(h.ont, h.rel.dict());
+  SenseAssignmentResult assignment = h.Assign({empty});
+  EXPECT_DEATH(BeamScorer(h.rel, index, h.sigma, assignment), "CHECK failed");
 }
 
 // ---------------------------------------------------------------------------

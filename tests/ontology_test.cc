@@ -211,51 +211,6 @@ TEST(SynonymIndexTest, UndoingOnlyRealInsertionsPreservesTheBase) {
   EXPECT_EQ(index.SenseValues(fda).size(), 1u);  // cartia (tiazac not interned)
 }
 
-TEST(SynonymIndexOverlayTest, ReadsThroughBaseAndAdditions) {
-  Ontology ont = MakeDrugOntology();
-  Dictionary dict;
-  ValueId cartia = dict.Intern("cartia");
-  ValueId tiazac = dict.Intern("tiazac");
-  ValueId adizem = dict.Intern("adizem");
-  SynonymIndex index(ont, dict);
-  SenseId fda = ont.FindSense("fda_diltiazem");
-
-  SynonymIndexOverlay overlay(index);
-  EXPECT_TRUE(overlay.SenseContains(fda, cartia));  // base read-through
-  EXPECT_FALSE(overlay.SenseContains(fda, adizem));
-  EXPECT_FALSE(overlay.Add(fda, cartia));  // present in the base: rejected
-  EXPECT_TRUE(overlay.Add(fda, adizem));
-  EXPECT_FALSE(overlay.Add(fda, adizem));  // duplicate addition: rejected
-  EXPECT_TRUE(overlay.SenseContains(fda, adizem));
-
-  // Accessors agree with a materialized copy (additions appended in order,
-  // sense lists merged sorted); the base index itself is untouched.
-  EXPECT_EQ(overlay.SenseValues(fda), (std::vector<ValueId>{cartia, tiazac, adizem}));
-  EXPECT_EQ(overlay.Senses(adizem), std::vector<SenseId>{fda});
-  EXPECT_TRUE(overlay.SenseHasValues(fda));
-  EXPECT_FALSE(index.SenseContains(fda, adizem));
-  EXPECT_TRUE(AuditSynonymIndexOverlay(overlay).ok());
-
-  overlay.Clear();
-  EXPECT_FALSE(overlay.SenseContains(fda, adizem));
-  EXPECT_TRUE(AuditSynonymIndexOverlay(overlay).ok());
-}
-
-TEST(SynonymIndexOverlayTest, AuditCatchesAdditionShadowedByBase) {
-  // An overlay addition that later appears in the base index would be
-  // double-counted by the scorer's materialization; the audit rejects it.
-  Ontology ont = MakeDrugOntology();
-  Dictionary dict;
-  ValueId adizem = dict.Intern("adizem");
-  SynonymIndex index(ont, dict);
-  SenseId fda = ont.FindSense("fda_diltiazem");
-  SynonymIndexOverlay overlay(index);
-  EXPECT_TRUE(overlay.Add(fda, adizem));
-  EXPECT_TRUE(AuditSynonymIndexOverlay(overlay).ok());
-  index.AddValue(fda, adizem);  // base mutated underneath the overlay
-  EXPECT_FALSE(AuditSynonymIndexOverlay(overlay).ok());
-}
-
 TEST(OntologyGeneratorTest, RespectsConfig) {
   OntologyGenConfig cfg;
   cfg.num_senses = 6;

@@ -219,7 +219,7 @@ TEST_P(PropertyTest, OfdCleanProducesConsistentParetoOrderedRepairs) {
 }
 
 TEST_P(PropertyTest, OfdCleanDeterministicAcrossThreadsAndScoringModes) {
-  // The overlay-based incremental parallel beam search is an optimization,
+  // The slot-flip incremental parallel beam search is an optimization,
   // not a semantics change: on arbitrary dirty instances it must reproduce
   // the serial full-rescore reference byte for byte, and feasible repairs
   // must satisfy Σ under the repaired ontology.
