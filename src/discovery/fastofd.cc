@@ -40,7 +40,6 @@ using Level = std::unordered_map<AttrSet, Node, AttrSetHash>;
 FastOfd::FastOfd(const Relation& rel, const SynonymIndex& index, FastOfdConfig config,
                  const Ontology* ontology)
     : rel_(rel),
-      index_(index),
       config_(config),
       verifier_(rel, index, ontology, config.theta) {
   if (config_.kind == OfdKind::kInheritance) {
@@ -74,63 +73,25 @@ FastOfdResult FastOfd::Discover() {
     return StrippedPartition::BuildForSet(rel_, attrs);
   };
 
-  // Per-thread scratch for candidate validation.
-  struct Scratch {
-    std::unordered_map<SenseId, size_t> counts;
-    std::vector<ValueId> distinct;
-    int64_t values_scanned = 0;
-  };
-
   // Validates candidate lhs -> rhs against Π*_lhs. Opt-4 (FD reduction):
   // when the traditional FD lhs -> rhs already holds — an O(1) check given
   // both partitions — every class is syntactically equal on the consequent
-  // and the sense-intersection scan is skipped entirely. Thread-safe: all
-  // mutable state lives in `scratch`.
+  // and the per-class tally is skipped entirely. Otherwise the verifier
+  // tallies class by class, adding the rows it tallies to `values_scanned`.
   auto candidate_valid = [&](const StrippedPartition& lhs_partition,
                              const StrippedPartition& node_partition, AttrId rhs,
-                             Scratch& scratch) -> bool {
+                             int64_t* values_scanned) -> bool {
     if (config_.opt_fd_reduction && FdHolds(lhs_partition, node_partition)) {
       return true;  // FD satisfied => OFD satisfied (any support level).
     }
+    const Ofd ofd{AttrSet(), rhs, config_.kind};
     if (config_.min_support < 1.0) {
-      Ofd ofd{AttrSet(), rhs, config_.kind};
       // Early-exit form: abandons the class scan once the remaining tuples
       // cannot lift support back over the threshold.
-      return verifier_.SupportAtLeast(ofd, lhs_partition, config_.min_support);
+      return verifier_.SupportAtLeast(ofd, lhs_partition, config_.min_support,
+                                      values_scanned);
     }
-    for (const auto& cls : lhs_partition.classes()) {
-      scratch.values_scanned += static_cast<int64_t>(cls.size());
-      auto& distinct = scratch.distinct;
-      distinct.clear();
-      for (RowId r : cls) distinct.push_back(rel_.At(r, rhs));
-      std::sort(distinct.begin(), distinct.end());
-      distinct.erase(std::unique(distinct.begin(), distinct.end()), distinct.end());
-      if (distinct.size() == 1) continue;  // Equal values: class satisfied.
-      if (config_.kind == OfdKind::kInheritance) {
-        if (!verifier_.HoldsInClass(cls, rhs, config_.kind)) return false;
-        continue;
-      }
-      // Synonym check: some sense must cover every distinct value.
-      auto& counts = scratch.counts;
-      counts.clear();
-      bool missing_value = false;
-      for (ValueId v : distinct) {
-        const std::vector<SenseId>& senses = index_.Senses(v);
-        if (senses.empty()) missing_value = true;
-        for (SenseId s : senses) ++counts[s];
-      }
-      bool covered = false;
-      if (!missing_value) {
-        for (const auto& [_, c] : counts) {
-          if (c == distinct.size()) {
-            covered = true;
-            break;
-          }
-        }
-      }
-      if (!covered) return false;
-    }
-    return true;
+    return verifier_.Holds(ofd, lhs_partition, values_scanned);
   };
 
   // Σ subset check used when Opt-2 is disabled: a valid candidate is
@@ -218,22 +179,22 @@ FastOfdResult FastOfd::Discover() {
     ShardedSink<uint32_t> valid_sink(pool->num_threads());
     {
       ScopedTimer validate_timer(&metrics, "discover.validate.seconds");
-      std::vector<Scratch> scratches(static_cast<size_t>(pool->num_threads()));
+      std::vector<int64_t> scanned(static_cast<size_t>(pool->num_threads()), 0);
       const size_t grain =
           config_.validate_grain > 0
               ? static_cast<size_t>(config_.validate_grain)
               : std::max<size_t>(1, candidates.size() /
                                         (static_cast<size_t>(pool->num_threads()) * 16));
       pool->ParallelForGrained(candidates.size(), grain, [&](size_t i, int worker) {
+        int64_t values_scanned = 0;
         if (candidate_valid(*candidates[i].lhs_partition,
                             candidates[i].node->partition, candidates[i].a,
-                            scratches[static_cast<size_t>(worker)])) {
+                            &values_scanned)) {
           valid_sink.Push(i, static_cast<uint32_t>(i));
         }
+        scanned[static_cast<size_t>(worker)] += values_scanned;
       });
-      for (const Scratch& s : scratches) {
-        result.values_scanned += s.values_scanned;
-      }
+      for (int64_t s : scanned) result.values_scanned += s;
     }
 
     for (const auto& [seq, idx] : valid_sink.DrainSorted()) {

@@ -102,7 +102,6 @@ class FastOfd {
 
  private:
   const Relation& rel_;
-  const SynonymIndex& index_;
   FastOfdConfig config_;
   OfdVerifier verifier_;
 };

@@ -2,10 +2,10 @@
 
 #include <algorithm>
 #include <map>
-#include <unordered_map>
 #include <vector>
 
 #include "common/check.h"
+#include "ofd/verifier.h"
 
 namespace fastofd {
 
@@ -19,32 +19,12 @@ ValueId CanonicalUnder(const SynonymIndex& index, SenseId s, ValueId v) {
   return *std::min_element(members.begin(), members.end());
 }
 
-// Checks the consequent condition over one merged class given its rows.
-bool ClassSatisfies(const Relation& rel, const SynonymIndex& index,
-                    const std::vector<RowId>& rows, AttrId rhs) {
-  std::vector<ValueId> distinct;
-  distinct.reserve(rows.size());
-  for (RowId r : rows) distinct.push_back(rel.At(r, rhs));
-  std::sort(distinct.begin(), distinct.end());
-  distinct.erase(std::unique(distinct.begin(), distinct.end()), distinct.end());
-  if (distinct.size() <= 1) return true;
-  std::unordered_map<SenseId, size_t> counts;
-  for (ValueId v : distinct) {
-    const std::vector<SenseId>& senses = index.Senses(v);
-    if (senses.empty()) return false;
-    for (SenseId s : senses) ++counts[s];
-  }
-  for (const auto& [_, c] : counts) {
-    if (c == distinct.size()) return true;
-  }
-  return false;
-}
-
 }  // namespace
 
 bool HoldsWithLhsSynonyms(const Relation& rel, const SynonymIndex& index,
                           const Ofd& ofd, LhsSynonymStats* stats) {
   FASTOFD_CHECK(ofd.kind == OfdKind::kSynonym);
+  const OfdVerifier verifier(rel, index);
   std::vector<AttrId> lhs_attrs = ofd.lhs.ToVector();
 
   // Interpretation loop: the literal reading (sense = kInvalidSense) plus
@@ -70,7 +50,7 @@ bool HoldsWithLhsSynonyms(const Relation& rel, const SynonymIndex& index,
     for (const auto& [_, rows] : classes) {
       if (rows.size() < 2) continue;
       if (stats) ++stats->classes_evaluated;
-      if (!ClassSatisfies(rel, index, rows, ofd.rhs)) return false;
+      if (!verifier.Tally(rows, ofd.rhs).holds()) return false;
     }
   }
   return true;

@@ -1,7 +1,8 @@
 #include "ofd/metric_fd.h"
 
 #include <algorithm>
-#include <unordered_map>
+#include <span>
+#include <string>
 #include <vector>
 
 #include "ofd/verifier.h"
@@ -28,17 +29,16 @@ int EditDistance(std::string_view a, std::string_view b) {
 
 bool MetricFdHolds(const Relation& rel, AttrSet lhs, AttrId rhs, int delta) {
   StrippedPartition p = StrippedPartition::BuildForSet(rel, lhs);
-  for (const auto& rows : p.classes()) {
+  ClassHistogram histogram;
+  StrippedPartition::HistogramInto(p, rel.Column(rhs), rel.dict().size(),
+                                   &StrippedPartition::ThreadLocalScratch(), &histogram);
+  for (size_t c = 0; c < histogram.num_classes(); ++c) {
     // Pairwise over the *distinct* values of the class.
-    std::vector<ValueId> distinct;
-    distinct.reserve(rows.size());
-    for (RowId r : rows) distinct.push_back(rel.At(r, rhs));
-    std::sort(distinct.begin(), distinct.end());
-    distinct.erase(std::unique(distinct.begin(), distinct.end()), distinct.end());
+    std::span<const ClassHistogram::Slot> distinct = histogram.Class(c);
     for (size_t i = 0; i < distinct.size(); ++i) {
       for (size_t j = i + 1; j < distinct.size(); ++j) {
-        if (EditDistance(rel.dict().String(distinct[i]),
-                         rel.dict().String(distinct[j])) > delta) {
+        if (EditDistance(rel.dict().String(distinct[i].value),
+                         rel.dict().String(distinct[j].value)) > delta) {
           return false;
         }
       }
@@ -50,36 +50,15 @@ bool MetricFdHolds(const Relation& rel, AttrSet lhs, AttrId rhs, int delta) {
 MetricComparison CompareMetricVsOfd(const Relation& rel, const SynonymIndex& index,
                                     const Ofd& ofd, int delta) {
   MetricComparison cmp;
+  const OfdVerifier verifier(rel, index);
   StrippedPartition p = StrippedPartition::BuildForSet(rel, ofd.lhs);
-  std::unordered_map<ValueId, int64_t> freq;
-  std::unordered_map<SenseId, int64_t> sense_cover;
-  for (const auto& rows : p.classes()) {
+  for (RowSpan rows : p.classes()) {
     cmp.tuples += static_cast<int64_t>(rows.size());
-    freq.clear();
-    sense_cover.clear();
-    for (RowId r : rows) {
-      ValueId v = rel.At(r, ofd.rhs);
-      ++freq[v];
-      for (SenseId s : index.Senses(v)) ++sense_cover[s];
-    }
     // Majority value (the MFD/FD repair anchor) and best sense (the OFD
     // interpretation).
-    ValueId majority = kInvalidValue;
-    int64_t majority_count = -1;
-    for (const auto& [v, c] : freq) {
-      if (c > majority_count || (c == majority_count && v < majority)) {
-        majority = v;
-        majority_count = c;
-      }
-    }
-    SenseId best_sense = kInvalidSense;
-    int64_t best_cover = 0;
-    for (const auto& [s, c] : sense_cover) {
-      if (c > best_cover || (c == best_cover && s < best_sense)) {
-        best_sense = s;
-        best_cover = c;
-      }
-    }
+    const SenseTally tally = verifier.Tally(rows, ofd.rhs);
+    const ValueId majority = tally.best_value;
+    const SenseId best_sense = tally.best_sense;
     const std::string& majority_str = rel.dict().String(majority);
     for (RowId r : rows) {
       ValueId v = rel.At(r, ofd.rhs);

@@ -3,15 +3,20 @@
 // Unlike FDs, OFDs cannot be checked on tuple pairs: a class may satisfy the
 // dependency pairwise while the intersection of all senses is empty (paper
 // Table 2). Verification therefore scans each equivalence class of Π*_X and
-// checks for a sense covering *all distinct* consequent values, via a
-// counting pass over a sense->count hash map — linear in the class size under
-// the indexed-ontology assumption.
+// tallies it once (OfdVerifier::Tally): the partition kernel's column count
+// yields the class's distinct consequent values with their row counts, and
+// each value's senses are counted into dense per-sense counters reset
+// through a touched list — linear in the class size under the
+// indexed-ontology assumption. The exact check, approximate support, the
+// Exp-5 statistic, discovery, LHS-synonym validation and the metric-FD
+// comparison all read that one tally.
 
 #ifndef FASTOFD_OFD_VERIFIER_H_
 #define FASTOFD_OFD_VERIFIER_H_
 
+#include <algorithm>
 #include <cstdint>
-#include <vector>
+#include <span>
 
 #include "ofd/ofd.h"
 #include "ontology/ontology.h"
@@ -36,6 +41,29 @@ struct SynonymSavings {
   int64_t class_tuples = 0;
 };
 
+/// One equivalence class's consequent values tallied against the senses
+/// (OfdVerifier::Tally). Ties go to the lowest id.
+struct SenseTally {
+  /// Distinct consequent values in the class.
+  int64_t distinct = 0;
+  /// Some sense contains every distinct value (so all are in the ontology).
+  bool covered = false;
+  /// The most frequent value and its row count.
+  ValueId best_value = kInvalidValue;
+  int64_t best_literal = 0;
+  /// The sense whose values cover the most rows and that row count;
+  /// kInvalidSense when no value is in the ontology.
+  SenseId best_sense = kInvalidSense;
+  int64_t best_sense_rows = 0;
+
+  /// Definition 2.1 for a synonym OFD: one value (FD reduction, Opt-4) or a
+  /// sense covering them all.
+  bool holds() const { return distinct <= 1 || covered; }
+  /// Rows kept by the best single interpretation, a sense or a literal value
+  /// (which covers values outside the ontology): the class's share of s(φ).
+  int64_t kept() const { return std::max(best_literal, best_sense_rows); }
+};
+
 /// Verifies synonym (and, as an extension, inheritance) OFDs over a relation.
 class OfdVerifier {
  public:
@@ -49,15 +77,23 @@ class OfdVerifier {
   bool Holds(const Ofd& ofd) const;
 
   /// Exact satisfaction check against a precomputed Π*_lhs (discovery path).
-  bool Holds(const Ofd& ofd, const StrippedPartition& lhs_partition) const;
+  /// Adds the rows of every class it tallies to `*rows_tallied` if non-null.
+  bool Holds(const Ofd& ofd, const StrippedPartition& lhs_partition,
+             int64_t* rows_tallied = nullptr) const;
 
   /// Satisfaction within one equivalence class (rows of the class).
   bool HoldsInClass(RowSpan rows, AttrId rhs, OfdKind kind) const;
 
+  /// The one per-class tally every synonym check reads: the class's
+  /// consequent values counted by the partition kernel, then their senses
+  /// in dense per-thread counters. Thread-safe; allocation-free once the
+  /// calling thread's counters are warm.
+  SenseTally Tally(RowSpan rows, AttrId rhs) const {
+    return TallyValues(ClassValues(rows, rhs));
+  }
+
   /// Approximate-OFD support s(φ)/|I| (paper §4): the max fraction of tuples
-  /// retaining which the OFD holds, computed per class as the best of
-  /// (a) the most frequent sense's tuple coverage and (b) the most frequent
-  /// single literal value.
+  /// retaining which the OFD holds, summed per class as SenseTally::kept.
   double Support(const Ofd& ofd, const StrippedPartition& lhs_partition) const;
 
   /// Early-exit form of Support for the discovery hot path: returns
@@ -65,9 +101,10 @@ class OfdVerifier {
   /// tuples already lost exceed the (1 - kappa) * |I| error budget — the
   /// e(X->A) > threshold cutoff for approximate verification. Agrees with
   /// Support on the boundary (same final comparison when no early exit
-  /// fires).
+  /// fires). Adds the rows of every class it tallies to `*rows_tallied` if
+  /// non-null.
   bool SupportAtLeast(const Ofd& ofd, const StrippedPartition& lhs_partition,
-                      double kappa) const;
+                      double kappa, int64_t* rows_tallied = nullptr) const;
 
   /// Exp-5 statistic for a (presumably satisfied) OFD.
   SynonymSavings Savings(const Ofd& ofd, const StrippedPartition& lhs_partition) const;
@@ -76,8 +113,18 @@ class OfdVerifier {
   const SynonymIndex& index() const { return index_; }
 
  private:
-  bool SynonymClassHolds(const std::vector<ValueId>& distinct) const;
-  bool InheritanceClassHolds(const std::vector<ValueId>& distinct) const;
+  using Values = std::span<const ClassHistogram::Slot>;
+
+  // The class's distinct `rhs` values with their row counts, in first-row
+  // order, in the calling thread's scratch (valid until its next call).
+  Values ClassValues(RowSpan rows, AttrId rhs) const;
+  SenseTally TallyValues(Values values) const;
+  bool InheritanceClassHolds(Values values) const;
+  // Support and SupportAtLeast: the rows kept class by class plus the
+  // stripped singletons, or -1 once keeping every unscanned row could no
+  // longer lift support to `kappa`.
+  int64_t KeptRows(const Ofd& ofd, const StrippedPartition& lhs_partition,
+                   double kappa, int64_t* rows_tallied) const;
 
   const Relation& rel_;
   const SynonymIndex& index_;

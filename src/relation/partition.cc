@@ -409,18 +409,24 @@ void StrippedPartition::HistogramInto(const StrippedPartition& a,
                                       ClassHistogram* out) {
   out->slots.clear();
   out->offsets.assign(1, 0);
+  for (RowSpan cls : a.classes()) {
+    HistogramClass(cls, column, num_values, scratch, &out->slots);
+    out->offsets.push_back(static_cast<uint32_t>(out->slots.size()));
+  }
+}
+
+void StrippedPartition::HistogramClass(RowSpan cls, const std::vector<ValueId>& column,
+                                       size_t num_values, PartitionScratch* scratch,
+                                       std::vector<ClassHistogram::Slot>* out) {
   scratch->EnsureKeys(num_values);
   std::vector<int32_t>& counts = scratch->counts_;
   std::vector<int32_t>& touched = scratch->touched_;
-  for (RowSpan cls : a.classes()) {
-    CountGroups(cls, ColumnKey{column.data()}, counts, touched);
-    for (int32_t v : touched) {
-      out->slots.push_back(ClassHistogram::Slot{v, counts[static_cast<size_t>(v)]});
-      counts[static_cast<size_t>(v)] = 0;
-    }
-    touched.clear();
-    out->offsets.push_back(static_cast<uint32_t>(out->slots.size()));
+  CountGroups(cls, ColumnKey{column.data()}, counts, touched);
+  for (int32_t v : touched) {
+    out->push_back(ClassHistogram::Slot{v, counts[static_cast<size_t>(v)]});
+    counts[static_cast<size_t>(v)] = 0;
   }
+  touched.clear();
 }
 
 int64_t StrippedPartition::IntersectError(const StrippedPartition& a,

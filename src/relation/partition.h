@@ -227,6 +227,12 @@ class StrippedPartition {
                             const std::vector<ValueId>& column, size_t num_values,
                             PartitionScratch* scratch, ClassHistogram* out);
 
+  /// HistogramInto for one class: appends the (value, count) slots of `cls`
+  /// to `out`, in first-row order.
+  static void HistogramClass(RowSpan cls, const std::vector<ValueId>& column,
+                             size_t num_values, PartitionScratch* scratch,
+                             std::vector<ClassHistogram::Slot>* out);
+
   /// Product on `pool` for large operands: the outer side's classes are
   /// chunked across workers and the per-chunk arenas concatenated in class
   /// order, so the result is byte-identical to IntersectInto for any thread

@@ -450,23 +450,30 @@ TEST(ExecDeterminismTest, DiscoverIdenticalAcrossThreadCounts) {
   GeneratedData data = MakeInstance(/*seed=*/99, /*error_rate=*/0.02,
                                     /*incompleteness_rate=*/0.0);
   SynonymIndex index(data.ontology, data.rel.dict());
-  FastOfdConfig serial;
-  serial.num_threads = 1;
-  FastOfdResult a = FastOfd(data.rel, index, serial).Discover();
-  for (int threads : {2, 8}) {
-    FastOfdConfig pcfg;
-    pcfg.num_threads = threads;
-    MetricsRegistry metrics;
-    pcfg.metrics = &metrics;
-    FastOfdResult b = FastOfd(data.rel, index, pcfg).Discover();
-    EXPECT_EQ(a.ofds, b.ofds) << "threads " << threads;
-    EXPECT_EQ(a.candidates_checked, b.candidates_checked);
-    EXPECT_EQ(a.values_scanned, b.values_scanned);
-    // The registry agrees with the result-struct convenience copies.
-    MetricsSnapshot s = metrics.Snapshot();
-    EXPECT_EQ(s.Counter("discover.candidates_checked"), a.candidates_checked);
-    EXPECT_EQ(s.Counter("discover.values_scanned"), a.values_scanned);
-    EXPECT_GT(s.TimerSeconds("discover.seconds"), 0.0);
+  // Exact discovery, and approximate discovery's early-exit support check.
+  for (double kappa : {1.0, 0.9}) {
+    FastOfdConfig serial;
+    serial.num_threads = 1;
+    serial.min_support = kappa;
+    FastOfdResult a = FastOfd(data.rel, index, serial).Discover();
+    // Both paths count the rows they tally.
+    EXPECT_GT(a.values_scanned, 0) << "kappa " << kappa;
+    for (int threads : {2, 8}) {
+      FastOfdConfig pcfg;
+      pcfg.num_threads = threads;
+      pcfg.min_support = kappa;
+      MetricsRegistry metrics;
+      pcfg.metrics = &metrics;
+      FastOfdResult b = FastOfd(data.rel, index, pcfg).Discover();
+      EXPECT_EQ(a.ofds, b.ofds) << "threads " << threads << " kappa " << kappa;
+      EXPECT_EQ(a.candidates_checked, b.candidates_checked);
+      EXPECT_EQ(a.values_scanned, b.values_scanned);
+      // The registry agrees with the result-struct convenience copies.
+      MetricsSnapshot s = metrics.Snapshot();
+      EXPECT_EQ(s.Counter("discover.candidates_checked"), a.candidates_checked);
+      EXPECT_EQ(s.Counter("discover.values_scanned"), a.values_scanned);
+      EXPECT_GT(s.TimerSeconds("discover.seconds"), 0.0);
+    }
   }
 }
 

@@ -1,12 +1,16 @@
 // Tests for OFD data verification (Definition 2.1), including the paper's
 // Table 1 / Table 2 examples, approximate support, and inheritance checks.
 
+#include <cstddef>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
 
 #include "common/rng.h"
+#include "datagen/datagen.h"
+#include "exec/thread_pool.h"
 #include "ofd/ofd.h"
 #include "ofd/verifier.h"
 #include "ontology/ontology.h"
@@ -248,6 +252,156 @@ TEST(OfdVerifierTest, SynonymOfdImpliesInheritanceOfdAtSameClass) {
   OfdVerifier verifier(rel, index, &f.ontology, /*theta=*/0);
   EXPECT_TRUE(verifier.Holds({AttrSet::Of({0}), 1, OfdKind::kSynonym}));
   EXPECT_TRUE(verifier.Holds({AttrSet::Of({0}), 1, OfdKind::kInheritance}));
+}
+
+// ---------------------------------------------------------------------------
+// The per-class tally (OfdVerifier::Tally).
+
+// Classes keyed by X over Y values; senses s0 = s1 = {a, b}, s2 = {c},
+// s3 = {d}. Value ids follow first appearance, so c < d.
+struct TallyFixture {
+  Relation rel{Schema({"X", "Y"})};
+  Ontology ontology;
+  SenseId s0, s1, s2, s3;
+
+  TallyFixture() {
+    for (auto [x, y] : std::vector<std::pair<const char*, const char*>>{
+             {"k1", "zz"}, {"k1", "zz"},                 // rows 0-1
+             {"k2", "a"},  {"k2", "a"},  {"k2", "yy"},   // rows 2-4
+             {"k3", "a"},  {"k3", "b"},  {"k3", "b"},    // rows 5-7
+             {"k5", "c"},  {"k5", "c"},                  // rows 8-9
+             {"k4", "d"},  {"k4", "c"}}) {               // rows 10-11
+      rel.AppendRow({x, y});
+    }
+    s0 = ontology.AddSense("s0");
+    s1 = ontology.AddSense("s1");
+    s2 = ontology.AddSense("s2");
+    s3 = ontology.AddSense("s3");
+    for (SenseId s : {s0, s1}) {
+      ontology.AddValue(s, "a");
+      ontology.AddValue(s, "b");
+    }
+    ontology.AddValue(s2, "c");
+    ontology.AddValue(s3, "d");
+  }
+  ValueId Id(const char* v) const { return rel.dict().Lookup(v); }
+};
+
+void ExpectSameTally(const SenseTally& x, const SenseTally& y) {
+  EXPECT_EQ(x.distinct, y.distinct);
+  EXPECT_EQ(x.covered, y.covered);
+  EXPECT_EQ(x.best_value, y.best_value);
+  EXPECT_EQ(x.best_literal, y.best_literal);
+  EXPECT_EQ(x.best_sense, y.best_sense);
+  EXPECT_EQ(x.best_sense_rows, y.best_sense_rows);
+}
+
+TEST(SenseTallyTest, SingleValueOutsideOntologyHolds) {
+  TallyFixture f;
+  SynonymIndex index(f.ontology, f.rel.dict());
+  OfdVerifier verifier(f.rel, index);
+  const SenseTally t = verifier.Tally(std::vector<RowId>{0, 1}, 1);
+  EXPECT_EQ(t.distinct, 1);
+  EXPECT_FALSE(t.covered);
+  EXPECT_TRUE(t.holds());
+  EXPECT_EQ(t.best_value, f.Id("zz"));
+  EXPECT_EQ(t.best_literal, 2);
+  EXPECT_EQ(t.best_sense, kInvalidSense);
+  EXPECT_EQ(t.best_sense_rows, 0);
+  EXPECT_EQ(t.kept(), 2);
+}
+
+TEST(SenseTallyTest, ValueOutsideOntologyFailsButLiteralStillCounts) {
+  TallyFixture f;
+  SynonymIndex index(f.ontology, f.rel.dict());
+  OfdVerifier verifier(f.rel, index);
+  const SenseTally t = verifier.Tally(std::vector<RowId>{2, 3, 4}, 1);
+  EXPECT_EQ(t.distinct, 2);
+  EXPECT_FALSE(t.covered);
+  EXPECT_FALSE(t.holds());
+  EXPECT_EQ(t.best_value, f.Id("a"));
+  EXPECT_EQ(t.best_literal, 2);
+  EXPECT_EQ(t.best_sense, f.s0);
+  EXPECT_EQ(t.best_sense_rows, 2);
+  EXPECT_EQ(t.kept(), 2);
+}
+
+TEST(SenseTallyTest, TwoSensesCoveringEveryValue) {
+  TallyFixture f;
+  SynonymIndex index(f.ontology, f.rel.dict());
+  OfdVerifier verifier(f.rel, index);
+  const SenseTally t = verifier.Tally(std::vector<RowId>{5, 6, 7}, 1);
+  EXPECT_EQ(t.distinct, 2);
+  EXPECT_TRUE(t.covered);
+  EXPECT_TRUE(t.holds());
+  EXPECT_EQ(t.best_value, f.Id("b"));
+  EXPECT_EQ(t.best_literal, 2);
+  EXPECT_EQ(t.best_sense, f.s0);  // s0 and s1 both keep all 3 rows.
+  EXPECT_EQ(t.best_sense_rows, 3);
+  EXPECT_EQ(t.kept(), 3);
+}
+
+TEST(SenseTallyTest, TiesGoToTheLowestId) {
+  TallyFixture f;
+  SynonymIndex index(f.ontology, f.rel.dict());
+  OfdVerifier verifier(f.rel, index);
+  // d (sense s3) is met first; c and its sense s2 have the lower ids.
+  ASSERT_LT(f.Id("c"), f.Id("d"));
+  const SenseTally t = verifier.Tally(std::vector<RowId>{10, 11}, 1);
+  EXPECT_EQ(t.distinct, 2);
+  EXPECT_FALSE(t.covered);
+  EXPECT_EQ(t.best_value, f.Id("c"));
+  EXPECT_EQ(t.best_literal, 1);
+  EXPECT_EQ(t.best_sense, f.s2);
+  EXPECT_EQ(t.best_sense_rows, 1);
+}
+
+TEST(SenseTallyTest, CountersResetBetweenClasses) {
+  TallyFixture f;
+  SynonymIndex index(f.ontology, f.rel.dict());
+  OfdVerifier verifier(f.rel, index);
+  const std::vector<RowId> a = {5, 6, 7};
+  const std::vector<RowId> b = {2, 3, 4};  // Shares value a and senses s0, s1.
+  const SenseTally first = verifier.Tally(a, 1);
+  const SenseTally other = verifier.Tally(b, 1);
+  const SenseTally again = verifier.Tally(a, 1);
+  ExpectSameTally(first, again);
+  EXPECT_TRUE(again.covered);
+  EXPECT_EQ(again.best_sense_rows, 3);
+  EXPECT_FALSE(other.covered);
+}
+
+TEST(SenseTallyTest, SharedVerifierAgreesAcrossPoolWorkers) {
+  DataGenConfig cfg;
+  cfg.num_rows = 400;
+  cfg.error_rate = 0.05;
+  cfg.seed = 11;
+  GeneratedData data = GenerateData(cfg);
+  SynonymIndex index(data.ontology, data.rel.dict());
+  const OfdVerifier verifier(data.rel, index);
+  // Every single-attribute OFD, each against its own Π*_lhs.
+  std::vector<Ofd> ofds;
+  std::vector<StrippedPartition> partitions;
+  for (AttrId x = 0; x < data.rel.num_attrs(); ++x) {
+    for (AttrId y = 0; y < data.rel.num_attrs(); ++y) {
+      if (x == y) continue;
+      ofds.push_back(Ofd{AttrSet::Single(x), y, OfdKind::kSynonym});
+      partitions.push_back(StrippedPartition::BuildForSet(data.rel, ofds.back().lhs));
+    }
+  }
+  std::vector<double> serial(ofds.size());
+  for (size_t i = 0; i < ofds.size(); ++i) {
+    serial[i] = verifier.Support(ofds[i], partitions[i]);
+  }
+  constexpr size_t kRounds = 4;
+  std::vector<double> parallel(ofds.size() * kRounds);
+  ThreadPool pool(4);
+  pool.ParallelFor(parallel.size(), [&](size_t i, int) {
+    parallel[i] = verifier.Support(ofds[i % ofds.size()], partitions[i % ofds.size()]);
+  });
+  for (size_t i = 0; i < parallel.size(); ++i) {
+    EXPECT_EQ(parallel[i], serial[i % ofds.size()]) << i;
+  }
 }
 
 }  // namespace

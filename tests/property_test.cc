@@ -3,6 +3,9 @@
 // unit tests with the algebraic laws the paper's algorithms rely on.
 
 #include <algorithm>
+#include <cmath>
+#include <iterator>
+#include <map>
 #include <set>
 #include <string>
 #include <vector>
@@ -343,6 +346,111 @@ TEST_P(PropertyTest, InheritanceSubsumesSynonymPerClass) {
           EXPECT_TRUE(verifier.HoldsInClass(rows, a, OfdKind::kInheritance));
         }
       }
+    }
+  }
+}
+
+// Test-only transcription of Definition 2.1 and §4 support, independent of
+// the verifier's tally: classes of Π_lhs from a std::map over antecedent
+// strings, names(v) from the ontology itself, and a class holds iff its
+// distinct values are one, or the std::set intersection of their names(v)
+// is non-empty.
+struct OracleClass {
+  std::vector<RowId> rows;
+  size_t distinct = 0;
+  bool holds = false;
+  int64_t kept = 0;  // Rows kept by the best single sense or literal value.
+};
+
+std::vector<OracleClass> OracleClasses(const Relation& rel, const Ontology& ontology,
+                                       AttrSet lhs, AttrId rhs) {
+  std::map<std::vector<std::string>, std::vector<RowId>> groups;
+  for (RowId r = 0; r < rel.num_rows(); ++r) {
+    std::vector<std::string> key;
+    for (AttrId x : lhs.ToVector()) key.push_back(rel.StringAt(r, x));
+    groups[key].push_back(r);
+  }
+  std::vector<OracleClass> out;
+  for (const auto& [key, rows] : groups) {
+    if (rows.size() < 2) continue;  // Singletons always satisfy.
+    OracleClass c;
+    c.rows = rows;
+    std::map<std::string, int64_t> literal_rows;
+    std::map<SenseId, int64_t> sense_rows;
+    for (RowId r : rows) {
+      const std::string& v = rel.StringAt(r, rhs);
+      ++literal_rows[v];
+      for (SenseId s : ontology.NamesOf(v)) ++sense_rows[s];
+    }
+    c.distinct = literal_rows.size();
+    std::set<SenseId> common;
+    bool first = true;
+    for (const auto& [v, n] : literal_rows) {
+      std::vector<SenseId> names = ontology.NamesOf(v);
+      std::set<SenseId> these(names.begin(), names.end());
+      if (first) {
+        common = these;
+        first = false;
+        continue;
+      }
+      std::set<SenseId> both;
+      std::set_intersection(common.begin(), common.end(), these.begin(), these.end(),
+                            std::inserter(both, both.begin()));
+      common = both;
+    }
+    c.holds = c.distinct <= 1 || !common.empty();
+    for (const auto& [v, n] : literal_rows) c.kept = std::max(c.kept, n);
+    for (const auto& [s, n] : sense_rows) c.kept = std::max(c.kept, n);
+    out.push_back(std::move(c));
+  }
+  return out;
+}
+
+TEST_P(PropertyTest, VerifierMatchesDefinitionOracle) {
+  Instance inst = MakeInstance(5000 + GetParam());
+  SynonymIndex index(inst.ontology, inst.rel.dict());
+  OfdVerifier verifier(inst.rel, index);
+  const int n = inst.rel.num_attrs();
+  const int64_t num_rows = inst.rel.num_rows();
+  for (AttrId a = 0; a < n; ++a) {
+    for (uint64_t mask = 0; mask < (uint64_t{1} << n); ++mask) {
+      AttrSet lhs = AttrSet::FromMask(mask);
+      if (lhs.Contains(a)) continue;
+      const Ofd ofd{lhs, a, OfdKind::kSynonym};
+      const std::string label = inst.rel.schema().Render(lhs) + " -> " +
+                                inst.rel.schema().name(a);
+      bool holds = true;
+      int64_t kept = num_rows;
+      SynonymSavings savings;
+      for (const OracleClass& c : OracleClasses(inst.rel, inst.ontology, lhs, a)) {
+        EXPECT_EQ(verifier.HoldsInClass(c.rows, a, OfdKind::kSynonym), c.holds)
+            << label;
+        holds = holds && c.holds;
+        const int64_t size = static_cast<int64_t>(c.rows.size());
+        kept += c.kept - size;
+        ++savings.classes;
+        savings.class_tuples += size;
+        if (c.distinct > 1 && c.holds) {
+          ++savings.synonym_classes;
+          savings.saved_tuples += size;
+        }
+      }
+      StrippedPartition p = StrippedPartition::BuildForSet(inst.rel, lhs);
+      EXPECT_EQ(verifier.Holds(ofd), holds) << label;
+      EXPECT_EQ(verifier.Holds(ofd, p), holds) << label;
+      SynonymSavings got = verifier.Savings(ofd, p);
+      EXPECT_EQ(got.classes, savings.classes) << label;
+      EXPECT_EQ(got.synonym_classes, savings.synonym_classes) << label;
+      EXPECT_EQ(got.saved_tuples, savings.saved_tuples) << label;
+      EXPECT_EQ(got.class_tuples, savings.class_tuples) << label;
+      const double support =
+          static_cast<double>(kept) / static_cast<double>(num_rows);
+      EXPECT_EQ(verifier.Support(ofd, p), support) << label;
+      EXPECT_TRUE(verifier.SupportAtLeast(ofd, p, support)) << label;
+      EXPECT_TRUE(verifier.SupportAtLeast(ofd, p, std::nextafter(support, 0.0)))
+          << label;
+      EXPECT_FALSE(verifier.SupportAtLeast(ofd, p, std::nextafter(support, 2.0)))
+          << label;
     }
   }
 }

@@ -22,6 +22,11 @@
 #include "common/metrics.h"
 #include "datagen/datagen.h"
 #include "ofd/sigma_io.h"
+#include "ofd/verifier.h"
+#include "ontology/ontology.h"
+#include "ontology/synonym_index.h"
+#include "relation/partition.h"
+#include "relation/relation.h"
 #include "service/client.h"
 #include "service/json.h"
 #include "service/protocol.h"
@@ -195,6 +200,62 @@ TEST_F(ServiceTest, ExecuteLifecycle) {
   unload.Set("session", Json::Str("s1"));
   ASSERT_TRUE(server.Execute(unload).Get("ok").AsBool());
   EXPECT_EQ(server.Execute(unload).Get("code").AsInt(), kCodeNotFound);
+}
+
+TEST_F(ServiceTest, VerifyAfterUpdateWithNewValueMatchesVerifier) {
+  MetricsRegistry metrics;
+  ServerConfig config;
+  config.threads = 2;
+  ServiceServer server(config, &metrics);
+  ASSERT_TRUE(server.Execute(LoadReq("s")).Get("ok").AsBool());
+
+  // Reference: the same files loaded directly, the index compiled before the
+  // update (the session does not recompile its index on `update`).
+  auto csv = ReadCsvFile(data_path_);
+  ASSERT_TRUE(csv.ok());
+  auto loaded = Relation::FromCsv(csv.value());
+  ASSERT_TRUE(loaded.ok());
+  Relation rel = std::move(loaded).value();
+  auto ontology = ReadOntologyFile(ontology_path_);
+  ASSERT_TRUE(ontology.ok());
+  SynonymIndex index(ontology.value(), rel.dict());
+  auto sigma = ReadSigmaFile(sigma_path_, rel.schema());
+  ASSERT_TRUE(sigma.ok());
+  ASSERT_FALSE(sigma.value().empty());
+
+  // Set a consequent cell inside a non-singleton class to a string the
+  // dictionary has never seen: its id lies past every counter sized at load.
+  const Ofd& target = sigma.value()[0];
+  const StrippedPartition lhs = StrippedPartition::BuildForSet(rel, target.lhs);
+  ASSERT_GT(lhs.num_classes(), 0);
+  const RowId row = lhs.Class(0).front();
+  const std::string fresh = "value-never-seen-before";
+  ASSERT_EQ(rel.dict().Lookup(fresh), kInvalidValue);
+  Json upd = server.Execute(
+      UpdateReq("s", row, rel.schema().name(target.rhs), fresh));
+  ASSERT_TRUE(upd.Get("ok").AsBool()) << upd.Dump();
+  rel.Set(row, target.rhs, fresh);
+
+  Json verify = server.Execute(
+      [&] { Json r = Req(ops::kVerify); r.Set("session", Json::Str("s")); return r; }());
+  ASSERT_TRUE(verify.Get("ok").AsBool()) << verify.Dump();
+  const std::vector<Json>& entries = verify.Get("ofds").items();
+  ASSERT_EQ(entries.size(), sigma.value().size());
+  OfdVerifier verifier(rel, index, &ontology.value());
+  for (size_t i = 0; i < entries.size(); ++i) {
+    const Ofd& ofd = sigma.value()[i];
+    EXPECT_EQ(entries[i].Get("ofd").AsString(), RenderOfd(ofd, rel.schema()));
+    StrippedPartition p = StrippedPartition::BuildForSet(rel, ofd.lhs);
+    const bool holds = verifier.Holds(ofd, p);
+    EXPECT_EQ(entries[i].Get("holds").AsBool(), holds) << i;
+    EXPECT_EQ(entries[i].Get("support").AsDouble(),
+              ofd.kind == OfdKind::kSynonym ? verifier.Support(ofd, p)
+                                            : (holds ? 1.0 : 0.0))
+        << i;
+  }
+  // The new value is outside the ontology and shares its class with other
+  // values, so the updated OFD no longer holds.
+  EXPECT_FALSE(entries[0].Get("holds").AsBool());
 }
 
 TEST_F(ServiceTest, ExecuteBatchedUpdatesAndUnknownOp) {
