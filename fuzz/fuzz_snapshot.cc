@@ -34,7 +34,7 @@ extern "C" int LLVMFuzzerTestOneInput(const uint8_t* data, size_t size) {
     image[12 + static_cast<size_t>(i)] = 0;
   }
   const uint64_t payload_size = size;
-  const uint64_t checksum = Fnv1a64(data, size);
+  const uint64_t checksum = Hash64(data, size);
   for (int i = 0; i < 8; ++i) {
     image[16 + static_cast<size_t>(i)] =
         static_cast<uint8_t>((payload_size >> (8 * i)) & 0xff);

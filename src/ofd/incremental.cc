@@ -138,14 +138,20 @@ IncrementalVerifier::IncrementalVerifier(Relation* rel, const SynonymIndex& inde
     OfdState state;
     state.lhs_attrs = ofd.lhs.ToVector();
     state.row_group.assign(static_cast<size_t>(n), -1);
+    // The groups are the classes of Π_lhs: the stripped partition's classes,
+    // then one singleton per row none of them covers. One key per group.
+    const StrippedPartition lhs = StrippedPartition::BuildForSet(*rel_, ofd.lhs);
+    state.groups.reserve(static_cast<size_t>(lhs.full_num_classes()));
+    state.key_to_group.reserve(static_cast<size_t>(lhs.full_num_classes()));
+    auto add_group = [&](RowSpan rows) {
+      const auto g = static_cast<int32_t>(state.groups.size());
+      state.groups.emplace_back().rows.assign(rows.begin(), rows.end());
+      for (RowId r : rows) state.row_group[static_cast<size_t>(r)] = g;
+      state.key_to_group.emplace(KeyFor(state, rows.front()), g);
+    };
+    for (RowSpan cls : lhs.classes()) add_group(cls);
     for (RowId r = 0; r < n; ++r) {
-      LhsKey key = KeyFor(state, r);
-      auto [it, inserted] =
-          state.key_to_group.try_emplace(std::move(key),
-                                         static_cast<int32_t>(state.groups.size()));
-      if (inserted) state.groups.emplace_back();
-      state.groups[static_cast<size_t>(it->second)].rows.push_back(r);
-      state.row_group[static_cast<size_t>(r)] = it->second;
+      if (state.row_group[static_cast<size_t>(r)] < 0) add_group(RowSpan(&r, 1));
     }
     states_.push_back(std::move(state));
     OfdState& st = states_.back();

@@ -34,7 +34,10 @@ namespace fastofd {
 /// UpdateCell so the cached state stays coherent.
 class IncrementalVerifier {
  public:
-  /// Builds per-OFD class maps and initial per-class state.
+  /// Builds per-OFD class maps and initial per-class state. Each OFD's
+  /// groups come from the classes of Π*_lhs (StrippedPartition::BuildForSet)
+  /// plus one singleton per uncovered row, so construction is linear in the
+  /// rows and hashes one key per group, not per row.
   IncrementalVerifier(Relation* rel, const SynonymIndex& index, SigmaSet sigma);
 
   /// True iff every OFD in Σ is satisfied.

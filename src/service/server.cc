@@ -42,6 +42,17 @@ double NowSeconds() {
       .count();
 }
 
+/// Hands the heap's free pages back to the OS. Any pool worker may run a
+/// load or an unload, and glibc keeps what a thread frees in that thread's
+/// arena: without this, what stays resident after a load (its parse and
+/// build temporaries) or an unload (the session itself) depends on which
+/// workers ran them and on when a later free happens to trim an arena.
+void ReleaseFreedMemory() {
+#if defined(__GLIBC__)
+  malloc_trim(0);
+#endif
+}
+
 Json OkResponse(const Json& request) {
   Json response = Json::Object();
   response.Set("id", request.Get("id"));
@@ -650,6 +661,7 @@ Json ServiceServer::HandleLoad(const Json& request) {
     return ErrResponse(request, kCodeConflict, added.message());
   }
   metrics_->Set("serve.sessions", static_cast<double>(sessions_.size()));
+  ReleaseFreedMemory();
   return response;
 }
 
@@ -659,12 +671,7 @@ Json ServiceServer::HandleUnload(const Json& request) {
     return ErrResponse(request, kCodeNotFound, removed.message());
   }
   metrics_->Set("serve.sessions", static_cast<double>(sessions_.size()));
-#if defined(__GLIBC__)
-  // Any pool worker may have loaded the session, and glibc keeps what a
-  // thread frees in that thread's arena: hand the session's memory back to
-  // the OS, or every worker that ever ran a load holds a session's worth.
-  malloc_trim(0);
-#endif
+  ReleaseFreedMemory();
   return OkResponse(request);
 }
 

@@ -9,7 +9,7 @@
 // docs/snapshot-format.md for the byte layout.
 //
 // Integrity model: the fixed header carries a magic, a format version, and
-// an FNV-1a-64 checksum over the whole payload. ParseSnapshot rejects bad
+// a Hash64 checksum over the whole payload. ParseSnapshot rejects bad
 // magic, version mismatches, truncation, checksum failures, and any
 // structurally invalid section (the loader treats the file as untrusted
 // input — it is fuzzed via fuzz/fuzz_snapshot.cc). Partition blobs are
@@ -17,7 +17,7 @@
 // zero-copy views into the mapped image; the caller's `backing` pointer
 // keeps the image alive for as long as any view lives.
 //
-// Staleness model: the image records a (size, FNV-1a-64) stamp of each
+// Staleness model: the image records a (size, Hash64) stamp of each
 // source file it was compiled from. Session::OpenFromSnapshot re-stamps the
 // sources and refuses the snapshot when any stamp disagrees, so an edited
 // CSV or ontology can never serve stale compiled state.
@@ -44,28 +44,32 @@ namespace fastofd {
 /// Current snapshot format version. Bump on any layout change; readers
 /// refuse every other version (no cross-version migration — a mismatch just
 /// falls back to a cold compile).
-inline constexpr uint32_t kSnapshotVersion = 1;
+inline constexpr uint32_t kSnapshotVersion = 2;
 
 /// The 8-byte magic that opens every snapshot file.
 inline constexpr char kSnapshotMagic[8] = {'F', 'O', 'F', 'D',
                                            'S', 'N', 'A', 'P'};
 
-/// FNV-1a 64-bit over a byte range (the snapshot checksum and the source
-/// stamp hash).
-uint64_t Fnv1a64(const uint8_t* data, size_t size);
+/// The snapshot checksum and source-stamp hash, a word at a time: starting
+/// from the FNV-1a offset basis, each 8-byte little-endian word `w` steps
+/// `h = (h ^ w) * 0x9E3779B97F4A7C15; h ^= h >> 29`, and the 0-7 tail bytes
+/// take FNV-1a steps. Every step is a bijection of `h`, so a change confined
+/// to one word or one tail byte is always detected.
+uint64_t Hash64(const uint8_t* data, size_t size);
 
 /// Identity stamp of a source file: byte size + content hash.
 struct SourceStamp {
   bool present = false;
   uint64_t size = 0;
-  uint64_t fnv64 = 0;
+  uint64_t hash = 0;  // Hash64 of the contents.
 
   friend bool operator==(const SourceStamp& a, const SourceStamp& b) {
-    return a.present == b.present && a.size == b.size && a.fnv64 == b.fnv64;
+    return a.present == b.present && a.size == b.size && a.hash == b.hash;
   }
 };
 
-/// Stamps a file on disk (present=true). Fails if unreadable.
+/// Stamps a file on disk (present=true), streaming it through Hash64 in
+/// 64 KiB reads. Fails if unreadable.
 Result<SourceStamp> StampFile(const std::string& path);
 
 /// A read-only file image: mmap'd when the platform allows, heap-read
@@ -129,9 +133,10 @@ std::vector<uint8_t> BuildSnapshotImage(
     const SourceStamp& data_stamp, const SourceStamp& ontology_stamp,
     const SourceStamp& sigma_stamp);
 
-/// Writes `image` to `path` atomically: a sibling temp file is written and
-/// fsync'd, then renamed over the target, so readers never observe a
-/// partial snapshot.
+/// Writes `image` to a sibling temp file, then renames it over `path`, so
+/// readers never observe a partial snapshot. Nothing is fsync'd: after a
+/// crash the image may be torn, which fails the checksum, and the load
+/// falls back to a cold compile.
 Status WriteFileAtomic(const std::string& path,
                        const std::vector<uint8_t>& image);
 

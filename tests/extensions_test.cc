@@ -14,6 +14,7 @@
 #include "ofd/verifier.h"
 #include "ontology/generator.h"
 #include "ontology/synonym_index.h"
+#include "relation/partition.h"
 
 namespace fastofd {
 namespace {
@@ -345,6 +346,126 @@ TEST(IncrementalTest, MixedLhsRhsRandomStreamsMatchFullReverification) {
                                     "seed " + std::to_string(seed) + " step " +
                                         std::to_string(step));
     }
+  }
+}
+
+// The verifier's groups are the classes of Π_lhs. Asserts each OFD's
+// violating-class count against a from-scratch count over the classes of
+// Π*_lhs, and returns how many such classes Σ has in all.
+int64_t ExpectCountsFromScratch(const IncrementalVerifier& inc, const Relation& rel,
+                                const SynonymIndex& index, const SigmaSet& sigma,
+                                const std::string& context) {
+  OfdVerifier verifier(rel, index);
+  int64_t classes = 0;
+  for (size_t i = 0; i < sigma.size(); ++i) {
+    const StrippedPartition lhs = StrippedPartition::BuildForSet(rel, sigma[i].lhs);
+    int violating = 0;
+    for (RowSpan cls : lhs.classes()) {
+      violating += verifier.HoldsInClass(cls, sigma[i].rhs, sigma[i].kind) ? 0 : 1;
+    }
+    classes += lhs.num_classes();
+    EXPECT_EQ(inc.violating_classes(i), violating) << context << " ofd " << i;
+  }
+  Status audit = inc.AuditState();
+  EXPECT_TRUE(audit.ok()) << context << ": " << audit.message();
+  return classes;
+}
+
+// Builds a verifier over `rel`, checks it from scratch, then applies
+// random updates drawn from the cells' own values plus two fresh ones, so
+// rows merge into other groups and split off into singletons, re-checking
+// after every step.
+void CheckConstructionAndUpdates(Relation rel, const Ontology& ont,
+                                 const SigmaSet& sigma, uint64_t seed,
+                                 const std::string& name) {
+  std::vector<ValueId> pool;
+  for (AttrId a = 0; a < rel.num_attrs(); ++a) {
+    for (ValueId v : rel.Column(a)) pool.push_back(v);
+  }
+  pool.push_back(rel.mutable_dict().Intern("fresh_1"));
+  pool.push_back(rel.mutable_dict().Intern("fresh_2"));
+  SynonymIndex index(ont, rel.dict());
+  IncrementalVerifier inc(&rel, index, sigma);
+  // Construction re-checks exactly the classes of size >= 2.
+  EXPECT_EQ(inc.classes_rechecked(),
+            ExpectCountsFromScratch(inc, rel, index, sigma, name + " built"));
+  ExpectMatchesFullVerification(inc, rel, index, sigma, name + " built");
+  if (rel.num_rows() == 0) return;
+  Rng rng(seed);
+  for (int step = 0; step < 40; ++step) {
+    RowId row = static_cast<RowId>(rng.NextUint(rel.num_rows()));
+    AttrId attr = static_cast<AttrId>(rng.NextUint(rel.num_attrs()));
+    inc.UpdateCell(row, attr, pool[rng.NextUint(pool.size())]);
+    const std::string context = name + " step " + std::to_string(step);
+    ExpectCountsFromScratch(inc, rel, index, sigma, context);
+    ExpectMatchesFullVerification(inc, rel, index, sigma, context);
+  }
+}
+
+Ontology TwoSenseOntology() {
+  Ontology ont;
+  SenseId s = ont.AddSense("s");
+  ont.AddValue(s, "g1");
+  ont.AddValue(s, "g2");
+  SenseId t = ont.AddSense("t");
+  ont.AddValue(t, "g2");
+  ont.AddValue(t, "g3");
+  return ont;
+}
+
+TEST(IncrementalTest, KeyLikeAntecedentStartsAllSingletons) {
+  Relation rel(Schema({"K", "MED"}));
+  const char* meds[] = {"g1", "g2", "g3", "zz"};
+  for (int r = 0; r < 12; ++r) {
+    rel.AppendRow({"k" + std::to_string(r), meds[r % 4]});
+  }
+  SigmaSet sigma = {{AttrSet::Single(0), 1, OfdKind::kSynonym}};
+  CheckConstructionAndUpdates(rel, TwoSenseOntology(), sigma, 7600, "key-like");
+}
+
+TEST(IncrementalTest, EmptyAntecedentIsOneGroup) {
+  Relation rel(Schema({"A", "MED"}));
+  rel.AppendRow({"a", "g1"});
+  rel.AppendRow({"b", "g2"});
+  rel.AppendRow({"a", "g3"});
+  SigmaSet sigma = {{AttrSet(), 1, OfdKind::kSynonym},
+                    {AttrSet(), 0, OfdKind::kSynonym}};
+  CheckConstructionAndUpdates(rel, TwoSenseOntology(), sigma, 7601, "empty lhs");
+}
+
+TEST(IncrementalTest, ZeroAndOneRowRelations) {
+  SigmaSet sigma = {{AttrSet::Single(0), 1, OfdKind::kSynonym},
+                    {AttrSet(), 1, OfdKind::kSynonym}};
+  Relation empty(Schema({"A", "MED"}));
+  CheckConstructionAndUpdates(empty, TwoSenseOntology(), sigma, 7602, "0 rows");
+  Relation one(Schema({"A", "MED"}));
+  one.AppendRow({"a", "g1"});
+  CheckConstructionAndUpdates(one, TwoSenseOntology(), sigma, 7603, "1 row");
+}
+
+TEST(IncrementalTest, OfdsSharingAnAntecedent) {
+  Relation rel(Schema({"A", "B", "C"}));
+  const char* vals[] = {"g1", "g2", "g3", "qq"};
+  for (int r = 0; r < 16; ++r) {
+    rel.AppendRow({"a" + std::to_string(r % 5), vals[r % 4], vals[(r / 2) % 4]});
+  }
+  SigmaSet sigma = {{AttrSet::Single(0), 1, OfdKind::kSynonym},
+                    {AttrSet::Single(0), 2, OfdKind::kSynonym},
+                    {AttrSet::Of({0, 1}), 2, OfdKind::kSynonym}};
+  CheckConstructionAndUpdates(rel, TwoSenseOntology(), sigma, 7604, "shared lhs");
+}
+
+TEST(IncrementalTest, GeneratedDataMatchesScratchCounts) {
+  for (int seed = 0; seed < 3; ++seed) {
+    DataGenConfig cfg;
+    cfg.num_rows = 80;
+    cfg.num_senses = 3;
+    cfg.error_rate = 0.05;
+    cfg.seed = static_cast<uint64_t>(7700 + seed);
+    GeneratedData data = GenerateData(cfg);
+    CheckConstructionAndUpdates(data.rel, data.ontology, data.sigma,
+                                7800 + static_cast<uint64_t>(seed),
+                                "seed " + std::to_string(seed));
   }
 }
 

@@ -1,10 +1,12 @@
 // Snapshot format tests: a written image reopens byte-for-byte equivalent
 // to the cold-compiled session (deep-audited, and property-checked through
 // verify/discover parity), truncated or bit-flipped images are rejected by
-// the checksum, other format versions are refused, and stale source stamps
-// force a cold compile. The server-level test drives the same guarantees
+// the checksum, out-of-dictionary cells are refused, other format versions
+// are refused, and stale source stamps (same-size edits included) force a
+// cold compile. The server-level test drives the same guarantees
 // through `load` with --snapshot-dir.
 
+#include <algorithm>
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
@@ -182,15 +184,21 @@ TEST_F(SnapshotTest, TruncationRejectedEverywhere) {
 TEST_F(SnapshotTest, BitFlipsRejectedByChecksum) {
   std::unique_ptr<Session> cold = OpenCold();
   ASSERT_TRUE(cold->WriteSnapshot(snapshot_path_).ok());
-  const std::vector<uint8_t> image = ReadAll(snapshot_path_);
-  // Sample byte positions across the payload; every single-bit flip must be
-  // caught (header flips hit the magic/version/size checks instead).
-  for (size_t step = 97, pos = 32; pos < image.size(); pos += step) {
-    std::vector<uint8_t> bad = image;
-    bad[pos] ^= 0x10;
-    WriteAll(snapshot_path_, bad);
-    EXPECT_FALSE(OpenSnap().ok()) << "flip at byte " << pos;
+  std::vector<uint8_t> image = ReadAll(snapshot_path_);
+  // A single-bit flip in any payload byte must be caught by the checksum
+  // (header flips hit the magic/version/size checks instead).
+  for (size_t pos = 32; pos < image.size(); ++pos) {
+    image[pos] ^= 0x10;
+    auto parsed = ParseSnapshot(image.data(), image.size(), nullptr);
+    image[pos] ^= 0x10;
+    ASSERT_FALSE(parsed.ok()) << "flip at byte " << pos;
+    ASSERT_NE(parsed.status().message().find("checksum"), std::string::npos)
+        << "flip at byte " << pos;
   }
+  // The same path through OpenFromSnapshot, on one flipped payload byte.
+  image[image.size() / 2] ^= 0x10;
+  WriteAll(snapshot_path_, image);
+  EXPECT_FALSE(OpenSnap().ok());
 }
 
 TEST_F(SnapshotTest, OtherFormatVersionsRefused) {
@@ -217,6 +225,100 @@ TEST_F(SnapshotTest, StaleSourceStampForcesRefusal) {
   auto opened = OpenSnap();
   ASSERT_FALSE(opened.ok());
   EXPECT_NE(opened.status().message().find("stale"), std::string::npos);
+}
+
+// Same-size edits the stamp must still catch: the CSV's last byte, and two
+// aligned 8-byte words swapped.
+TEST_F(SnapshotTest, SameSizeSourceEditsForceRefusal) {
+  std::unique_ptr<Session> cold = OpenCold();
+  ASSERT_TRUE(cold->WriteSnapshot(snapshot_path_).ok());
+  const std::vector<uint8_t> csv = ReadAll(data_path_);
+  ASSERT_GE(csv.size(), 16u);
+
+  std::vector<uint8_t> last = csv;
+  last.back() ^= 0x01;
+  WriteAll(data_path_, last);
+  auto opened = OpenSnap();
+  ASSERT_FALSE(opened.ok());
+  EXPECT_NE(opened.status().message().find("stale"), std::string::npos);
+
+  std::vector<uint8_t> swapped = csv;
+  std::swap_ranges(swapped.begin(), swapped.begin() + 8, swapped.begin() + 8);
+  ASSERT_NE(swapped, csv);
+  WriteAll(data_path_, swapped);
+  opened = OpenSnap();
+  ASSERT_FALSE(opened.ok());
+  EXPECT_NE(opened.status().message().find("stale"), std::string::npos);
+
+  WriteAll(data_path_, csv);
+  EXPECT_TRUE(OpenSnap().ok());
+}
+
+// StampFile streams the file in 64 KiB reads; sizes around and across the
+// read boundary must hash exactly like one Hash64 over the whole file.
+TEST_F(SnapshotTest, StampFileMatchesHash64AcrossReadChunks) {
+  uint64_t x = 0x243F6A8885A308D3ull;
+  std::vector<uint8_t> bytes(131079);
+  for (uint8_t& b : bytes) {
+    x = x * 6364136223846793005ull + 1442695040888963407ull;
+    b = static_cast<uint8_t>(x >> 56);
+  }
+  const std::string path = dir_ + "/stamp.bin";
+  for (size_t size : {size_t{65535}, size_t{65536}, size_t{65537},
+                      size_t{131079}}) {
+    std::vector<uint8_t> prefix(bytes.begin(),
+                                bytes.begin() + static_cast<ptrdiff_t>(size));
+    WriteAll(path, prefix);
+    auto stamp = StampFile(path);
+    ASSERT_TRUE(stamp.ok()) << stamp.status().message();
+    EXPECT_TRUE(stamp.value().present);
+    EXPECT_EQ(stamp.value().size, size);
+    EXPECT_EQ(stamp.value().hash, Hash64(prefix.data(), prefix.size()))
+        << "size " << size;
+  }
+}
+
+// A column cell outside the dictionary is refused even under a valid
+// checksum.
+TEST_F(SnapshotTest, ColumnValueOutsideDictionaryRefused) {
+  std::unique_ptr<Session> cold = OpenCold();
+  ASSERT_TRUE(cold->WriteSnapshot(snapshot_path_).ok());
+  std::vector<uint8_t> image = ReadAll(snapshot_path_);
+  auto read_u32 = [&](size_t pos) {
+    uint32_t v = 0;
+    for (int i = 0; i < 4; ++i) {
+      v |= static_cast<uint32_t>(image[pos + static_cast<size_t>(i)]) << (8 * i);
+    }
+    return v;
+  };
+  // Walk the header, stamps, schema and dictionary to the first cell.
+  size_t pos = 32 + 3 * 17;
+  const uint32_t num_attrs = read_u32(pos);
+  pos += 4;
+  for (uint32_t a = 0; a < num_attrs; ++a) pos += 4 + read_u32(pos);
+  const uint32_t num_values = read_u32(pos);
+  pos += 4;
+  for (uint32_t v = 0; v < num_values; ++v) pos += 4 + read_u32(pos);
+  ASSERT_EQ(read_u32(pos), static_cast<uint32_t>(cold->rel().num_rows()));
+  pos += 4;
+  // The last row of the first column.
+  const size_t cell = pos + 4 * static_cast<size_t>(cold->rel().num_rows() - 1);
+  ASSERT_EQ(read_u32(cell), static_cast<uint32_t>(cold->rel().At(
+                                cold->rel().num_rows() - 1, 0)));
+  for (int i = 0; i < 4; ++i) {
+    image[cell + static_cast<size_t>(i)] =
+        static_cast<uint8_t>((num_values >> (8 * i)) & 0xff);
+  }
+  const uint64_t checksum = Hash64(image.data() + 32, image.size() - 32);
+  for (int i = 0; i < 8; ++i) {
+    image[24 + static_cast<size_t>(i)] =
+        static_cast<uint8_t>((checksum >> (8 * i)) & 0xff);
+  }
+  auto parsed = ParseSnapshot(image.data(), image.size(), nullptr);
+  ASSERT_FALSE(parsed.ok());
+  EXPECT_NE(parsed.status().message().find("column value outside dictionary"),
+            std::string::npos)
+      << parsed.status().message();
 }
 
 // Image-level property: Build -> Parse recovers every section verbatim.
