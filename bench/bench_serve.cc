@@ -1,12 +1,14 @@
 // Service-mode benchmark: what a resident `fastofd serve` process buys over
 // per-request batch invocations, and how it behaves at saturation.
 //
-//   1. warm-vs-cold — a verify against a loaded session (partitions pinned
-//      in the session cache) vs paying load+verify+unload per request, the
-//      batch-CLI cost model.
+//   1. warm-vs-cold — a verify against a loaded session (answered from the
+//      incremental verifier's maintained state) vs paying
+//      load+verify+unload per request, the batch-CLI cost model.
 //   2. update-latency — online incremental `update` cost as the relation
 //      grows, against the full re-verification it replaces (sublinear in N:
-//      the incremental path touches only the updated row's classes).
+//      the incremental path touches only the updated row's classes). The
+//      full re-verification is timed here, from scratch, on a copy of the
+//      session's data that received the same updates.
 //   3. closed-loop load — a sweep of client counts (12/32/128/256, capped
 //      by --clients), each point a fresh server with per-session strands
 //      and bounded waiting: client-observed p50/p95/p99 latency plus 503
@@ -35,6 +37,11 @@
 #include "datagen/datagen.h"
 #include "exec/thread_pool.h"
 #include "ofd/sigma_io.h"
+#include "ofd/verifier.h"
+#include "ontology/ontology.h"
+#include "ontology/synonym_index.h"
+#include "relation/partition.h"
+#include "relation/relation.h"
 #include "service/client.h"
 #include "service/json.h"
 #include "service/protocol.h"
@@ -137,8 +144,8 @@ int main(int argc, char** argv) {
     Table table({"mode", "ms/request", "speedup"});
     double cold_ms = cold_s / requests * 1e3;
     double warm_ms = warm_s / requests * 1e3;
-    table.AddRow({"cold (load+verify+unload)", Fmt("%.3f", cold_ms), "1.0"});
-    table.AddRow({"warm session", Fmt("%.3f", warm_ms),
+    table.AddRow({"cold (load+verify+unload)", Fmt("%.4f", cold_ms), "1.0"});
+    table.AddRow({"warm session", Fmt("%.4f", warm_ms),
                   Fmt("%.1f", cold_ms / warm_ms)});
     std::printf("\n[1] warm-session verify vs per-request state rebuild "
                 "(N=%d, %d requests)\n\n", rows, requests);
@@ -160,18 +167,59 @@ int main(int argc, char** argv) {
       int attrs = static_cast<int>(loaded.Get("attrs").AsInt());
 
       Rng rng(seed ^ static_cast<uint64_t>(n));
+      std::vector<Json> update_reqs;
+      for (int i = 0; i < updates; ++i) {
+        Json r = Req(ops::kUpdate, "u");
+        r.Set("row", Json::Int(static_cast<int64_t>(rng.NextUint(
+                         static_cast<uint64_t>(n)))));
+        r.Set("attr", Json::Int(static_cast<int64_t>(
+                          rng.NextUint(static_cast<uint64_t>(attrs)))));
+        r.Set("value", Json::Str("bench-v" + std::to_string(i % 23)));
+        update_reqs.push_back(std::move(r));
+      }
       double upd_s = TimeIt([&] {
-        for (int i = 0; i < updates; ++i) {
-          Json r = Req(ops::kUpdate, "u");
-          r.Set("row", Json::Int(static_cast<int64_t>(rng.NextUint(
-                           static_cast<uint64_t>(n)))));
-          r.Set("attr", Json::Int(static_cast<int64_t>(
-                            rng.NextUint(static_cast<uint64_t>(attrs)))));
-          r.Set("value", Json::Str("bench-v" + std::to_string(i % 23)));
+        for (const Json& r : update_reqs) {
           if (!server.Execute(r).Get("ok").AsBool()) std::abort();
         }
       });
-      double verify_s = TimeIt([&] { server.Execute(Req(ops::kVerify, "u")); });
+
+      // The same state rebuilt outside the session: its sources, the index
+      // compiled before the updates (as the session's is), then the updates.
+      Relation rel = Relation::FromCsv(ReadCsvFile(inst.data).value()).value();
+      const Ontology ontology = ReadOntologyFile(inst.ontology).value();
+      const SynonymIndex index(ontology, rel.dict());
+      const SigmaSet sigma = ReadSigmaFile(inst.sigma, rel.schema()).value();
+      for (const Json& r : update_reqs) {
+        rel.Set(static_cast<RowId>(r.Get("row").AsInt()),
+                static_cast<AttrId>(r.Get("attr").AsInt()),
+                r.Get("value").AsString());
+      }
+      // Full re-verification: every OFD re-checked over a freshly built
+      // Π*_lhs, the OFDs spread over a pool the size of the server's.
+      ThreadPool pool(std::max(2, ServerConfig{}.threads + 1));
+      std::vector<char> holds(sigma.size());
+      std::vector<double> support(sigma.size());
+      double verify_s = TimeIt([&] {
+        OfdVerifier verifier(rel, index, &ontology);
+        pool.ParallelFor(sigma.size(), [&](size_t i, int) {
+          const StrippedPartition lhs =
+              StrippedPartition::BuildForSet(rel, sigma[i].lhs);
+          holds[i] = verifier.Holds(sigma[i], lhs) ? 1 : 0;
+          support[i] = sigma[i].kind == OfdKind::kSynonym
+                           ? verifier.Support(sigma[i], lhs)
+                           : (holds[i] != 0 ? 1.0 : 0.0);
+        });
+      });
+      // The session's maintained answer must be the one recomputed here.
+      const Json verified = server.Execute(Req(ops::kVerify, "u"));
+      const std::vector<Json>& served = verified.Get("ofds").items();
+      if (served.size() != sigma.size()) std::abort();
+      for (size_t i = 0; i < sigma.size(); ++i) {
+        if (served[i].Get("holds").AsBool() != (holds[i] != 0) ||
+            served[i].Get("support").AsDouble() != support[i]) {
+          std::abort();
+        }
+      }
       double upd_ms = upd_s / updates * 1e3;
       table.AddRow({Fmt("%d", n), Fmt("%.4f", upd_ms),
                     Fmt("%.3f", verify_s * 1e3),

@@ -15,8 +15,8 @@
 //                      compressed tier. Derived from the measured
 //                      footprints, so it is deterministic.
 //   snapshot_open    — wall time to open a session cold (parse + intern +
-//                      compile) vs from a compiled snapshot (mmap + validate
-//                      + seed). The `speedup` ratio is gated >= 5x and the
+//                      compile) vs from a compiled snapshot (mmap +
+//                      validate). The `speedup` ratio is gated >= 5x and the
 //                      `identical` column asserts the snapshot-loaded
 //                      session reproduces the cold compile byte for byte.
 //
@@ -118,7 +118,8 @@ FootprintSums MeasureWorkingSet(const std::vector<StrippedPartition>& ws) {
 }
 
 // FNV-1a over the session state the snapshot must reproduce exactly: the
-// dictionary strings, the interned columns, and every level-1 partition.
+// dictionary strings, the interned columns, and every level-1 partition
+// built from them.
 uint64_t SessionDigest(Session& session) {
   uint64_t h = 14695981039346656037ull;
   auto mix = [&h](uint64_t v) {
@@ -239,7 +240,7 @@ int main(int argc, char** argv) {
   // Table 3: cold compile vs snapshot open. Σ is left empty so both paths
   // skip the (identical) incremental-verifier rebuild and the ratio
   // isolates what the snapshot actually replaces: CSV parse + dictionary
-  // interning + index compile versus mmap + validate + cold-tier seed.
+  // interning + index compile versus mmap + validate.
   // -------------------------------------------------------------------------
   const char* tmp = std::getenv("TMPDIR");
   std::string dir = std::string(tmp ? tmp : "/tmp") + "/fastofd_bench_storage";

@@ -4,26 +4,22 @@
 // rejected gracefully (no crash, no over-read, no unbounded allocation).
 // Raw inputs mostly die at the checksum, so for depth the harness also
 // replays every input with a *fixed-up* header — correct magic, version,
-// payload size, and recomputed checksum — forcing the section parsers and
-// the embedded CompressedPartition validator to face the mutated payload.
-// Anything that parses must parse identically again (determinism), and
-// every accepted partition must refine identically whether streamed or
-// decoded first.
+// payload size, and recomputed checksum — forcing the section parsers to
+// face the mutated payload. Anything that parses must parse identically
+// again (determinism).
 
 #include <cstdint>
 #include <cstring>
 #include <vector>
 
 #include "common/check.h"
-#include "relation/compressed_partition.h"
-#include "relation/partition.h"
 #include "service/snapshot.h"
 
 extern "C" int LLVMFuzzerTestOneInput(const uint8_t* data, size_t size) {
   using namespace fastofd;
 
   // Pass 1: raw bytes (header checks, checksum, truncation).
-  (void)ParseSnapshot(data, size, nullptr);
+  (void)ParseSnapshot(data, size);
 
   // Pass 2: the same bytes as a payload under a valid header.
   std::vector<uint8_t> image(32 + size);
@@ -43,35 +39,18 @@ extern "C" int LLVMFuzzerTestOneInput(const uint8_t* data, size_t size) {
   }
   std::memcpy(image.data() + 32, data, size);
 
-  auto first = ParseSnapshot(image.data(), image.size(), nullptr);
-  auto second = ParseSnapshot(image.data(), image.size(), nullptr);
+  auto first = ParseSnapshot(image.data(), image.size());
+  auto second = ParseSnapshot(image.data(), image.size());
   FASTOFD_CHECK(first.ok() == second.ok());
   if (first.ok()) {
     // Accepted payloads must be structurally identical across parses.
     FASTOFD_CHECK(first.value().schema_names == second.value().schema_names);
     FASTOFD_CHECK(first.value().dict_strings == second.value().dict_strings);
     FASTOFD_CHECK(first.value().columns == second.value().columns);
-    FASTOFD_CHECK(first.value().partitions.size() ==
-                  second.value().partitions.size());
-
-    // The one compressed kernel: refining a partition straight off its
-    // stream must give the classes of refining its decoded flat form.
-    const SnapshotContents& snap = first.value();
-    if (!snap.columns.empty()) {
-      const std::vector<ValueId>& column = snap.columns[0];
-      PartitionScratch scratch;
-      for (const auto& entry : snap.partitions) {
-        const CompressedPartition& compressed = entry.second;
-        if (compressed.num_rows() != static_cast<int64_t>(column.size())) continue;
-        StrippedPartition streamed;
-        StrippedPartition::RefineInto(compressed, column, snap.dict_strings.size(),
-                                      &scratch, &streamed);
-        StrippedPartition flat;
-        StrippedPartition::RefineInto(compressed.Decode(), column,
-                                      snap.dict_strings.size(), &scratch, &flat);
-        FASTOFD_CHECK(streamed.ToClassVectors() == flat.ToClassVectors());
-      }
-    }
+    FASTOFD_CHECK(first.value().ontology_text == second.value().ontology_text);
+    FASTOFD_CHECK(first.value().value_senses == second.value().value_senses);
+    FASTOFD_CHECK(first.value().sense_values == second.value().sense_values);
+    FASTOFD_CHECK(first.value().sigma_text == second.value().sigma_text);
   }
   return 0;
 }

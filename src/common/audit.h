@@ -22,8 +22,9 @@
 //
 // The snapshot loader (service/snapshot.{h,cc}) is its own validation
 // layer: ParseSnapshot treats the image as untrusted input and re-validates
-// every section (and every embedded partition blob, via
-// CompressedPartition::FromBytes) before any of it reaches a Session.
+// every section (checksum, counts, ids in range) before any of it reaches a
+// Session. Images hold no partitions, so no partition bytes are ever read
+// from a file.
 //
 // The validators are always compiled. The *hooks* that run them on hot
 // paths are compiled in only when the FASTOFD_AUDIT CMake option defines

@@ -40,6 +40,7 @@ Status IncrementalVerifier::AuditState() const {
     }
     std::vector<char> seen(static_cast<size_t>(n), 0);
     int counted = 0;
+    int64_t kept = 0;
     size_t non_empty = 0;
     for (size_t g = 0; g < state.groups.size(); ++g) {
       const Group& group = state.groups[g];
@@ -82,6 +83,13 @@ Status IncrementalVerifier::AuditState() const {
                              " counted flag inconsistent with ok/size");
       }
       counted += group.counted ? 1 : 0;
+      kept += group.kept;
+      if (group.rows.size() < 2 &&
+          group.kept != static_cast<int64_t>(group.rows.size())) {
+        return IncAuditError(tag + "group " + std::to_string(g) +
+                             " of fewer than 2 rows keeps " +
+                             std::to_string(group.kept));
+      }
       if (deep && group.rows.size() >= 2) {
         if (verifier_.HoldsInClass(group.rows, ofd.rhs, ofd.kind) !=
             group.ok) {
@@ -108,13 +116,22 @@ Status IncrementalVerifier::AuditState() const {
                            std::to_string(state.violating) +
                            " != counted groups " + std::to_string(counted));
     }
+    if (kept != state.kept) {
+      return IncAuditError(tag + "kept-row sum " + std::to_string(state.kept) +
+                           " != sum over groups " + std::to_string(kept));
+    }
     total_counted += counted;
     if (deep) {
-      // Group maps vs full re-verification: the cached per-OFD verdict must
-      // match a from-scratch check over a freshly built Π*_lhs.
+      // Group maps vs full re-verification: the cached per-OFD verdict and
+      // support must match a from-scratch check over a freshly built Π*_lhs.
       StrippedPartition lhs = StrippedPartition::BuildForSet(*rel_, ofd.lhs);
       if (verifier_.Holds(ofd, lhs) != (state.violating == 0)) {
         return IncAuditError(tag + "cached verdict disagrees with full " +
+                             "re-verification");
+      }
+      if (ofd.kind == OfdKind::kSynonym &&
+          verifier_.Support(ofd, lhs) != Support(i)) {
+        return IncAuditError(tag + "cached support disagrees with full " +
                              "re-verification");
       }
     }
@@ -127,11 +144,11 @@ Status IncrementalVerifier::AuditState() const {
 }
 
 IncrementalVerifier::IncrementalVerifier(Relation* rel, const SynonymIndex& index,
-                                         SigmaSet sigma)
+                                         SigmaSet sigma, const Ontology* ontology)
     : rel_(rel),
       index_(index),
       sigma_(std::move(sigma)),
-      verifier_(*rel, index) {
+      verifier_(*rel, index, ontology) {
   states_.reserve(sigma_.size());
   const RowId n = rel_->num_rows();
   for (const Ofd& ofd : sigma_) {
@@ -178,13 +195,32 @@ void IncrementalVerifier::SetCounted(OfdState& state, Group& group, bool counted
 
 void IncrementalVerifier::RefreshGroup(OfdState& state, const Ofd& ofd, int32_t g) {
   Group& group = state.groups[static_cast<size_t>(g)];
-  if (group.rows.size() < 2) {
-    group.ok = true;  // Singletons (and empty groups) cannot violate.
-  } else {
-    group.ok = verifier_.HoldsInClass(group.rows, ofd.rhs, ofd.kind);
+  // Singletons (and empty groups) cannot violate and keep every row.
+  bool ok = true;
+  int64_t kept = static_cast<int64_t>(group.rows.size());
+  if (group.rows.size() >= 2) {
+    if (ofd.kind == OfdKind::kSynonym) {
+      const SenseTally tally = verifier_.Tally(group.rows, ofd.rhs);
+      ok = tally.holds();
+      kept = tally.kept();
+    } else {
+      ok = verifier_.HoldsInClass(group.rows, ofd.rhs, ofd.kind);
+    }
     classes_rechecked_.fetch_add(1, std::memory_order_relaxed);
   }
+  group.ok = ok;
+  state.kept += kept - group.kept;
+  group.kept = kept;
   SetCounted(state, group, group.rows.size() >= 2 && !group.ok);
+}
+
+double IncrementalVerifier::Support(size_t ofd_index) const {
+  if (sigma_[ofd_index].kind != OfdKind::kSynonym) {
+    return Holds(ofd_index) ? 1.0 : 0.0;
+  }
+  if (rel_->num_rows() == 0) return 1.0;
+  return static_cast<double>(states_[ofd_index].kept) /
+         static_cast<double>(rel_->num_rows());
 }
 
 void IncrementalVerifier::MoveRow(OfdState& state, const Ofd& ofd, RowId row,
@@ -203,13 +239,12 @@ void IncrementalVerifier::MoveRow(OfdState& state, const Ofd& ofd, RowId row,
   Group& old_group = state.groups[static_cast<size_t>(g_old)];
   old_group.rows.erase(
       std::find(old_group.rows.begin(), old_group.rows.end(), row));
+  // Removing a row can fix a violation (or leave one); re-check. An emptied
+  // group keeps nothing and goes on the free list.
+  RefreshGroup(state, ofd, g_old);
   if (old_group.rows.empty()) {
-    SetCounted(state, old_group, false);
     state.key_to_group.erase(old_key);
     state.free_groups.push_back(g_old);
-  } else {
-    // Removing a row can fix a violation (or leave one); re-check.
-    RefreshGroup(state, ofd, g_old);
   }
 
   // Join (or create) the new group.
@@ -225,13 +260,12 @@ void IncrementalVerifier::MoveRow(OfdState& state, const Ofd& ofd, RowId row,
       state.groups[static_cast<size_t>(g_new)] = Group{};
     }
     state.key_to_group.emplace(std::move(new_key), g_new);
-    state.groups[static_cast<size_t>(g_new)].rows.push_back(row);
-    // A fresh singleton: vacuously satisfied, nothing to check.
   } else {
     g_new = it->second;
-    state.groups[static_cast<size_t>(g_new)].rows.push_back(row);
-    RefreshGroup(state, ofd, g_new);
   }
+  // A fresh singleton is vacuously satisfied: the refresh only counts its row.
+  state.groups[static_cast<size_t>(g_new)].rows.push_back(row);
+  RefreshGroup(state, ofd, g_new);
   state.row_group[static_cast<size_t>(row)] = g_new;
 }
 

@@ -12,6 +12,10 @@
 // classes (re-checking the shrunken source and grown destination class) and
 // Σ may freely overlap — one attribute can be an antecedent of one OFD and
 // the consequent of another.
+//
+// Each group also keeps its share of the support s(φ) (SenseTally::kept),
+// so a served session answers `verify` — satisfaction and support of every
+// OFD — from this state alone, in O(|Σ|).
 
 #ifndef FASTOFD_OFD_INCREMENTAL_H_
 #define FASTOFD_OFD_INCREMENTAL_H_
@@ -24,6 +28,7 @@
 #include "common/status.h"
 #include "ofd/ofd.h"
 #include "ofd/verifier.h"
+#include "ontology/ontology.h"
 #include "ontology/synonym_index.h"
 #include "relation/relation.h"
 
@@ -37,8 +42,10 @@ class IncrementalVerifier {
   /// Builds per-OFD class maps and initial per-class state. Each OFD's
   /// groups come from the classes of Π*_lhs (StrippedPartition::BuildForSet)
   /// plus one singleton per uncovered row, so construction is linear in the
-  /// rows and hashes one key per group, not per row.
-  IncrementalVerifier(Relation* rel, const SynonymIndex& index, SigmaSet sigma);
+  /// rows and hashes one key per group, not per row. `ontology` may be null
+  /// unless Σ holds inheritance OFDs (see OfdVerifier).
+  IncrementalVerifier(Relation* rel, const SynonymIndex& index, SigmaSet sigma,
+                      const Ontology* ontology = nullptr);
 
   /// True iff every OFD in Σ is satisfied.
   bool IsConsistent() const { return total_violating() == 0; }
@@ -47,6 +54,12 @@ class IncrementalVerifier {
   bool Holds(size_t ofd_index) const {
     return states_[ofd_index].violating == 0;
   }
+
+  /// Approximate-OFD support of Σ[ofd_index], the value
+  /// OfdVerifier::Support computes from scratch: rows kept summed over the
+  /// classes, divided by |I| (1.0 on an empty relation). Inheritance OFDs
+  /// report 1.0 when they hold and 0.0 otherwise.
+  double Support(size_t ofd_index) const;
 
   /// Number of violating classes of Σ[ofd_index].
   int violating_classes(size_t ofd_index) const {
@@ -79,11 +92,11 @@ class IncrementalVerifier {
   /// Deep invariant audit (common/audit.h). Structural: per OFD, the groups
   /// partition all rows, the key map and row->group map agree with the
   /// relation's current antecedent values, free-list entries are empty and
-  /// unreferenced, and the violation counters match the per-group flags.
-  /// On relations at or below audit::kDeepAuditMaxRows rows, additionally
-  /// cross-checks every group's satisfaction bit — and each OFD's overall
-  /// Holds() — against a full from-scratch re-verification. Returns the
-  /// first violation found.
+  /// unreferenced, and the violation counters and kept-row sums match the
+  /// per-group fields. On relations at or below audit::kDeepAuditMaxRows
+  /// rows, additionally cross-checks every group's satisfaction bit — and
+  /// each OFD's overall Holds() and Support() — against a full from-scratch
+  /// re-verification. Returns the first violation found.
   Status AuditState() const;
 
  private:
@@ -108,6 +121,9 @@ class IncrementalVerifier {
     std::vector<RowId> rows;
     bool ok = true;       // Satisfaction; vacuously true for size < 2.
     bool counted = false; // Currently counted in `violating`.
+    // Rows kept: SenseTally::kept for a synonym OFD's class of 2+ rows,
+    // otherwise the group's size (inheritance support reads Holds alone).
+    int64_t kept = 0;
   };
 
   struct OfdState {
@@ -117,11 +133,12 @@ class IncrementalVerifier {
     std::vector<int32_t> free_groups;
     std::vector<int32_t> row_group; // row -> group index.
     int violating = 0;
+    int64_t kept = 0;               // Sum of the groups' kept rows.
   };
 
   LhsKey KeyFor(const OfdState& state, RowId row) const;
   /// Re-checks group `g` (if it still has >= 2 rows) and updates the
-  /// violating counters.
+  /// violating counters and kept-row sum.
   void RefreshGroup(OfdState& state, const Ofd& ofd, int32_t g);
   void SetCounted(OfdState& state, Group& group, bool counted);
   /// Moves `row` from its old group (keyed with `old_value` at `attr`) to

@@ -35,7 +35,7 @@ void AppendVarint(std::vector<uint8_t>* out, uint64_t v) {
   out->push_back(static_cast<uint8_t>(v));
 }
 
-// Unchecked read for validated streams (the Cursor hot path).
+// Unchecked read for streams Encode wrote (the Cursor hot path).
 uint64_t ReadVarintFast(const uint8_t** pos) {
   uint64_t v = 0;
   int shift = 0;
@@ -47,7 +47,7 @@ uint64_t ReadVarintFast(const uint8_t** pos) {
   }
 }
 
-// Bounds- and overflow-checked read for untrusted streams (validation).
+// Bounds- and overflow-checked read for the audit walk.
 bool ReadVarintChecked(const uint8_t** pos, const uint8_t* end, uint64_t* out) {
   uint64_t v = 0;
   int shift = 0;
@@ -62,16 +62,6 @@ bool ReadVarintChecked(const uint8_t** pos, const uint8_t* end, uint64_t* out) {
     shift += 7;
   }
   return false;  // Ran off the end mid-varint.
-}
-
-void AppendU64(std::vector<uint8_t>* out, uint64_t v) {
-  for (int i = 0; i < 8; ++i) out->push_back(static_cast<uint8_t>(v >> (8 * i)));
-}
-
-uint64_t ReadU64(const uint8_t* p) {
-  uint64_t v = 0;
-  for (int i = 0; i < 8; ++i) v |= static_cast<uint64_t>(p[i]) << (8 * i);
-  return v;
 }
 
 // Encodes one class (strictly ascending rows, size >= 2) under the smallest
@@ -165,9 +155,9 @@ CompressedPartition CompressedPartition::Encode(const StrippedPartition& p) {
   c.sum_sizes_ = p.sum_sizes();
   c.num_classes_ = p.num_classes();
   // Dense classes encode near 1 byte/row; reserve that and trim after.
-  c.owned_.reserve(static_cast<size_t>(p.sum_sizes()) + 16);
-  for (RowSpan cls : p.classes()) EncodeClass(cls, &c.owned_);
-  c.owned_.shrink_to_fit();
+  c.stream_.reserve(static_cast<size_t>(p.sum_sizes()) + 16);
+  for (RowSpan cls : p.classes()) EncodeClass(cls, &c.stream_);
+  c.stream_.shrink_to_fit();
   return c;
 }
 
@@ -179,7 +169,7 @@ bool CompressedPartition::Cursor::Next() {
   switch (static_cast<Encoding>(header & 3)) {
     case Encoding::kGap: {
       uint64_t cur = ReadVarintFast(&pos_);
-      buf_[0] = static_cast<RowId>(cur);  // Validated < num_rows at build.
+      buf_[0] = static_cast<RowId>(cur);  // Encode wrote a row < num_rows.
       for (size_t i = 1; i < size; ++i) {
         cur += ReadVarintFast(&pos_) + 1;
         buf_[i] = static_cast<RowId>(cur);
@@ -218,7 +208,7 @@ bool CompressedPartition::Cursor::Next() {
       break;
     }
     default:
-      FASTOFD_CHECK(false);  // Tag 3 is rejected at validation time.
+      FASTOFD_CHECK(false);  // Encode never writes tag 3.
   }
   return true;
 }
@@ -238,13 +228,11 @@ StrippedPartition CompressedPartition::Decode() const {
   return p;
 }
 
-Status CompressedPartition::ValidateStream(const uint8_t* data, size_t size,
-                                           int64_t num_rows, int64_t sum_sizes,
-                                           int64_t num_classes) {
-  const uint8_t* pos = data;
-  const uint8_t* const end = data + size;
-  const uint64_t rows_bound = static_cast<uint64_t>(num_rows);
-  std::vector<char> seen(static_cast<size_t>(num_rows), 0);
+Status CompressedPartition::AuditInvariants() const {
+  const uint8_t* pos = stream_.data();
+  const uint8_t* const end = pos + stream_.size();
+  const uint64_t rows_bound = static_cast<uint64_t>(num_rows_);
+  std::vector<char> seen(static_cast<size_t>(num_rows_), 0);
   int64_t classes = 0;
   int64_t total = 0;
   // Marks one decoded row: in range, unseen so far.
@@ -260,7 +248,7 @@ Status CompressedPartition::ValidateStream(const uint8_t* data, size_t size,
     }
     const uint64_t cls_size = header >> 2;
     const uint64_t tag = header & 3;
-    if (cls_size < 2 || static_cast<int64_t>(cls_size) > sum_sizes - total) {
+    if (cls_size < 2 || static_cast<int64_t>(cls_size) > sum_sizes_ - total) {
       return AuditError("class size " + std::to_string(cls_size) +
                         " out of range at class " + std::to_string(classes));
     }
@@ -360,61 +348,15 @@ Status CompressedPartition::ValidateStream(const uint8_t* data, size_t size,
     ++classes;
     total += static_cast<int64_t>(cls_size);
   }
-  if (classes != num_classes) {
+  if (classes != num_classes_) {
     return AuditError("stream holds " + std::to_string(classes) +
-                      " classes, header says " + std::to_string(num_classes));
+                      " classes, header says " + std::to_string(num_classes_));
   }
-  if (total != sum_sizes) {
+  if (total != sum_sizes_) {
     return AuditError("stream holds " + std::to_string(total) +
-                      " rows, header says " + std::to_string(sum_sizes));
+                      " rows, header says " + std::to_string(sum_sizes_));
   }
   return audit::internal::Counted(Status::Ok());
-}
-
-Status CompressedPartition::AuditInvariants() const {
-  return ValidateStream(data(), stream_size(), num_rows_, sum_sizes_,
-                        num_classes_);
-}
-
-void CompressedPartition::AppendTo(std::vector<uint8_t>* out) const {
-  AppendU64(out, static_cast<uint64_t>(num_rows_));
-  AppendU64(out, static_cast<uint64_t>(sum_sizes_));
-  AppendU64(out, static_cast<uint64_t>(num_classes_));
-  AppendU64(out, static_cast<uint64_t>(stream_size()));
-  out->insert(out->end(), data(), data() + stream_size());
-}
-
-Result<CompressedPartition> CompressedPartition::FromBytes(
-    const uint8_t* data, size_t size, int64_t max_rows,
-    std::shared_ptr<const void> backing, size_t* consumed) {
-  constexpr size_t kHeader = 32;
-  if (size < kHeader) return Status::Error("compressed partition: short header");
-  const uint64_t num_rows = ReadU64(data);
-  const uint64_t sum_sizes = ReadU64(data + 8);
-  const uint64_t num_classes = ReadU64(data + 16);
-  const uint64_t stream = ReadU64(data + 24);
-  if (num_rows > static_cast<uint64_t>(max_rows)) {
-    return Status::Error("compressed partition: num_rows " +
-                         std::to_string(num_rows) + " exceeds bound " +
-                         std::to_string(max_rows));
-  }
-  if (sum_sizes > num_rows || num_classes > sum_sizes / 2) {
-    return Status::Error("compressed partition: inconsistent counters");
-  }
-  if (stream > size - kHeader) {
-    return Status::Error("compressed partition: stream overruns buffer");
-  }
-  CompressedPartition c;
-  c.num_rows_ = static_cast<int64_t>(num_rows);
-  c.sum_sizes_ = static_cast<int64_t>(sum_sizes);
-  c.num_classes_ = static_cast<int64_t>(num_classes);
-  c.view_data_ = data + kHeader;
-  c.view_size_ = static_cast<size_t>(stream);
-  c.backing_ = std::move(backing);
-  Status valid = c.AuditInvariants();
-  if (!valid.ok()) return valid;
-  if (consumed != nullptr) *consumed = kHeader + c.view_size_;
-  return c;
 }
 
 }  // namespace fastofd

@@ -17,18 +17,15 @@
 // rebuilds the flat form byte-identically (same class order, same rows) for
 // hot paths.
 //
-// A CompressedPartition either owns its stream (Encode) or is a non-owning
-// view over external bytes (FromBytes over a memory-mapped snapshot, kept
-// alive via a shared backing handle). FromBytes fully validates untrusted
-// input — every varint, bound, and counter — before handing out a view, so
-// cursors never have to bounds-check on the hot path.
+// Streams come only from Encode, so cursors never bounds-check on the hot
+// path; the deep audit re-walks a stream with every varint, bound, and
+// counter checked.
 
 #ifndef FASTOFD_RELATION_COMPRESSED_PARTITION_H_
 #define FASTOFD_RELATION_COMPRESSED_PARTITION_H_
 
 #include <cstddef>
 #include <cstdint>
-#include <memory>
 #include <vector>
 
 #include "common/status.h"
@@ -51,28 +48,13 @@ class CompressedPartition {
   /// Rebuilds the flat partition (one linear pass over the stream).
   StrippedPartition Decode() const;
 
-  /// Parses one serialized partition (as written by AppendTo) from an
-  /// untrusted buffer. On success the returned partition *views* the input
-  /// bytes — `backing` keeps the buffer (e.g. a snapshot mapping) alive —
-  /// and `*consumed` is the total bytes read. The stream is fully validated:
-  /// rows in [0, max_rows), strictly ascending within classes, pairwise
-  /// disjoint, class sizes >= 2, counters consistent.
-  static Result<CompressedPartition> FromBytes(const uint8_t* data, size_t size,
-                                               int64_t max_rows,
-                                               std::shared_ptr<const void> backing,
-                                               size_t* consumed);
-
-  /// Appends the wire form: u64 num_rows / sum_sizes / num_classes /
-  /// stream_size (little-endian) followed by the encoded stream.
-  void AppendTo(std::vector<uint8_t>* out) const;
-
   /// Sequential class decoder. Usage:
   ///   for (Cursor c(part); c.Next();) use(c.rows());
   /// The span returned by rows() is valid until the next Next() call.
   class Cursor {
    public:
     explicit Cursor(const CompressedPartition& p)
-        : pos_(p.data()), end_(p.data() + p.stream_size()) {}
+        : pos_(p.stream_.data()), end_(p.stream_.data() + p.stream_.size()) {}
 
     /// Decodes the next class; false once the stream is exhausted.
     bool Next();
@@ -97,8 +79,8 @@ class CompressedPartition {
     return num_classes_ == 1 && sum_sizes_ == num_rows_;
   }
 
-  /// Encoded stream bytes (owned or viewed) — what the cache budget charges.
-  int64_t EncodedBytes() const { return static_cast<int64_t>(stream_size()); }
+  /// Encoded stream bytes — what the cache budget charges.
+  int64_t EncodedBytes() const { return static_cast<int64_t>(stream_.size()); }
 
   /// Bytes the flat arena for this partition would occupy (rows + offsets),
   /// the compression-ratio denominator.
@@ -108,32 +90,14 @@ class CompressedPartition {
            offsets * static_cast<int64_t>(sizeof(uint32_t));
   }
 
-  bool IsView() const { return backing_ != nullptr; }
-
   /// Deep invariant audit (common/audit.h): re-walks the stream with full
-  /// validation (the FromBytes checks) — decodable end to end, rows in
-  /// range, ascending, disjoint, counters consistent. Returns the first
-  /// violation found.
+  /// validation — decodable end to end, rows in [0, num_rows), strictly
+  /// ascending within classes, pairwise disjoint, class sizes >= 2,
+  /// counters consistent. Returns the first violation found.
   Status AuditInvariants() const;
 
  private:
-  const uint8_t* data() const {
-    return view_data_ != nullptr ? view_data_ : owned_.data();
-  }
-  size_t stream_size() const {
-    return view_data_ != nullptr ? view_size_ : owned_.size();
-  }
-
-  // Validates `data[0, size)` as an encoded stream against the counters;
-  // shared by FromBytes and AuditInvariants.
-  static Status ValidateStream(const uint8_t* data, size_t size,
-                               int64_t num_rows, int64_t sum_sizes,
-                               int64_t num_classes);
-
-  std::vector<uint8_t> owned_;          // Encoded stream when owning.
-  const uint8_t* view_data_ = nullptr;  // Non-null when viewing external bytes.
-  size_t view_size_ = 0;
-  std::shared_ptr<const void> backing_;  // Keeps viewed bytes alive.
+  std::vector<uint8_t> stream_;  // The encoded classes.
   int64_t num_rows_ = 0;
   int64_t sum_sizes_ = 0;
   int64_t num_classes_ = 0;

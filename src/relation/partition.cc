@@ -194,19 +194,6 @@ StrippedPartition StrippedPartition::Build(const Relation& rel, AttrId attr) {
   return p;
 }
 
-StrippedPartition StrippedPartition::FromParts(std::vector<RowId> rows,
-                                               std::vector<uint32_t> offsets,
-                                               int64_t num_rows) {
-  FASTOFD_CHECK(num_rows >= 0);
-  FASTOFD_CHECK(offsets.empty() ||
-                (offsets.front() == 0 && offsets.back() == rows.size()));
-  StrippedPartition p;
-  p.rows_ = std::move(rows);
-  p.offsets_ = std::move(offsets);
-  p.num_rows_ = num_rows;
-  return p;
-}
-
 StrippedPartition StrippedPartition::BuildForSet(const Relation& rel, AttrSet attrs) {
   if (attrs.empty()) {
     StrippedPartition p;
@@ -748,8 +735,8 @@ std::shared_ptr<const StrippedPartition> PartitionCache::Get(AttrSet attrs) {
   auto p = std::make_shared<const StrippedPartition>(std::move(computed));
   const int64_t cost = FootprintBytes(*p);
   // Every partition handed out by the cache is audit-checked in audit
-  // builds — this single hook covers discovery base partitions, verify,
-  // clean, and the service's pinned antecedents.
+  // builds — this single hook covers discovery base partitions, clean, and
+  // the service's discover and clean requests.
   FASTOFD_AUDIT_OK(p->AuditInvariants(rel_, attrs));
 
   MutexLock lock(mu_);
@@ -768,27 +755,6 @@ std::shared_ptr<const StrippedPartition> PartitionCache::Get(AttrSet attrs) {
   PublishGaugesLocked();
   FASTOFD_AUDIT_OK(AuditInvariantsLocked());
   return p;
-}
-
-bool PartitionCache::SeedCompressed(
-    AttrSet attrs, std::shared_ptr<const CompressedPartition> p) {
-  FASTOFD_CHECK(p != nullptr);
-  const int64_t cost = FootprintBytes(*p);
-  MutexLock lock(mu_);
-  if (cache_.find(attrs) != cache_.end()) return false;
-  if (cost > budget_bytes_) return false;
-  // Seeds enter at the LRU end: a restored session should not displace
-  // entries the running workload is actually touching.
-  lru_.push_back(attrs);
-  cache_.emplace(attrs, Entry{nullptr, std::move(p), cost, false,
-                              std::prev(lru_.end())});
-  bytes_ += cost;
-  cold_bytes_ += cost;
-  ++cold_entries_;
-  EvictToBudgetLocked(attrs);
-  PublishGaugesLocked();
-  FASTOFD_AUDIT_OK(AuditInvariantsLocked());
-  return true;
 }
 
 void PartitionCache::Clear() {

@@ -248,13 +248,6 @@ class StrippedPartition {
     return p;
   }
 
-  /// Reassembles a partition from flat parts (CompressedPartition::Decode
-  /// and the snapshot loader). Shape is CHECK-validated (offsets start at 0
-  /// and cover the arena); semantic validity is the caller's audit.
-  static StrippedPartition FromParts(std::vector<RowId> rows,
-                                     std::vector<uint32_t> offsets,
-                                     int64_t num_rows);
-
   /// RefineInto over a compressed operand: the same kernel body, fed one
   /// class at a time by a CompressedPartition::Cursor, so a cold cached
   /// prefix refines without materializing its flat arena. Byte-identical
@@ -442,13 +435,6 @@ class PartitionCache {
   /// itself: the hash-map node (key + entry + chain pointer + cached hash),
   /// the LRU list node, and the shared_ptr control block.
   static int64_t EntryOverheadBytes();
-
-  /// Seeds a cold-tier entry (snapshot load): inserts `p` compressed, as the
-  /// least-recently-used entry, without counting a hit or miss. Returns
-  /// false (and caches nothing) if `attrs` is already present or `p` alone
-  /// exceeds the budget.
-  bool SeedCompressed(AttrSet attrs,
-                      std::shared_ptr<const CompressedPartition> p) EXCLUDES(mu_);
 
   void Clear() EXCLUDES(mu_);
 

@@ -23,8 +23,8 @@
 #include "common/csv.h"
 #include "common/parse.h"
 #include "discovery/fastofd.h"
+#include "ofd/incremental.h"
 #include "ofd/sigma_io.h"
-#include "ofd/verifier.h"
 #include "service/net_util.h"
 #include "service/protocol.h"
 
@@ -718,33 +718,20 @@ Json ServiceServer::HandleVerify(const Json& request) {
     return ErrResponse(request, kCodeBadRequest, "session has no sigma");
   }
   // Snapshot read: the strand guarantees no writer touches this session
-  // while we run; the version audit at the end proves it.
+  // while we run; the version audit at the end proves it. The incremental
+  // verifier already holds every OFD's verdict and support.
   [[maybe_unused]] const uint64_t entry_version = session->version();
   const SigmaSet& sigma = session->sigma();
-  OfdVerifier verifier(session->rel(), session->index(), &session->ontology());
-  struct Check {
-    bool holds = false;
-    double support = 0.0;
-  };
-  std::vector<Check> checks(sigma.size());
-  PartitionCache& cache = session->cache();
-  pool_.ParallelFor(sigma.size(), [&](size_t i, int) {
-    const Ofd& ofd = sigma[i];
-    std::shared_ptr<const StrippedPartition> p = cache.Get(ofd.lhs);
-    checks[i].holds = verifier.Holds(ofd, *p);
-    checks[i].support = ofd.kind == OfdKind::kSynonym
-                            ? verifier.Support(ofd, *p)
-                            : (checks[i].holds ? 1.0 : 0.0);
-  });
+  const IncrementalVerifier& state = *session->incremental();
   Json ofds = Json::Array();
   int violated = 0;
   for (size_t i = 0; i < sigma.size(); ++i) {
     Json entry = Json::Object();
     entry.Set("ofd", Json::Str(RenderOfd(sigma[i], session->rel().schema())));
-    entry.Set("holds", Json::Bool(checks[i].holds));
-    entry.Set("support", Json::Number(checks[i].support));
+    entry.Set("holds", Json::Bool(state.Holds(i)));
+    entry.Set("support", Json::Number(state.Support(i)));
     ofds.Push(std::move(entry));
-    violated += !checks[i].holds;
+    violated += !state.Holds(i);
   }
   Json response = OkResponse(request);
   response.Set("ofds", std::move(ofds));

@@ -1,13 +1,11 @@
 #include "service/session.h"
 
-#include <map>
 #include <utility>
 
 #include "common/audit.h"
 #include "common/csv.h"
 #include "common/timer.h"
 #include "ofd/sigma_io.h"
-#include "relation/compressed_partition.h"
 #include "service/snapshot.h"
 
 namespace fastofd {
@@ -32,8 +30,8 @@ Session::Session(std::string name, Relation rel, Ontology ontology,
 void Session::AdoptSigma(SigmaSet sigma) {
   if (sigma.empty()) return;
   sigma_ = std::move(sigma);
-  incremental_ =
-      std::make_unique<IncrementalVerifier>(&rel_, index_, sigma_);
+  incremental_ = std::make_unique<IncrementalVerifier>(&rel_, index_, sigma_,
+                                                       &ontology_);
 }
 
 Result<std::unique_ptr<Session>> Session::Open(
@@ -59,9 +57,6 @@ Result<std::unique_ptr<Session>> Session::Open(
     auto sigma = ReadSigmaFile(sigma_path, session->rel_.schema());
     if (!sigma.ok()) return sigma.status();
     session->AdoptSigma(std::move(sigma).value());
-    // Pin every antecedent partition: verify requests against this session
-    // start from cache hits instead of rebuilding Π*_X.
-    for (const Ofd& ofd : session->sigma_) session->cache_.Get(ofd.lhs);
   }
   session->load_seconds_ = timer.Seconds();
   FASTOFD_AUDIT_OK(session->Audit());
@@ -76,8 +71,7 @@ Result<std::unique_ptr<Session>> Session::OpenFromSnapshot(
   Timer timer;
   auto file = MappedFile::Open(snapshot_path);
   if (!file.ok()) return file.status();
-  auto contents =
-      ParseSnapshot(file.value()->data(), file.value()->size(), file.value());
+  auto contents = ParseSnapshot(file.value()->data(), file.value()->size());
   if (!contents.ok()) return contents.status();
   SnapshotContents& snap = contents.value();
 
@@ -124,15 +118,6 @@ Result<std::unique_ptr<Session>> Session::OpenFromSnapshot(
     session->AdoptSigma(std::move(sigma).value());
   }
 
-  // Seed the cache's cold tier with the stored partitions: zero-copy views
-  // over the mapped image (the shared_ptr backing keeps it alive). The
-  // first Get on each promotes it to the hot tier — a decode, not a build.
-  for (auto& [mask, partition] : snap.partitions) {
-    session->cache_.SeedCompressed(
-        AttrSet::FromMask(mask),
-        std::make_shared<const CompressedPartition>(std::move(partition)));
-  }
-
   session->load_seconds_ = timer.Seconds();
   FASTOFD_AUDIT_OK(session->Audit());
   return session;
@@ -151,29 +136,9 @@ Status Session::WriteSnapshot(const std::string& path) const {
     sigma_stamp = stamped.value();
   }
 
-  // Level-1 partitions plus every Σ antecedent, deduplicated by mask and
-  // built fresh (not through the cache — a write must not evict the
-  // serving working set).
-  std::map<uint64_t, CompressedPartition> by_mask;
-  for (AttrId a = 0; a < rel_.num_attrs(); ++a) {
-    StrippedPartition p = StrippedPartition::Build(rel_, a);
-    by_mask.emplace(AttrSet::Single(a).mask(),
-                    CompressedPartition::Encode(p));
-  }
-  for (const Ofd& ofd : sigma_) {
-    if (ofd.lhs.empty() || by_mask.count(ofd.lhs.mask()) != 0) continue;
-    StrippedPartition p = StrippedPartition::BuildForSet(rel_, ofd.lhs);
-    by_mask.emplace(ofd.lhs.mask(), CompressedPartition::Encode(p));
-  }
-  std::vector<std::pair<uint64_t, const CompressedPartition*>> partitions;
-  partitions.reserve(by_mask.size());
-  for (const auto& [mask, partition] : by_mask) {
-    partitions.emplace_back(mask, &partition);
-  }
-
-  std::vector<uint8_t> image = BuildSnapshotImage(
-      rel_, ontology_, index_, sigma_, partitions, data_stamp.value(),
-      ontology_stamp.value(), sigma_stamp);
+  std::vector<uint8_t> image =
+      BuildSnapshotImage(rel_, ontology_, index_, sigma_, data_stamp.value(),
+                         ontology_stamp.value(), sigma_stamp);
   return WriteFileAtomic(path, image);
 }
 

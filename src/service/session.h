@@ -2,10 +2,11 @@
 //
 // A batch CLI invocation pays CSV parsing, dictionary interning, index
 // compilation, and partition building on every call and then throws the
-// state away. A Session pays them once at `load` and keeps the stripped
-// partitions of every OFD antecedent pinned in a memory-budgeted
-// PartitionCache, plus an IncrementalVerifier so `update` requests maintain
-// violation state online instead of re-verifying from scratch.
+// state away. A Session pays them once at `load` and keeps an
+// IncrementalVerifier, the one record of Σ's verdict: `update` maintains
+// each OFD's per-class satisfaction and support online, and `verify` reads
+// them back without re-verifying. A memory-budgeted PartitionCache holds the
+// partitions `discover` and `clean` build on demand.
 
 #ifndef FASTOFD_SERVICE_SESSION_H_
 #define FASTOFD_SERVICE_SESSION_H_
@@ -42,10 +43,10 @@ namespace fastofd {
 /// across their whole computation.
 class Session {
  public:
-  /// Loads the files, compiles the index, builds the incremental verifier
-  /// (when Σ is given), and pre-warms the partition cache with every OFD
-  /// antecedent. `sigma_path` may be empty: verify/update then require Σ to
-  /// be supplied later or fail, but discover works.
+  /// Loads the files, compiles the index, and builds the incremental
+  /// verifier (when Σ is given). The partition cache starts empty.
+  /// `sigma_path` may be empty: verify/update then require Σ to be supplied
+  /// later or fail, but discover works.
   static Result<std::unique_ptr<Session>> Open(std::string name,
                                                const std::string& data_path,
                                                const std::string& ontology_path,
@@ -55,9 +56,8 @@ class Session {
 
   /// Opens from a compiled snapshot (service/snapshot.h) instead of
   /// recompiling the sources: the relation, dictionary, ontology, synonym
-  /// index, and Σ are adopted from the image, and the stored partitions
-  /// seed the cache's cold tier as zero-copy views over the mapped file.
-  /// Refuses (so the caller falls back to Open) when the image is invalid,
+  /// index, and Σ are adopted from the image, and the incremental verifier
+  /// is rebuilt from them. Refuses (so the caller falls back to Open) when the image is invalid,
   /// from another format version, or stale — its source stamps must match
   /// the current bytes of `data_path` / `ontology_path` / `sigma_path`.
   static Result<std::unique_ptr<Session>> OpenFromSnapshot(
@@ -67,8 +67,7 @@ class Session {
       MetricsRegistry* metrics);
 
   /// Serializes this session's compiled state (plus fresh source stamps) to
-  /// `path`, atomically. Embeds every level-1 partition and each Σ
-  /// antecedent partition in compressed form.
+  /// `path`, atomically. Partitions are not stored: they rebuild on demand.
   Status WriteSnapshot(const std::string& path) const;
 
   const std::string& name() const { return name_; }

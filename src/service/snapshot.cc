@@ -106,9 +106,6 @@ class Reader {
     return true;
   }
 
-  const uint8_t* pos() const { return pos_; }
-  void Skip(size_t n) { pos_ += n; }
-
  private:
   const uint8_t* pos_;
   const uint8_t* end_;
@@ -166,9 +163,9 @@ Result<SourceStamp> StampFile(const std::string& path) {
   return stamp;
 }
 
-Result<std::shared_ptr<const MappedFile>> MappedFile::Open(
+Result<std::unique_ptr<const MappedFile>> MappedFile::Open(
     const std::string& path) {
-  std::shared_ptr<MappedFile> file(new MappedFile());
+  std::unique_ptr<MappedFile> file(new MappedFile());
   const int fd = ::open(path.c_str(), O_RDONLY);  // NOLINT
   if (fd < 0) {
     return Status::Error("cannot open '" + path +
@@ -205,7 +202,7 @@ Result<std::shared_ptr<const MappedFile>> MappedFile::Open(
     }
   }
   ::close(fd);
-  return std::shared_ptr<const MappedFile>(std::move(file));
+  return std::unique_ptr<const MappedFile>(std::move(file));
 }
 
 MappedFile::~MappedFile() {
@@ -214,10 +211,7 @@ MappedFile::~MappedFile() {
 
 std::vector<uint8_t> BuildSnapshotImage(
     const Relation& rel, const Ontology& ontology, const SynonymIndex& index,
-    const SigmaSet& sigma,
-    const std::vector<std::pair<uint64_t, const CompressedPartition*>>&
-        partitions,
-    const SourceStamp& data_stamp, const SourceStamp& ontology_stamp,
+    const SigmaSet& sigma, const SourceStamp& data_stamp, const SourceStamp& ontology_stamp,
     const SourceStamp& sigma_stamp) {
   std::vector<uint8_t> payload;
 
@@ -270,16 +264,6 @@ std::vector<uint8_t> BuildSnapshotImage(
   AppendString(&payload,
                sigma.empty() ? std::string() : WriteSigma(sigma, rel.schema()));
 
-  // [partitions] — AttrSet mask + compressed wire blob each.
-  AppendU32(&payload, static_cast<uint32_t>(partitions.size()));
-  for (const auto& [mask, partition] : partitions) {
-    AppendU64(&payload, mask);
-    std::vector<uint8_t> blob;
-    partition->AppendTo(&blob);
-    AppendU32(&payload, static_cast<uint32_t>(blob.size()));
-    payload.insert(payload.end(), blob.begin(), blob.end());
-  }
-
   // Header last: it needs the payload size and checksum.
   std::vector<uint8_t> image;
   image.reserve(kHeaderSize + payload.size());
@@ -293,8 +277,7 @@ std::vector<uint8_t> BuildSnapshotImage(
   return image;
 }
 
-Result<SnapshotContents> ParseSnapshot(const uint8_t* data, size_t size,
-                                       std::shared_ptr<const void> backing) {
+Result<SnapshotContents> ParseSnapshot(const uint8_t* data, size_t size) {
   if (size < kHeaderSize) return Malformed("shorter than the header");
   if (std::memcmp(data, kSnapshotMagic, 8) != 0) {
     return Malformed("bad magic");
@@ -418,34 +401,6 @@ Result<SnapshotContents> ParseSnapshot(const uint8_t* data, size_t size,
 
   // [sigma]
   if (!r.ReadString(&out.sigma_text)) return Malformed("bad sigma section");
-
-  // [partitions]
-  uint32_t num_partitions = 0;
-  if (!r.ReadU32(&num_partitions) || num_partitions > r.remaining()) {
-    return Malformed("bad partition count");
-  }
-  out.partitions.reserve(num_partitions);
-  for (uint32_t i = 0; i < num_partitions; ++i) {
-    uint64_t mask = 0;
-    uint32_t blob_size = 0;
-    if (!r.ReadU64(&mask) || !r.ReadU32(&blob_size) ||
-        blob_size > r.remaining()) {
-      return Malformed("bad partition entry");
-    }
-    if (mask == 0 || (num_attrs < 64 && (mask >> num_attrs) != 0)) {
-      return Malformed("partition mask outside the schema");
-    }
-    size_t consumed = 0;
-    Result<CompressedPartition> partition = CompressedPartition::FromBytes(
-        r.pos(), blob_size, static_cast<int64_t>(num_rows), backing,
-        &consumed);
-    if (!partition.ok()) return partition.status();
-    if (consumed != blob_size) {
-      return Malformed("partition blob has trailing bytes");
-    }
-    r.Skip(blob_size);
-    out.partitions.emplace_back(mask, std::move(partition).value());
-  }
 
   if (r.remaining() != 0) return Malformed("trailing bytes after sections");
   return out;

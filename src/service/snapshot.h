@@ -1,21 +1,20 @@
 // Versioned, checksummed, memory-mappable images of compiled sessions.
 //
-// Opening a session cold pays CSV parsing, dictionary interning, ontology
-// index compilation, and partition building. A snapshot persists the
-// *compiled* artifacts — schema, dictionary table, dictionary-coded columns,
-// ontology text, SynonymIndex posting lists, Σ text, and the level-1 /
-// antecedent partitions in their compressed wire form — so a later open is
-// one mmap plus validation instead of a recompile. See
-// docs/snapshot-format.md for the byte layout.
+// Opening a session cold pays CSV parsing, dictionary interning, and
+// ontology index compilation. A snapshot persists the *compiled* artifacts —
+// schema, dictionary table, dictionary-coded columns, ontology text,
+// SynonymIndex posting lists, and Σ text — so a later open is one mmap plus
+// validation instead of a recompile. Partitions are not stored: the
+// incremental verifier builds its Π_lhs groups from the columns, and the
+// partition cache builds the rest on demand. See docs/snapshot-format.md
+// for the byte layout.
 //
 // Integrity model: the fixed header carries a magic, a format version, and
 // a Hash64 checksum over the whole payload. ParseSnapshot rejects bad
 // magic, version mismatches, truncation, checksum failures, and any
 // structurally invalid section (the loader treats the file as untrusted
-// input — it is fuzzed via fuzz/fuzz_snapshot.cc). Partition blobs are
-// additionally re-validated by CompressedPartition::FromBytes and become
-// zero-copy views into the mapped image; the caller's `backing` pointer
-// keeps the image alive for as long as any view lives.
+// input — it is fuzzed via fuzz/fuzz_snapshot.cc) and copies every section
+// out of the image, so nothing it returns points into the file.
 //
 // Staleness model: the image records a (size, Hash64) stamp of each
 // source file it was compiled from. Session::OpenFromSnapshot re-stamps the
@@ -28,7 +27,6 @@
 #include <cstdint>
 #include <memory>
 #include <string>
-#include <utility>
 #include <vector>
 
 #include "common/dictionary.h"
@@ -36,7 +34,6 @@
 #include "ofd/ofd.h"
 #include "ontology/ontology.h"
 #include "ontology/synonym_index.h"
-#include "relation/compressed_partition.h"
 #include "relation/relation.h"
 
 namespace fastofd {
@@ -44,7 +41,7 @@ namespace fastofd {
 /// Current snapshot format version. Bump on any layout change; readers
 /// refuse every other version (no cross-version migration — a mismatch just
 /// falls back to a cold compile).
-inline constexpr uint32_t kSnapshotVersion = 2;
+inline constexpr uint32_t kSnapshotVersion = 3;
 
 /// The 8-byte magic that opens every snapshot file.
 inline constexpr char kSnapshotMagic[8] = {'F', 'O', 'F', 'D',
@@ -73,11 +70,10 @@ struct SourceStamp {
 Result<SourceStamp> StampFile(const std::string& path);
 
 /// A read-only file image: mmap'd when the platform allows, heap-read
-/// otherwise. Shared ownership keeps the mapping alive for zero-copy
-/// partition views handed out by ParseSnapshot.
+/// otherwise.
 class MappedFile {
  public:
-  static Result<std::shared_ptr<const MappedFile>> Open(
+  static Result<std::unique_ptr<const MappedFile>> Open(
       const std::string& path);
 
   MappedFile(const MappedFile&) = delete;
@@ -97,9 +93,7 @@ class MappedFile {
   std::vector<uint8_t> heap_;   // Fallback image when not mapped.
 };
 
-/// Everything ParseSnapshot recovers from an image. Partitions are
-/// validated zero-copy views whose lifetime is tied to the `backing`
-/// passed to ParseSnapshot.
+/// Everything ParseSnapshot recovers from an image.
 struct SnapshotContents {
   std::vector<std::string> schema_names;
   std::vector<std::string> dict_strings;
@@ -108,30 +102,21 @@ struct SnapshotContents {
   std::vector<std::vector<SenseId>> value_senses;
   std::vector<std::vector<ValueId>> sense_values;
   std::string sigma_text;  // Empty iff no Σ was stored.
-  /// AttrSet mask -> compressed partition view over the image.
-  std::vector<std::pair<uint64_t, CompressedPartition>> partitions;
   SourceStamp data_stamp;
   SourceStamp ontology_stamp;
   SourceStamp sigma_stamp;
 };
 
 /// Parses and fully validates a snapshot image: header (magic, version,
-/// size), payload checksum, then every section. `backing` is retained by
-/// the partition views in the result; pass the MappedFile (or any owner of
-/// `data`) so the views outlive the call. Treats `data` as untrusted.
-Result<SnapshotContents> ParseSnapshot(const uint8_t* data, size_t size,
-                                       std::shared_ptr<const void> backing);
+/// size), payload checksum, then every section. Treats `data` as untrusted;
+/// the result owns copies of everything it holds.
+Result<SnapshotContents> ParseSnapshot(const uint8_t* data, size_t size);
 
 /// Serializes a compiled session into a snapshot image (header included).
-/// `partitions` carries the AttrSet-mask-keyed compressed partitions to
-/// embed (level-1 columns and Σ antecedents, deduplicated by the caller).
 std::vector<uint8_t> BuildSnapshotImage(
     const Relation& rel, const Ontology& ontology, const SynonymIndex& index,
-    const SigmaSet& sigma,
-    const std::vector<std::pair<uint64_t, const CompressedPartition*>>&
-        partitions,
-    const SourceStamp& data_stamp, const SourceStamp& ontology_stamp,
-    const SourceStamp& sigma_stamp);
+    const SigmaSet& sigma, const SourceStamp& data_stamp,
+    const SourceStamp& ontology_stamp, const SourceStamp& sigma_stamp);
 
 /// Writes `image` to a sibling temp file, then renames it over `path`, so
 /// readers never observe a partial snapshot. Nothing is fsync'd: after a

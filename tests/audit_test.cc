@@ -242,5 +242,27 @@ TEST(IncrementalAuditTest, DetectsOutOfBandRelationMutation) {
   EXPECT_FALSE(verifier.AuditState().ok());
 }
 
+// A consequent written behind the verifier's back can leave a class's
+// verdict unchanged and still lower its kept rows: only the deep support
+// cross-check sees the drift.
+TEST(IncrementalAuditTest, DetectsSupportDriftBehindUnchangedVerdict) {
+  auto made = Relation::FromRows(Schema({"X", "MED"}),
+                                 {{"x", "p"}, {"x", "p"}, {"x", "q"}});
+  ASSERT_TRUE(made.ok());
+  Relation rel = std::move(made).value();
+  Ontology ont;
+  SynonymIndex index(ont, rel.dict());
+  IncrementalVerifier verifier(&rel, index,
+                               {Ofd{AttrSet::Single(0), 1, OfdKind::kSynonym}});
+  ASSERT_TRUE(verifier.AuditState().ok());
+  EXPECT_FALSE(verifier.Holds(0));
+  EXPECT_EQ(verifier.Support(0), 2.0 / 3.0);
+  rel.Set(1, 1, "r");  // Still violated; now one row is kept, not two.
+  Status audit = verifier.AuditState();
+  ASSERT_FALSE(audit.ok());
+  EXPECT_NE(audit.message().find("support"), std::string::npos)
+      << audit.message();
+}
+
 }  // namespace
 }  // namespace fastofd

@@ -210,9 +210,13 @@ void ExpectMatchesFullVerification(const IncrementalVerifier& inc,
   OfdVerifier verifier(rel, index);
   bool all = true;
   for (size_t i = 0; i < sigma.size(); ++i) {
-    bool holds = verifier.Holds(sigma[i]);
+    const StrippedPartition lhs = StrippedPartition::BuildForSet(rel, sigma[i].lhs);
+    bool holds = verifier.Holds(sigma[i], lhs);
     all &= holds;
     EXPECT_EQ(inc.Holds(i), holds) << context << " ofd " << i;
+    // The maintained support is the same integer sum, divided the same way.
+    EXPECT_EQ(inc.Support(i), verifier.Support(sigma[i], lhs))
+        << context << " ofd " << i;
   }
   EXPECT_EQ(inc.IsConsistent(), all) << context;
 }

@@ -12,6 +12,7 @@
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
+#include <memory>
 #include <string>
 #include <thread>
 #include <vector>
@@ -20,6 +21,7 @@
 
 #include "common/csv.h"
 #include "common/metrics.h"
+#include "common/rng.h"
 #include "datagen/datagen.h"
 #include "ofd/sigma_io.h"
 #include "ofd/verifier.h"
@@ -170,6 +172,12 @@ TEST_F(ServiceTest, ExecuteLifecycle) {
   EXPECT_EQ(verify.Get("ofds").items().size(),
             static_cast<size_t>(loaded.Get("sigma_size").AsInt()));
 
+  // `load` pins nothing; a discover fills the partition cache so the update
+  // below has cached partitions over CTX0 to invalidate.
+  Json discovered = server.Execute(
+      [&] { Json r = Req(ops::kDiscover); r.Set("session", Json::Str("s1")); return r; }());
+  ASSERT_TRUE(discovered.Get("ok").AsBool()) << discovered.Dump();
+
   // An update against an unknown attribute 404s; a valid one applies and
   // reports incremental bookkeeping.
   Json bad = server.Execute(UpdateReq("s1", 0, "NOPE", "x"));
@@ -179,7 +187,7 @@ TEST_F(ServiceTest, ExecuteLifecycle) {
   EXPECT_EQ(upd.Get("applied").AsInt(), 1);
   EXPECT_TRUE(upd.Has("consistent"));
 
-  // The update dirtied CTX0: its pinned partition was invalidated.
+  // The update dirtied CTX0: its cached partitions were invalidated.
   EXPECT_GE(upd.Get("invalidated_partitions").AsInt(), 1);
 
   // Verification via the incremental state agrees with a fresh verify after
@@ -352,6 +360,212 @@ TEST_F(ServiceTest, ExecuteDiscoverAndCleanAgainstSession) {
   EXPECT_TRUE(cresp.Get("consistent").AsBool());
   std::ifstream repaired(dir_ + "/repaired.csv");
   EXPECT_TRUE(repaired.good());
+}
+
+// ---------------------------------------------------------------------------
+// `verify` answers from the incremental verifier's maintained state. These
+// tests hold it to a from-scratch reference: a copy of the relation receives
+// the same updates, and every answer is recomputed with BuildForSet plus
+// OfdVerifier::Holds/Support.
+
+class VerifyEquivalenceTest : public ServiceTest {
+ protected:
+  void SetUp() override {
+    ServiceTest::SetUp();
+    auto csv = ReadCsvFile(data_path_);
+    ASSERT_TRUE(csv.ok());
+    auto rel = Relation::FromCsv(csv.value());
+    ASSERT_TRUE(rel.ok());
+    rel_ = std::make_unique<Relation>(std::move(rel).value());
+    auto ontology = ReadOntologyFile(ontology_path_);
+    ASSERT_TRUE(ontology.ok());
+    ontology_ = std::make_unique<Ontology>(std::move(ontology).value());
+    // Compiled before any update, like the session's index.
+    index_ = std::make_unique<SynonymIndex>(*ontology_, rel_->dict());
+    auto sigma = ReadSigmaFile(sigma_path_, rel_->schema());
+    ASSERT_TRUE(sigma.ok());
+    ASSERT_FALSE(sigma.value().empty());
+    // The generated Σ plus an inheritance twin of its first OFD and an
+    // empty-antecedent OFD (one group holding every row).
+    sigma_ = sigma.value();
+    const Ofd first = sigma_[0];
+    sigma_.push_back({first.lhs, first.rhs, OfdKind::kInheritance});
+    sigma_.push_back({AttrSet(), first.rhs, OfdKind::kSynonym});
+    sigma_path_ = dir_ + "/s_mixed.txt";
+    const std::string text = WriteSigma(sigma_, rel_->schema());
+    ASSERT_NE(text.find("->inh"), std::string::npos);
+    ASSERT_NE(text.find("->syn"), std::string::npos);
+    WriteText(sigma_path_, text);
+  }
+
+  static Json VerifyReq(const std::string& session, int64_t id) {
+    Json r = Req(ops::kVerify, id);
+    r.Set("session", Json::Str(session));
+    return r;
+  }
+
+  // The `verify` response recomputed from scratch over the reference copy.
+  Json ReferenceVerify(const Json& request) const {
+    OfdVerifier verifier(*rel_, *index_, ontology_.get());
+    Json ofds = Json::Array();
+    int violated = 0;
+    for (const Ofd& ofd : sigma_) {
+      const StrippedPartition lhs = StrippedPartition::BuildForSet(*rel_, ofd.lhs);
+      const bool holds = verifier.Holds(ofd, lhs);
+      Json entry = Json::Object();
+      entry.Set("ofd", Json::Str(RenderOfd(ofd, rel_->schema())));
+      entry.Set("holds", Json::Bool(holds));
+      entry.Set("support",
+                Json::Number(ofd.kind == OfdKind::kSynonym
+                                 ? verifier.Support(ofd, lhs)
+                                 : (holds ? 1.0 : 0.0)));
+      ofds.Push(std::move(entry));
+      violated += !holds;
+    }
+    Json response = Json::Object();
+    response.Set("id", request.Get("id"));
+    response.Set("ok", Json::Bool(true));
+    response.Set("ofds", std::move(ofds));
+    response.Set("violated", Json::Int(violated));
+    response.Set("consistent", Json::Bool(violated == 0));
+    return response;
+  }
+
+  // Applies one update to the session and to the reference copy.
+  void Update(ServiceServer& server, const std::string& session, RowId row,
+              AttrId attr, const std::string& value) {
+    Json upd = server.Execute(
+        UpdateReq(session, row, rel_->schema().name(attr), value));
+    ASSERT_TRUE(upd.Get("ok").AsBool()) << upd.Dump();
+    rel_->Set(row, attr, value);
+  }
+
+  void ExpectVerifyMatches(ServiceServer& server, const std::string& session,
+                           const std::string& where) {
+    const Json request = VerifyReq(session, ++next_id_);
+    EXPECT_EQ(server.Execute(request).Dump(), ReferenceVerify(request).Dump())
+        << where;
+  }
+
+  std::unique_ptr<Relation> rel_;
+  std::unique_ptr<Ontology> ontology_;
+  std::unique_ptr<SynonymIndex> index_;
+  SigmaSet sigma_;
+  int64_t next_id_ = 100;
+};
+
+// Loading a Σ with an inheritance OFD used to abort the server: the
+// incremental verifier had no ontology to check it against.
+TEST_F(VerifyEquivalenceTest, InheritanceSigmaLoadsVerifiesAndUpdates) {
+  MetricsRegistry metrics;
+  ServerConfig config;
+  config.threads = 2;
+  ServiceServer server(config, &metrics);
+  Json loaded = server.Execute(LoadReq("inh"));
+  ASSERT_TRUE(loaded.Get("ok").AsBool()) << loaded.Dump();
+  ASSERT_EQ(loaded.Get("sigma_size").AsInt(), static_cast<int64_t>(sigma_.size()));
+
+  // Every answer against the from-scratch reference, on the loaded state
+  // and after consequent updates to the inheritance OFD's class: a value
+  // outside the ontology breaks it, and the original value restores it.
+  const size_t inh_index = sigma_.size() - 2;
+  const Ofd& inh = sigma_[inh_index];
+  ASSERT_EQ(inh.kind, OfdKind::kInheritance);
+  const StrippedPartition lhs = StrippedPartition::BuildForSet(*rel_, inh.lhs);
+  ASSERT_GT(lhs.num_classes(), 0);
+  const RowId row = lhs.Class(0).front();
+  const std::string original(rel_->dict().String(rel_->At(row, inh.rhs)));
+  const std::vector<std::string> values = {"no-such-drug", original,
+                                           "no-such-drug-2", original};
+  for (size_t step = 0; step <= values.size(); ++step) {
+    if (step > 0) Update(server, "inh", row, inh.rhs, values[step - 1]);
+    ExpectVerifyMatches(server, "inh", "step " + std::to_string(step));
+    if (step % 2 == 1) {
+      // A value without senses shares a class with others: violated.
+      Json verify = server.Execute(VerifyReq("inh", 1));
+      EXPECT_FALSE(verify.Get("ofds").At(inh_index).Get("holds").AsBool()) << step;
+    }
+  }
+}
+
+// Random update streams over consequent and antecedent cells, with values
+// drawn from the column, freshly interned, or restored, on rows drawn
+// afresh or from those already updated. The deterministic prefix moves a
+// row out of its class into a new singleton, a second row into that
+// singleton, and both back, so the singleton group empties. The response
+// must equal the from-scratch reference byte for byte, at pool sizes 1
+// and 4.
+TEST_F(VerifyEquivalenceTest, RandomUpdateStreamsMatchScratchVerification) {
+  const SigmaSet original_sigma = sigma_;
+  const std::unique_ptr<Relation> original_rel = std::make_unique<Relation>(*rel_);
+  auto original_value = [&](RowId row, AttrId attr) {
+    return std::string(original_rel->dict().String(original_rel->At(row, attr)));
+  };
+  for (int threads : {1, 4}) {
+    *rel_ = *original_rel;
+    MetricsRegistry metrics;
+    ServerConfig config;
+    config.threads = threads;
+    ServiceServer server(config, &metrics);
+    ASSERT_TRUE(server.Execute(LoadReq("eq")).Get("ok").AsBool());
+    const std::string tag = "threads " + std::to_string(threads);
+    ExpectVerifyMatches(server, "eq", tag + " after load");
+
+    // Antecedent of the first OFD: row a leaves its class for a new
+    // singleton, row b joins it, a returns, then b leaves the singleton.
+    const Ofd& first = original_sigma[0];
+    const std::vector<AttrId> lhs_attrs = first.lhs.ToVector();
+    const StrippedPartition lhs = StrippedPartition::BuildForSet(*rel_, first.lhs);
+    ASSERT_GT(lhs.num_classes(), 1);
+    const RowId a = lhs.Class(0)[0];
+    const RowId b = lhs.Class(1)[0];
+    Update(server, "eq", a, lhs_attrs[0], "fresh-context");
+    ExpectVerifyMatches(server, "eq", tag + " row left its class");
+    for (AttrId x : lhs_attrs) {
+      Update(server, "eq", b, x, std::string(rel_->dict().String(rel_->At(a, x))));
+    }
+    ExpectVerifyMatches(server, "eq", tag + " row joined a singleton");
+    Update(server, "eq", a, lhs_attrs[0], original_value(a, lhs_attrs[0]));
+    ExpectVerifyMatches(server, "eq", tag + " row rejoined its class");
+    for (AttrId x : lhs_attrs) Update(server, "eq", b, x, original_value(b, x));
+    ExpectVerifyMatches(server, "eq", tag + " singleton emptied");
+
+    std::vector<AttrId> attrs;
+    for (const Ofd& ofd : original_sigma) {
+      attrs.push_back(ofd.rhs);
+      for (AttrId x : ofd.lhs.ToVector()) attrs.push_back(x);
+    }
+    Rng rng(4242);
+    int fresh = 0;
+    std::vector<RowId> updated;
+    for (int stream = 0; stream < 4; ++stream) {
+      for (int step = 0; step < 30; ++step) {
+        // Revisiting updated rows moves them out of the singletons that
+        // fresh antecedent values created.
+        const RowId row =
+            !updated.empty() && rng.NextBernoulli(0.4)
+                ? updated[rng.NextUint(updated.size())]
+                : static_cast<RowId>(
+                      rng.NextUint(static_cast<uint64_t>(rel_->num_rows())));
+        updated.push_back(row);
+        const AttrId attr = attrs[rng.NextUint(attrs.size())];
+        const double pick = rng.NextDouble();
+        std::string value;
+        if (pick < 0.6) {
+          const RowId other = static_cast<RowId>(
+              rng.NextUint(static_cast<uint64_t>(rel_->num_rows())));
+          value = std::string(rel_->dict().String(rel_->At(other, attr)));
+        } else if (pick < 0.85) {
+          value = "fresh-" + std::to_string(fresh++ % 7);
+        } else {
+          value = original_value(row, attr);
+        }
+        Update(server, "eq", row, attr, value);
+      }
+      ExpectVerifyMatches(server, "eq",
+                          tag + " after stream " + std::to_string(stream));
+    }
+  }
 }
 
 // ---------------------------------------------------------------------------

@@ -21,7 +21,6 @@
 #include "common/metrics.h"
 #include "datagen/datagen.h"
 #include "ofd/sigma_io.h"
-#include "relation/compressed_partition.h"
 #include "service/json.h"
 #include "service/protocol.h"
 #include "service/server.h"
@@ -135,34 +134,6 @@ TEST_F(SnapshotTest, RoundTripMatchesColdCompile) {
             cold->incremental()->total_violating());
 }
 
-// The stored partitions seed the cold tier, and promoting them yields
-// exactly the partitions a cold build produces.
-TEST_F(SnapshotTest, SeededPartitionsMatchColdBuilds) {
-  std::unique_ptr<Session> cold = OpenCold();
-  ASSERT_TRUE(cold->WriteSnapshot(snapshot_path_).ok());
-  auto reopened = OpenSnap();
-  ASSERT_TRUE(reopened.ok()) << reopened.status().message();
-  Session& snap = *reopened.value();
-
-  EXPECT_GE(snap.cache().cold_entries(),
-            static_cast<size_t>(snap.rel().num_attrs()));
-  for (AttrId a = 0; a < snap.rel().num_attrs(); ++a) {
-    std::shared_ptr<const StrippedPartition> got =
-        snap.cache().Get(AttrSet::Single(a));
-    StrippedPartition want = StrippedPartition::Build(snap.rel(), a);
-    ASSERT_EQ(got->num_classes(), want.num_classes()) << "attr " << a;
-    ASSERT_EQ(got->sum_sizes(), want.sum_sizes()) << "attr " << a;
-    for (int64_t i = 0; i < want.num_classes(); ++i) {
-      RowSpan gc = got->Class(static_cast<size_t>(i));
-      RowSpan wc = want.Class(static_cast<size_t>(i));
-      ASSERT_EQ(gc.size(), wc.size());
-      for (size_t k = 0; k < wc.size(); ++k) ASSERT_EQ(gc[k], wc[k]);
-    }
-  }
-  EXPECT_GT(snap.cache().promotions(), 0);
-  EXPECT_TRUE(snap.cache().AuditInvariants().ok());
-}
-
 TEST_F(SnapshotTest, TruncationRejectedEverywhere) {
   std::unique_ptr<Session> cold = OpenCold();
   ASSERT_TRUE(cold->WriteSnapshot(snapshot_path_).ok());
@@ -189,7 +160,7 @@ TEST_F(SnapshotTest, BitFlipsRejectedByChecksum) {
   // (header flips hit the magic/version/size checks instead).
   for (size_t pos = 32; pos < image.size(); ++pos) {
     image[pos] ^= 0x10;
-    auto parsed = ParseSnapshot(image.data(), image.size(), nullptr);
+    auto parsed = ParseSnapshot(image.data(), image.size());
     image[pos] ^= 0x10;
     ASSERT_FALSE(parsed.ok()) << "flip at byte " << pos;
     ASSERT_NE(parsed.status().message().find("checksum"), std::string::npos)
@@ -235,8 +206,9 @@ TEST_F(SnapshotTest, SameSizeSourceEditsForceRefusal) {
   const std::vector<uint8_t> csv = ReadAll(data_path_);
   ASSERT_GE(csv.size(), 16u);
 
-  std::vector<uint8_t> last = csv;
-  last.back() ^= 0x01;
+  std::vector<uint8_t> last(csv.begin(), csv.end() - 1);
+  last.push_back(static_cast<uint8_t>(csv.back() ^ 0x01));
+  ASSERT_EQ(last.size(), csv.size());
   WriteAll(data_path_, last);
   auto opened = OpenSnap();
   ASSERT_FALSE(opened.ok());
@@ -314,7 +286,7 @@ TEST_F(SnapshotTest, ColumnValueOutsideDictionaryRefused) {
     image[24 + static_cast<size_t>(i)] =
         static_cast<uint8_t>((checksum >> (8 * i)) & 0xff);
   }
-  auto parsed = ParseSnapshot(image.data(), image.size(), nullptr);
+  auto parsed = ParseSnapshot(image.data(), image.size());
   ASSERT_FALSE(parsed.ok());
   EXPECT_NE(parsed.status().message().find("column value outside dictionary"),
             std::string::npos)
@@ -327,8 +299,7 @@ TEST_F(SnapshotTest, ImageSectionsRoundTrip) {
   ASSERT_TRUE(cold->WriteSnapshot(snapshot_path_).ok());
   auto file = MappedFile::Open(snapshot_path_);
   ASSERT_TRUE(file.ok());
-  auto parsed =
-      ParseSnapshot(file.value()->data(), file.value()->size(), file.value());
+  auto parsed = ParseSnapshot(file.value()->data(), file.value()->size());
   ASSERT_TRUE(parsed.ok()) << parsed.status().message();
   const SnapshotContents& snap = parsed.value();
   EXPECT_EQ(snap.schema_names, cold->rel().schema().names());
@@ -340,14 +311,6 @@ TEST_F(SnapshotTest, ImageSectionsRoundTrip) {
   }
   EXPECT_FALSE(snap.sigma_text.empty());
   EXPECT_TRUE(snap.data_stamp.present);
-  // One stored partition per attribute plus each distinct Σ antecedent.
-  EXPECT_GE(snap.partitions.size(),
-            static_cast<size_t>(cold->rel().num_attrs()));
-  for (const auto& [mask, partition] : snap.partitions) {
-    EXPECT_NE(mask, 0u);
-    EXPECT_TRUE(partition.AuditInvariants().ok());
-    EXPECT_TRUE(partition.IsView());
-  }
 }
 
 // End-to-end through the service: the second `load` of the same sources

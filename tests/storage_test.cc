@@ -1,17 +1,14 @@
 // The compressed storage tier: hybrid codec round-trips byte-identically
 // across density regimes, refining a compressed operand matches the flat
-// kernel bit for bit, FromBytes rejects malformed streams, and the
-// PartitionCache two-tier policy (compress cold entries before evicting,
+// kernel bit for bit, and the PartitionCache two-tier policy (compress cold entries before evicting,
 // promote on hit, refine prefixes in place) honors its budget and metrics —
 // including regressions for the three cache-accounting bugs: stale gauges,
 // undercounted footprints, and oversized targets caching their prefix chain.
 
-#include <algorithm>
 #include <cstdint>
 #include <memory>
 #include <string>
 #include <thread>
-#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -138,81 +135,6 @@ TEST(CompressedPartitionTest, DenseClassesCompressAtLeastThreefold) {
       << "flat " << flat_bytes << " vs compressed " << comp_bytes;
 }
 
-TEST(CompressedPartitionTest, SerializationRoundTripAndRejection) {
-  Relation rel = MakeRandomRelation(900, {"mixed", {5, 120}}, 3);
-  StrippedPartition flat = StrippedPartition::Build(rel, 0);
-  CompressedPartition comp = CompressedPartition::Encode(flat);
-  std::vector<uint8_t> wire;
-  comp.AppendTo(&wire);
-
-  auto keep_alive = std::make_shared<std::vector<uint8_t>>(wire);
-  size_t consumed = 0;
-  Result<CompressedPartition> loaded = CompressedPartition::FromBytes(
-      keep_alive->data(), keep_alive->size(), rel.num_rows(), keep_alive,
-      &consumed);
-  ASSERT_TRUE(loaded.ok()) << loaded.status().message();
-  EXPECT_EQ(consumed, wire.size());
-  EXPECT_TRUE(loaded.value().IsView());
-  ExpectIdentical(loaded.value().Decode(), flat);
-
-  // Truncations anywhere must be rejected, never crash or over-read.
-  for (size_t cut : {size_t{0}, size_t{8}, size_t{31}, wire.size() / 2,
-                     wire.size() - 1}) {
-    Result<CompressedPartition> bad =
-        CompressedPartition::FromBytes(wire.data(), cut, rel.num_rows(),
-                                       nullptr, nullptr);
-    EXPECT_FALSE(bad.ok()) << "cut at " << cut;
-  }
-  // A row bound tighter than the stream's ids must be rejected.
-  Result<CompressedPartition> bound = CompressedPartition::FromBytes(
-      wire.data(), wire.size(), 2, nullptr, nullptr);
-  EXPECT_FALSE(bound.ok());
-  // Corrupted counters must be rejected.
-  std::vector<uint8_t> tampered = wire;
-  tampered[16] ^= 1;  // num_classes low byte.
-  Result<CompressedPartition> counters = CompressedPartition::FromBytes(
-      tampered.data(), tampered.size(), rel.num_rows(), nullptr, nullptr);
-  EXPECT_FALSE(counters.ok());
-}
-
-// A wire partition of 100 rows holding one two-row class whose span varint
-// is 2^64 - 1: `first + span` wraps below the row bound, and the bitmap's
-// byte count (span + 7) / 8 wraps to 0.
-std::vector<uint8_t> WrappingSpanWire(CompressedPartition::Encoding tag) {
-  const std::vector<uint8_t> stream = {
-      static_cast<uint8_t>((2u << 2) | static_cast<uint8_t>(tag)),
-      5,  // first row
-      0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0x01};
-  // Sized exactly, so any read past the stream leaves the allocation.
-  std::vector<uint8_t> wire(32 + stream.size());
-  // num_rows, sum_sizes, num_classes, stream bytes.
-  const uint64_t header[] = {100, 2, 1, stream.size()};
-  for (size_t f = 0; f < 4; ++f) {
-    for (size_t i = 0; i < 8; ++i) {
-      wire[8 * f + i] = static_cast<uint8_t>(header[f] >> (8 * i));
-    }
-  }
-  std::copy(stream.begin(), stream.end(), wire.begin() + 32);
-  return wire;
-}
-
-// The span check itself must reject a wrapping span: past it, the bitmap
-// branch reads `span` bits from the stream.
-TEST(CompressedPartitionTest, RejectsSpanThatWrapsPastRowBound) {
-  const std::pair<CompressedPartition::Encoding, const char*> cases[] = {
-      {CompressedPartition::Encoding::kBitmap, "bad bitmap span"},
-      {CompressedPartition::Encoding::kComplement, "bad complement span"},
-  };
-  for (const auto& [tag, message] : cases) {
-    const std::vector<uint8_t> wire = WrappingSpanWire(tag);
-    Result<CompressedPartition> got = CompressedPartition::FromBytes(
-        wire.data(), wire.size(), 100, nullptr, nullptr);
-    ASSERT_FALSE(got.ok()) << message;
-    EXPECT_NE(got.status().message().find(message), std::string::npos)
-        << got.status().message();
-  }
-}
-
 // Streaming-kernel identity: refining a compressed operand must equal
 // refining its flat form byte for byte, across density shapes.
 TEST(CompressedKernelsTest, MatchFlatKernelsBitForBit) {
@@ -282,22 +204,6 @@ TEST(TwoTierCacheTest, ColdPrefixRefinesInPlaceWithoutPromotion) {
   ExpectIdentical(*pair, StrippedPartition::Refine(StrippedPartition::Build(rel, 1),
                                                    rel, 0));
   EXPECT_EQ(cache.promotions(), promotions_before);
-  EXPECT_TRUE(cache.AuditInvariants().ok());
-}
-
-TEST(TwoTierCacheTest, SeedCompressedServesIdenticalPartitions) {
-  Relation rel = MakeRandomRelation(2500, {"mixed", {4, 90}}, 29);
-  StrippedPartition flat = StrippedPartition::Build(rel, 0);
-  flat.Compact();
-  auto comp = std::make_shared<const CompressedPartition>(
-      CompressedPartition::Encode(flat));
-  PartitionCache cache(rel);
-  EXPECT_TRUE(cache.SeedCompressed(AttrSet::Single(0), comp));
-  EXPECT_FALSE(cache.SeedCompressed(AttrSet::Single(0), comp));  // Duplicate.
-  EXPECT_EQ(cache.cold_entries(), 1u);
-  std::shared_ptr<const StrippedPartition> got = cache.Get(AttrSet::Single(0));
-  ExpectIdentical(*got, flat);
-  EXPECT_EQ(cache.hits(), 1);  // Seeding is neither a hit nor a miss.
   EXPECT_TRUE(cache.AuditInvariants().ok());
 }
 
