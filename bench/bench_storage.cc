@@ -1,24 +1,12 @@
-// Storage-tier benchmarks: the hybrid-compressed partition encoding and the
-// memory-mapped session snapshots (relation/compressed_partition.h,
-// service/snapshot.h).
+// Snapshot benchmark: cold session compile vs opening a memory-mapped
+// session snapshot (service/snapshot.h).
 //
-// Three tables, two of them gated by tools/bench_gate.py:
-//
-//   storage_bytes    — cache footprint of the partition working set, flat vs
-//                      compressed, per density regime. The `ratio` column is
-//                      a same-process byte ratio (machine-independent); the
-//                      gate requires >= 3x on the `dense` and `mid` rows.
-//                      The `high_card` row is adversarial (size-2 classes
-//                      barely compress) and is reported but not gated.
-//   storage_sessions — how many compiled sessions fit a fixed cache budget
-//                      when cold entries stay flat vs compact into the
-//                      compressed tier. Derived from the measured
-//                      footprints, so it is deterministic.
-//   snapshot_open    — wall time to open a session cold (parse + intern +
-//                      compile) vs from a compiled snapshot (mmap +
-//                      validate). The `speedup` ratio is gated >= 5x and the
-//                      `identical` column asserts the snapshot-loaded
-//                      session reproduces the cold compile byte for byte.
+//   snapshot_open — wall time to open a session cold (parse + intern +
+//                   compile) vs from a compiled snapshot (mmap + validate).
+//                   The `speedup` ratio is gated >= 5x by
+//                   tools/bench_gate.py, and the `identical` column asserts
+//                   the snapshot-loaded session reproduces the cold compile
+//                   byte for byte.
 //
 //   bench_storage [--rows N] [--iters K] [--smoke] [--json=PATH]
 
@@ -27,14 +15,12 @@
 #include <cstdlib>
 #include <fstream>
 #include <string>
-#include <vector>
 
 #include "bench_common.h"
 #include "common/csv.h"
 #include "common/flags.h"
 #include "datagen/datagen.h"
 #include "ontology/ontology.h"
-#include "relation/compressed_partition.h"
 #include "relation/partition.h"
 #include "relation/relation.h"
 #include "service/session.h"
@@ -65,56 +51,6 @@ double MinSeconds(int iters, Fn&& fn) {
     if (i == 0 || s < best) best = s;
   }
   return best;
-}
-
-// The session working set the cache holds: every level-1 partition plus
-// every attribute pair — the shapes the lattice search touches first.
-std::vector<StrippedPartition> BuildWorkingSet(const Relation& rel) {
-  std::vector<StrippedPartition> out;
-  const int num_attrs = rel.schema().num_attrs();
-  for (AttrId a = 0; a < num_attrs; ++a) {
-    out.push_back(StrippedPartition::Build(rel, a));
-  }
-  for (AttrId a = 0; a < num_attrs; ++a) {
-    // a + 1 <= b < num_attrs, so both ids are in range.
-    for (AttrId b = static_cast<AttrId>(a + 1); b < num_attrs; ++b) {
-      out.push_back(StrippedPartition::BuildForSet(rel, AttrSet::Of({a, b})));
-    }
-  }
-  return out;
-}
-
-bool SamePartition(const StrippedPartition& a, const StrippedPartition& b) {
-  if (a.num_rows() != b.num_rows() || a.sum_sizes() != b.sum_sizes() ||
-      a.num_classes() != b.num_classes()) {
-    return false;
-  }
-  for (size_t c = 0; c < static_cast<size_t>(a.num_classes()); ++c) {
-    RowSpan ra = a.Class(c);
-    RowSpan rb = b.Class(c);
-    if (ra.size() != rb.size()) return false;
-    for (size_t i = 0; i < ra.size(); ++i) {
-      if (ra[i] != rb[i]) return false;
-    }
-  }
-  return true;
-}
-
-struct FootprintSums {
-  int64_t flat = 0;
-  int64_t comp = 0;
-  bool identical = true;
-};
-
-FootprintSums MeasureWorkingSet(const std::vector<StrippedPartition>& ws) {
-  FootprintSums sums;
-  for (const StrippedPartition& p : ws) {
-    CompressedPartition comp = CompressedPartition::Encode(p);
-    sums.flat += PartitionCache::FootprintBytes(p);
-    sums.comp += PartitionCache::FootprintBytes(comp);
-    if (!SamePartition(comp.Decode(), p)) sums.identical = false;
-  }
-  return sums;
 }
 
 // FNV-1a over the session state the snapshot must reproduce exactly: the
@@ -166,82 +102,13 @@ int main(int argc, char** argv) {
   const int iters = static_cast<int>(flags.GetInt("iters", smoke ? 1 : 5));
   const int snapshot_rows =
       static_cast<int>(flags.GetInt("rows", smoke ? 4000 : 120000));
-  const int regime_rows = smoke ? 4000 : 40000;
 
-  Banner("Storage",
-         "compressed partition tier + memory-mapped session snapshots",
-         "partition storage under Π* materialization (§4.2) at service scale");
+  Banner("Storage", "memory-mapped session snapshots",
+         "session state for Π* materialization (§4.2) at service scale");
 
-  // -------------------------------------------------------------------------
-  // Table 1: working-set footprint, flat vs compressed, across densities.
-  // -------------------------------------------------------------------------
-  struct Regime {
-    const char* label;
-    int classes_per_antecedent;  // Class count per generated column.
-  };
-  // dense/mid: few classes -> long runs of near-consecutive rows (gap and
-  // bitmap coding both win). high_card: ~rows/3 classes -> mostly size-2
-  // classes, the worst case for any per-class encoding.
-  const Regime regimes[] = {
-      {"dense", 8},
-      {"mid", 64},
-      {"high_card", regime_rows / 3},
-  };
-
-  Table bytes_table({"dataset", "rows", "flat_kb", "comp_kb", "flat_b_row",
-                     "comp_b_row", "ratio", "identical"});
-  FootprintSums mid_sums;  // Reused by the sessions table below.
-  for (const Regime& regime : regimes) {
-    GeneratedData data =
-        MakeData(regime_rows, regime.classes_per_antecedent, 11);
-    std::vector<StrippedPartition> ws = BuildWorkingSet(data.rel);
-    FootprintSums sums = MeasureWorkingSet(ws);
-    if (std::string(regime.label) == "mid") mid_sums = sums;
-    const double rows_d = static_cast<double>(regime_rows);
-    bytes_table.AddRow(
-        {regime.label, Fmt("%d", regime_rows),
-         Fmt("%.1f", static_cast<double>(sums.flat) / 1024.0),
-         Fmt("%.1f", static_cast<double>(sums.comp) / 1024.0),
-         Fmt("%.2f", static_cast<double>(sums.flat) / rows_d),
-         Fmt("%.2f", static_cast<double>(sums.comp) / rows_d),
-         Fmt("%.2f", static_cast<double>(sums.flat) /
-                         static_cast<double>(sums.comp)),
-         sums.identical ? "yes" : "NO"});
-  }
-  bytes_table.Print();
-  WriteJsonIfRequested(flags, "storage_bytes", bytes_table);
-
-  // -------------------------------------------------------------------------
-  // Table 2: sessions resident at a fixed cache budget. Flat-only keeps the
-  // whole working set in arena form; the two-tier cache compacts cold
-  // entries, so a parked session's resident floor is its compressed
-  // footprint. Derived from the measured mid-regime working set.
-  // -------------------------------------------------------------------------
-  Table sessions_table({"budget_mb", "flat_kb_per_session",
-                        "cold_kb_per_session", "flat_only", "two_tier",
-                        "gain"});
-  for (int budget_mb : {64, 256}) {
-    const int64_t budget = static_cast<int64_t>(budget_mb) * 1024 * 1024;
-    const int64_t flat_sessions = budget / mid_sums.flat;
-    const int64_t cold_sessions = budget / mid_sums.comp;
-    sessions_table.AddRow(
-        {Fmt("%d", budget_mb),
-         Fmt("%.1f", static_cast<double>(mid_sums.flat) / 1024.0),
-         Fmt("%.1f", static_cast<double>(mid_sums.comp) / 1024.0),
-         Fmt("%lld", static_cast<long long>(flat_sessions)),
-         Fmt("%lld", static_cast<long long>(cold_sessions)),
-         Fmt("%.2f", static_cast<double>(cold_sessions) /
-                         static_cast<double>(flat_sessions))});
-  }
-  sessions_table.Print();
-  WriteJsonIfRequested(flags, "storage_sessions", sessions_table);
-
-  // -------------------------------------------------------------------------
-  // Table 3: cold compile vs snapshot open. Σ is left empty so both paths
-  // skip the (identical) incremental-verifier rebuild and the ratio
-  // isolates what the snapshot actually replaces: CSV parse + dictionary
-  // interning + index compile versus mmap + validate.
-  // -------------------------------------------------------------------------
+  // Σ is left empty so both paths skip the (identical) incremental-verifier
+  // rebuild and the ratio isolates what the snapshot actually replaces: CSV
+  // parse + dictionary interning + index compile versus mmap + validate.
   const char* tmp = std::getenv("TMPDIR");
   std::string dir = std::string(tmp ? tmp : "/tmp") + "/fastofd_bench_storage";
   if (std::system(("mkdir -p " + dir).c_str()) != 0) {

@@ -1,12 +1,12 @@
 #!/usr/bin/env bash
 # Runs the benchmark harnesses that support --json and aggregates their
-# tables into two machine-readable files:
+# tables into three machine-readable files:
 #   BENCH_core.json  — core pipeline benches (scale, parallelism, incremental,
 #                      flat partition micro-kernels, the OFDClean beam search)
 #   BENCH_serve.json — the service-mode bench (warm sessions, update latency,
 #                      closed-loop tail latency, drain)
-#   BENCH_storage.json — the storage-tier bench (compressed partition
-#                      footprint, sessions per budget, snapshot open time)
+#   BENCH_storage.json — the snapshot bench (cold compile vs snapshot
+#                      open time)
 # Each file is a JSON array of {"bench", "columns", "rows"} tables.
 #
 # Output goes to the repo root by default; set BENCH_OUT_DIR to write

@@ -11,10 +11,9 @@
 // that corrupted state is *detected*, not just that valid state passes):
 //
 //   StrippedPartition::AuditInvariants   relation/partition.{h,cc}
-//   CompressedPartition::AuditInvariants relation/compressed_partition.{h,cc}
 //   PartitionCache::AuditInvariants      relation/partition.{h,cc}
-//                                        (two-tier accounting + metrics
-//                                        gauges vs recomputed footprints)
+//                                        (LRU accounting + metrics gauges
+//                                        vs recomputed footprints)
 //   AuditOntologyIndex                   ontology/synonym_index.{h,cc}
 //   BeamScorer::AuditNodeScore           clean/beam_scorer.{h,cc}
 //   IncrementalVerifier::AuditState      ofd/incremental.{h,cc}

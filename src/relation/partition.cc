@@ -9,7 +9,6 @@
 #include "common/check.h"
 #include "common/metrics.h"
 #include "exec/thread_pool.h"
-#include "relation/compressed_partition.h"
 
 namespace fastofd {
 
@@ -234,18 +233,6 @@ StrippedPartition StrippedPartition::Refine(const StrippedPartition& a,
 
 namespace {
 
-// Class sources for EmitGroups: a flat view, or a compressed partition
-// decoded one class at a time.
-template <typename Fn>
-void ForEachClass(const ClassesView& classes, Fn&& fn) {
-  for (RowSpan cls : classes) fn(cls);
-}
-
-template <typename Fn>
-void ForEachClass(const CompressedPartition& classes, Fn&& fn) {
-  for (CompressedPartition::Cursor cur(classes); cur.Next();) fn(cur.rows());
-}
-
 // The one count loop: tallies the rows of `cls` per key(row), recording each
 // key's first touch. A negative key is a row stripped on the probe side.
 template <typename Key>
@@ -271,17 +258,17 @@ struct ColumnKey {
 
 }  // namespace
 
-template <typename Classes, typename Key>
-void StrippedPartition::EmitGroups(const Classes& classes, Key key,
+template <typename Key>
+void StrippedPartition::EmitGroups(const ClassesView& classes, Key key,
                                    PartitionScratch* scratch,
                                    std::vector<RowId>* rows,
                                    std::vector<uint32_t>* offsets) {
   std::vector<int32_t>& counts = scratch->counts_;
   std::vector<int32_t>& slot = scratch->slot_;
   std::vector<int32_t>& touched = scratch->touched_;
-  ForEachClass(classes, [&](RowSpan cls) {
+  for (RowSpan cls : classes) {
     CountGroups(cls, key, counts, touched);
-    if (touched.empty()) return;
+    if (touched.empty()) continue;
     // Assign each surviving group (count >= 2) a contiguous slot range at
     // the end of the arena; groups appear in first-touch order, which is
     // deterministic and independent of chunking.
@@ -311,7 +298,7 @@ void StrippedPartition::EmitGroups(const Classes& classes, Key key,
       slot[static_cast<size_t>(k)] = -1;
     }
     touched.clear();
-  });
+  }
 }
 
 template <typename Fn>
@@ -377,17 +364,6 @@ void StrippedPartition::RefineInto(const StrippedPartition& a,
   scratch->EnsureKeys(num_values);
   EmitGroups(a.classes(), ColumnKey{column.data()}, scratch, &out->rows_,
              &out->offsets_);
-}
-
-void StrippedPartition::RefineInto(const CompressedPartition& a,
-                                   const std::vector<ValueId>& column,
-                                   size_t num_values, PartitionScratch* scratch,
-                                   StrippedPartition* out) {
-  out->num_rows_ = a.num_rows();
-  out->rows_.clear();
-  out->offsets_.clear();
-  scratch->EnsureKeys(num_values);
-  EmitGroups(a, ColumnKey{column.data()}, scratch, &out->rows_, &out->offsets_);
 }
 
 void StrippedPartition::HistogramInto(const StrippedPartition& a,
@@ -538,8 +514,6 @@ PartitionCache::PartitionCache(const Relation& rel, int64_t budget_bytes,
     metrics_->Add("partition_cache.hits", 0);
     metrics_->Add("partition_cache.misses", 0);
     metrics_->Add("partition_cache.evictions", 0);
-    metrics_->Add("partition_cache.compressions", 0);
-    metrics_->Add("partition_cache.promotions", 0);
     metrics_->Add("partition_cache.oversized", 0);
     MutexLock lock(mu_);
     PublishGaugesLocked();
@@ -563,59 +537,21 @@ int64_t PartitionCache::FootprintBytes(const StrippedPartition& p) {
          EntryOverheadBytes();
 }
 
-int64_t PartitionCache::FootprintBytes(const CompressedPartition& p) {
-  return static_cast<int64_t>(sizeof(CompressedPartition)) + p.EncodedBytes() +
-         EntryOverheadBytes();
-}
-
 void PartitionCache::PublishGaugesLocked() {
   if (metrics_ == nullptr) return;
   metrics_->Set("partition_cache.bytes", static_cast<double>(bytes_));
   metrics_->Set("partition_cache.entries", static_cast<double>(cache_.size()));
-  metrics_->Set("partition_cache.cold_bytes", static_cast<double>(cold_bytes_));
-  metrics_->Set("partition_cache.cold_entries",
-                static_cast<double>(cold_entries_));
   if (budget_bytes_ != kUnbounded) {
     metrics_->Set("partition_cache.budget_bytes",
                   static_cast<double>(budget_bytes_));
   }
 }
 
-void PartitionCache::EvictToBudgetLocked(AttrSet keep) {
-  // Pass 1 — compact before evicting: walk from the LRU end compressing flat
-  // entries in place. A compressed entry keeps serving hits (decode +
-  // promote, or in-place refinement for prefixes), so shrinking cold entries
-  // is strictly better than dropping them while the budget allows it.
-  for (auto rit = lru_.rbegin();
-       bytes_ > budget_bytes_ && rit != lru_.rend(); ++rit) {
-    if (*rit == keep) continue;
-    Entry& e = cache_.find(*rit)->second;
-    if (e.flat == nullptr || e.incompressible) continue;
-    auto comp = std::make_shared<const CompressedPartition>(
-        CompressedPartition::Encode(*e.flat));
-    const int64_t new_bytes = FootprintBytes(*comp);
-    if (new_bytes >= e.bytes) {
-      e.incompressible = true;  // Remember; don't re-encode every eviction.
-      continue;
-    }
-    bytes_ += new_bytes - e.bytes;
-    cold_bytes_ += new_bytes;
-    ++cold_entries_;
-    e.flat = nullptr;
-    e.compressed = std::move(comp);
-    e.bytes = new_bytes;
-    ++compressions_;
-    if (metrics_ != nullptr) metrics_->Add("partition_cache.compressions", 1);
-  }
-  // Pass 2 — still over budget: evict outright from the cold end.
-  while (bytes_ > budget_bytes_ && !lru_.empty()) {
-    AttrSet victim = lru_.back();
-    if (victim == keep) break;  // Never evict the entry just inserted.
-    auto it = cache_.find(victim);
-    if (it->second.compressed != nullptr) {
-      cold_bytes_ -= it->second.bytes;
-      --cold_entries_;
-    }
+void PartitionCache::EvictToBudgetLocked() {
+  // The entry just inserted is MRU and fits the budget on its own, so the
+  // loop stops before reaching it.
+  while (bytes_ > budget_bytes_) {
+    auto it = cache_.find(lru_.back());
     bytes_ -= it->second.bytes;
     lru_.pop_back();
     cache_.erase(it);
@@ -624,89 +560,7 @@ void PartitionCache::EvictToBudgetLocked(AttrSet keep) {
   }
 }
 
-void PartitionCache::InsertFlatLocked(AttrSet attrs,
-                                      std::shared_ptr<const StrippedPartition> p,
-                                      int64_t bytes) {
-  if (cache_.find(attrs) != cache_.end()) return;  // Raced in: keep theirs.
-  lru_.push_front(attrs);
-  cache_.emplace(attrs,
-                 Entry{std::move(p), nullptr, bytes, false, lru_.begin()});
-  bytes_ += bytes;
-}
-
-StrippedPartition PartitionCache::ComputeMissing(
-    AttrSet attrs, std::vector<PendingInsert>* pending) {
-  if (attrs.size() <= 1) return StrippedPartition::BuildForSet(rel_, attrs);
-  const AttrId first = attrs.First();
-  const AttrSet prefix = attrs.Without(first);
-  std::shared_ptr<const StrippedPartition> flat;
-  std::shared_ptr<const CompressedPartition> cold;
-  {
-    MutexLock lock(mu_);
-    auto it = cache_.find(prefix);
-    if (it != cache_.end()) {
-      lru_.splice(lru_.begin(), lru_, it->second.lru_it);
-      ++hits_;
-      if (metrics_ != nullptr) metrics_->Add("partition_cache.hits", 1);
-      flat = it->second.flat;
-      cold = it->second.compressed;
-    } else {
-      ++misses_;
-      if (metrics_ != nullptr) metrics_->Add("partition_cache.misses", 1);
-    }
-  }
-  if (flat != nullptr) return StrippedPartition::Refine(*flat, rel_, first);
-  if (cold != nullptr) {
-    // Refine straight off the compressed form, one cursor class at a time —
-    // cold prefixes never pay a decode (or a promotion) just to produce
-    // their successor.
-    StrippedPartition out;
-    StrippedPartition::RefineInto(*cold, rel_.Column(first), rel_.dict().size(),
-                                  &StrippedPartition::ThreadLocalScratch(), &out);
-    return out;
-  }
-  StrippedPartition rec = ComputeMissing(prefix, pending);
-  // Compact before charging: the refine kernels leave growth slack, and a
-  // cached prefix is long-lived (this is the recursive-prefix half of the
-  // footprint fix).
-  rec.Compact();
-  auto sp = std::make_shared<const StrippedPartition>(std::move(rec));
-  FASTOFD_AUDIT_OK(sp->AuditInvariants(rel_, prefix));
-  pending->push_back({prefix, sp, FootprintBytes(*sp)});
-  return StrippedPartition::Refine(*sp, rel_, first);
-}
-
-std::shared_ptr<const StrippedPartition> PartitionCache::PromoteCold(
-    AttrSet attrs, std::shared_ptr<const CompressedPartition> cold) {
-  // Decode outside the lock; swap the hot form back in if nothing raced.
-  StrippedPartition decoded = cold->Decode();
-  decoded.Compact();
-  auto p = std::make_shared<const StrippedPartition>(std::move(decoded));
-  FASTOFD_AUDIT_OK(p->AuditInvariants(rel_, attrs));
-  const int64_t cost = FootprintBytes(*p);
-  MutexLock lock(mu_);
-  auto it = cache_.find(attrs);
-  if (it == cache_.end()) return p;  // Evicted meanwhile: serve uncached.
-  Entry& e = it->second;
-  if (e.flat != nullptr) return e.flat;  // Raced: another promotion won.
-  if (cost > budget_bytes_) return p;  // Budget below one flat copy: stay cold.
-  bytes_ += cost - e.bytes;
-  cold_bytes_ -= e.bytes;
-  --cold_entries_;
-  e.flat = p;
-  e.compressed = nullptr;
-  e.bytes = cost;
-  e.incompressible = false;
-  ++promotions_;
-  if (metrics_ != nullptr) metrics_->Add("partition_cache.promotions", 1);
-  EvictToBudgetLocked(attrs);
-  PublishGaugesLocked();
-  FASTOFD_AUDIT_OK(AuditInvariantsLocked());
-  return p;
-}
-
 std::shared_ptr<const StrippedPartition> PartitionCache::Get(AttrSet attrs) {
-  std::shared_ptr<const CompressedPartition> cold;
   {
     MutexLock lock(mu_);
     auto it = cache_.find(attrs);
@@ -714,25 +568,18 @@ std::shared_ptr<const StrippedPartition> PartitionCache::Get(AttrSet attrs) {
       lru_.splice(lru_.begin(), lru_, it->second.lru_it);  // Mark as MRU.
       ++hits_;
       if (metrics_ != nullptr) metrics_->Add("partition_cache.hits", 1);
-      if (it->second.flat != nullptr) return it->second.flat;
-      cold = it->second.compressed;
-    } else {
-      ++misses_;
-      if (metrics_ != nullptr) metrics_->Add("partition_cache.misses", 1);
+      return it->second.partition;
     }
+    ++misses_;
+    if (metrics_ != nullptr) metrics_->Add("partition_cache.misses", 1);
   }
-  if (cold != nullptr) return PromoteCold(attrs, cold);
 
-  // Compute outside the lock. Prefixes computed along the way are *held
-  // back* (not inserted) until the target's own footprint is known: caching
-  // scaffolding for an oversized target would evict the live working set in
-  // exchange for entries that only ever serve this one computation.
-  std::vector<PendingInsert> pending;
-  StrippedPartition computed = ComputeMissing(attrs, &pending);
-  // Cached entries are long-lived: release the kernels' growth slack so the
-  // budget pays for rows actually held, not high-water capacity.
-  computed.Compact();
-  auto p = std::make_shared<const StrippedPartition>(std::move(computed));
+  // Build outside the lock. Cached entries are long-lived: release the
+  // kernels' growth slack so the budget pays for rows actually held, not
+  // high-water capacity.
+  StrippedPartition built = StrippedPartition::BuildForSet(rel_, attrs);
+  built.Compact();
+  auto p = std::make_shared<const StrippedPartition>(std::move(built));
   const int64_t cost = FootprintBytes(*p);
   // Every partition handed out by the cache is audit-checked in audit
   // builds — this single hook covers discovery base partitions, clean, and
@@ -741,17 +588,15 @@ std::shared_ptr<const StrippedPartition> PartitionCache::Get(AttrSet attrs) {
 
   MutexLock lock(mu_);
   if (cost > budget_bytes_) {
-    // Oversized: serve uncached and drop the prefix chain on the floor.
     if (metrics_ != nullptr) metrics_->Add("partition_cache.oversized", 1);
-    PublishGaugesLocked();
-    return p;
+    return p;  // Oversized: serve uncached.
   }
-  // Deepest prefix first, target last, so the target ends up most recent.
-  for (PendingInsert& ins : pending) {
-    InsertFlatLocked(ins.attrs, std::move(ins.partition), ins.bytes);
-  }
-  InsertFlatLocked(attrs, p, cost);
-  EvictToBudgetLocked(attrs);
+  auto it = cache_.find(attrs);
+  if (it != cache_.end()) return it->second.partition;  // Raced in: keep theirs.
+  lru_.push_front(attrs);
+  cache_.emplace(attrs, Entry{p, cost, lru_.begin()});
+  bytes_ += cost;
+  EvictToBudgetLocked();
   PublishGaugesLocked();
   FASTOFD_AUDIT_OK(AuditInvariantsLocked());
   return p;
@@ -762,8 +607,6 @@ void PartitionCache::Clear() {
   cache_.clear();
   lru_.clear();
   bytes_ = 0;
-  cold_bytes_ = 0;
-  cold_entries_ = 0;
   PublishGaugesLocked();
   FASTOFD_AUDIT_OK(AuditInvariantsLocked());
 }
@@ -773,10 +616,6 @@ size_t PartitionCache::Invalidate(AttrSet touched) {
   size_t dropped = 0;
   for (auto it = cache_.begin(); it != cache_.end();) {
     if (it->first.Intersects(touched)) {
-      if (it->second.compressed != nullptr) {
-        cold_bytes_ -= it->second.bytes;
-        --cold_entries_;
-      }
       bytes_ -= it->second.bytes;
       lru_.erase(it->second.lru_it);
       it = cache_.erase(it);
@@ -819,34 +658,12 @@ int64_t PartitionCache::evictions() const {
   return evictions_;
 }
 
-int64_t PartitionCache::compressions() const {
-  MutexLock lock(mu_);
-  return compressions_;
-}
-
-int64_t PartitionCache::promotions() const {
-  MutexLock lock(mu_);
-  return promotions_;
-}
-
-size_t PartitionCache::cold_entries() const {
-  MutexLock lock(mu_);
-  return cold_entries_;
-}
-
-int64_t PartitionCache::cold_bytes() const {
-  MutexLock lock(mu_);
-  return cold_bytes_;
-}
-
 Status PartitionCache::AuditInvariantsLocked() const {
   if (lru_.size() != cache_.size()) {
     return AuditError("cache: lru list has " + std::to_string(lru_.size()) +
                       " entries but map has " + std::to_string(cache_.size()));
   }
   int64_t total = 0;
-  int64_t cold_total = 0;
-  size_t cold_count = 0;
   for (auto it = lru_.begin(); it != lru_.end(); ++it) {
     auto entry_it = cache_.find(*it);
     if (entry_it == cache_.end()) {
@@ -856,32 +673,13 @@ Status PartitionCache::AuditInvariantsLocked() const {
       return AuditError("cache: entry lru iterator does not point back");
     }
     const Entry& entry = entry_it->second;
-    if ((entry.flat == nullptr) == (entry.compressed == nullptr)) {
-      return AuditError("cache: entry must hold exactly one representation");
+    if (entry.partition->num_rows() != static_cast<int64_t>(rel_.num_rows())) {
+      return AuditError("cache: partition rows stale vs relation");
     }
-    if (entry.flat != nullptr) {
-      if (entry.flat->num_rows() != static_cast<int64_t>(rel_.num_rows())) {
-        return AuditError("cache: partition rows stale vs relation");
-      }
-      if (entry.bytes != FootprintBytes(*entry.flat)) {
-        return AuditError("cache: charged " + std::to_string(entry.bytes) +
-                          " bytes but footprint is " +
-                          std::to_string(FootprintBytes(*entry.flat)));
-      }
-    } else {
-      if (entry.compressed->num_rows() !=
-          static_cast<int64_t>(rel_.num_rows())) {
-        return AuditError("cache: compressed partition rows stale vs relation");
-      }
-      if (entry.bytes != FootprintBytes(*entry.compressed)) {
-        return AuditError("cache: cold entry charged " +
-                          std::to_string(entry.bytes) + " bytes but footprint is " +
-                          std::to_string(FootprintBytes(*entry.compressed)));
-      }
-      Status stream = entry.compressed->AuditInvariants();
-      if (!stream.ok()) return stream;
-      cold_total += entry.bytes;
-      ++cold_count;
+    if (entry.bytes != FootprintBytes(*entry.partition)) {
+      return AuditError("cache: charged " + std::to_string(entry.bytes) +
+                        " bytes but footprint is " +
+                        std::to_string(FootprintBytes(*entry.partition)));
     }
     total += entry.bytes;
   }
@@ -889,16 +687,7 @@ Status PartitionCache::AuditInvariantsLocked() const {
     return AuditError("cache: byte total " + std::to_string(bytes_) +
                       " != sum over entries " + std::to_string(total));
   }
-  if (cold_total != cold_bytes_ || cold_count != cold_entries_) {
-    return AuditError("cache: cold-tier tallies (" + std::to_string(cold_bytes_) +
-                      " bytes, " + std::to_string(cold_entries_) +
-                      " entries) disagree with entry sums (" +
-                      std::to_string(cold_total) + ", " +
-                      std::to_string(cold_count) + ")");
-  }
-  // Eviction keeps the footprint under budget except when the sole
-  // surviving entry is the one just inserted.
-  if (bytes_ > budget_bytes_ && cache_.size() > 1) {
+  if (bytes_ > budget_bytes_) {
     return AuditError("cache: " + std::to_string(bytes_) +
                       " bytes exceeds budget " + std::to_string(budget_bytes_) +
                       " with " + std::to_string(cache_.size()) + " entries");
@@ -914,11 +703,7 @@ Status PartitionCache::AuditInvariantsLocked() const {
     };
     if (!expect_gauge("partition_cache.bytes", static_cast<double>(bytes_)) ||
         !expect_gauge("partition_cache.entries",
-                      static_cast<double>(cache_.size())) ||
-        !expect_gauge("partition_cache.cold_bytes",
-                      static_cast<double>(cold_bytes_)) ||
-        !expect_gauge("partition_cache.cold_entries",
-                      static_cast<double>(cold_entries_))) {
+                      static_cast<double>(cache_.size()))) {
       return AuditError(
           "cache: published partition_cache.* gauges are stale vs counters");
     }

@@ -32,8 +32,7 @@
 
 namespace fastofd {
 
-class ThreadPool;           // exec/thread_pool.h
-class CompressedPartition;  // relation/compressed_partition.h
+class ThreadPool;  // exec/thread_pool.h
 
 /// Read-only view of one equivalence class: a contiguous, strictly
 /// ascending run of row ids inside a partition's arena. Implicitly
@@ -248,14 +247,6 @@ class StrippedPartition {
     return p;
   }
 
-  /// RefineInto over a compressed operand: the same kernel body, fed one
-  /// class at a time by a CompressedPartition::Cursor, so a cold cached
-  /// prefix refines without materializing its flat arena. Byte-identical
-  /// to RefineInto(a.Decode(), ...).
-  static void RefineInto(const CompressedPartition& a, const std::vector<ValueId>& column,
-                         size_t num_values, PartitionScratch* scratch,
-                         StrippedPartition* out);
-
   /// Per-thread PartitionScratch for the wrapper entry points; reusing it
   /// across calls is what makes Product/Refine allocation-free in steady
   /// state on every worker thread.
@@ -341,21 +332,18 @@ class StrippedPartition {
   std::vector<std::vector<RowId>> ToClassVectors() const;
 
  private:
-  friend class CompressedPartition;  // Encode reads the arena directly.
-
   size_t NumClassesSize() const {
     return offsets_.empty() ? 0 : offsets_.size() - 1;
   }
 
   // The one emission loop behind every kernel. For each class of `classes`
-  // (a ClassesView, whole or sliced, or a CompressedPartition walked by its
-  // Cursor) it groups the rows by `key(row)` (a probe-side class index or a
-  // ValueId; negative = stripped row) and appends every group of size >= 2
-  // to rows/offsets, in first-touch order. The leading 0 of `offsets` is
-  // pushed with the first emitted class. The caller sizes the key range
-  // with scratch->EnsureKeys first.
-  template <typename Classes, typename Key>
-  static void EmitGroups(const Classes& classes, Key key, PartitionScratch* scratch,
+  // (whole or sliced) it groups the rows by `key(row)` (a probe-side class
+  // index or a ValueId; negative = stripped row) and appends every group of
+  // size >= 2 to rows/offsets, in first-touch order. The leading 0 of
+  // `offsets` is pushed with the first emitted class. The caller sizes the
+  // key range with scratch->EnsureKeys first.
+  template <typename Key>
+  static void EmitGroups(const ClassesView& classes, Key key, PartitionScratch* scratch,
                          std::vector<RowId>* rows, std::vector<uint32_t>* offsets);
 
   // Fills scratch's probe table from the smaller of `a` and `b`, runs
@@ -380,32 +368,26 @@ inline bool FdHolds(const StrippedPartition& x, const StrippedPartition& xa) {
 
 class MetricsRegistry;  // common/metrics.h
 
-/// Memory-budgeted, two-tier LRU store of stripped partitions keyed by
-/// attribute set, shared across the verify and clean phases (and, via
+/// Memory-budgeted LRU store of stripped partitions keyed by attribute set,
+/// shared across the verify and clean phases (and, via
 /// `FastOfdConfig::partitions`, the base partitions of discovery).
 ///
-/// Hot entries hold the flat arena; when the budget is exceeded, LRU-cold
-/// flat entries are first *compacted* into hybrid-compressed form
-/// (CompressedPartition, typically 3x+ smaller) and only then, still over
-/// budget, evicted outright from the cold end. A Get() that lands on a
-/// compressed entry decodes and promotes it back to the hot tier; the
-/// recursive-prefix path instead refines straight off the compressed form
-/// via the compressed RefineInto, so cold prefixes never pay a decode.
+/// A miss builds Π*_attrs with StrippedPartition::BuildForSet, so cached and
+/// uncached callers see byte-identical partitions. Over budget, entries are
+/// evicted from the LRU end.
 ///
 /// Entries are charged by a full footprint: the partition's allocated bytes
 /// plus the fixed per-entry bookkeeping (hash-map node, LRU list node,
 /// shared_ptr control block — see EntryOverheadBytes). Get() returns a
 /// shared_ptr so a caller can keep using a partition after it has been
 /// evicted; re-fetching an evicted set simply recomputes it (a miss).
-/// Thread-safe: an annotated mutex guards the map; partition computation and
-/// decode-for-promotion happen outside the lock (compression of cold
-/// entries runs under it — one linear pass over an arena that is about to
-/// stop being resident).
+/// Thread-safe: an annotated mutex guards the map; partition computation
+/// happens outside the lock.
 ///
-/// Hit/miss/eviction/compression/promotion counts and the current byte
-/// footprint (total and cold-tier) are recorded in an optional
-/// MetricsRegistry under `partition_cache.*`; gauges are republished on
-/// every mutation and the audit asserts they match the internal counters.
+/// Hit/miss/eviction counts and the current byte footprint are recorded in
+/// an optional MetricsRegistry under `partition_cache.*`; gauges are
+/// republished on every mutation and the audit asserts they match the
+/// internal counters.
 class PartitionCache {
  public:
   static constexpr int64_t kUnbounded = std::numeric_limits<int64_t>::max();
@@ -414,22 +396,15 @@ class PartitionCache {
                           int64_t budget_bytes = kUnbounded,
                           MetricsRegistry* metrics = nullptr);
 
-  /// Returns the stripped partition for `attrs`, computing (and caching)
-  /// it and any missing prefixes on demand. A partition whose footprint
-  /// alone exceeds the budget is returned but not retained — and neither
-  /// are the prefixes computed on the way to it (caching scaffolding for a
-  /// partition that will never be retained would evict the live working
-  /// set). Prefix computation runs unlocked.
+  /// Returns the stripped partition for `attrs`, building (and caching) it
+  /// on a miss. A partition whose footprint alone exceeds the budget is
+  /// returned but not retained. The build runs unlocked.
   std::shared_ptr<const StrippedPartition> Get(AttrSet attrs) EXCLUDES(mu_);
 
-  /// Heap footprint of a cached flat partition, in bytes: the object header,
-  /// the arena's allocated (capacity) bytes, and the per-entry bookkeeping
+  /// Heap footprint of a cached partition, in bytes: the object header, the
+  /// arena's allocated (capacity) bytes, and the per-entry bookkeeping
   /// overhead.
   static int64_t FootprintBytes(const StrippedPartition& p);
-
-  /// Same for a cold-tier (compressed) entry: header + encoded stream +
-  /// per-entry overhead.
-  static int64_t FootprintBytes(const CompressedPartition& p);
 
   /// Fixed bookkeeping bytes charged per entry on top of the partition
   /// itself: the hash-map node (key + entry + chain pointer + cached hash),
@@ -452,59 +427,23 @@ class PartitionCache {
   int64_t hits() const EXCLUDES(mu_);
   int64_t misses() const EXCLUDES(mu_);
   int64_t evictions() const EXCLUDES(mu_);
-  /// Flat entries compacted into the compressed cold tier.
-  int64_t compressions() const EXCLUDES(mu_);
-  /// Compressed entries decoded back to the hot tier by Get().
-  int64_t promotions() const EXCLUDES(mu_);
-  /// Cold-tier (compressed) entry count / charged bytes.
-  size_t cold_entries() const EXCLUDES(mu_);
-  int64_t cold_bytes() const EXCLUDES(mu_);
 
   /// Accounting audit (common/audit.h): the LRU list and map mirror each
-  /// other exactly, every entry holds exactly one representation whose
-  /// charged bytes match a recomputed footprint, byte totals (overall and
-  /// cold-tier) match the sums over entries, the budget is respected (one
-  /// oversized sole entry excepted), compressed entries pass their stream
-  /// audit, and the published `partition_cache.*` gauges agree with the
+  /// other exactly, every entry's charged bytes match a recomputed
+  /// footprint, the byte total matches the sum over entries, the budget is
+  /// respected, and the published `partition_cache.*` gauges agree with the
   /// internal counters. Returns the first violation found.
   Status AuditInvariants() const EXCLUDES(mu_);
 
  private:
   struct Entry {
-    // Exactly one of the two representations is set: `flat` for the hot
-    // tier, `compressed` for the cold tier.
-    std::shared_ptr<const StrippedPartition> flat;
-    std::shared_ptr<const CompressedPartition> compressed;
+    std::shared_ptr<const StrippedPartition> partition;
     int64_t bytes = 0;
-    bool incompressible = false;  // Compression tried; encoded >= flat.
     std::list<AttrSet>::iterator lru_it;  // Position in lru_ (front = MRU).
   };
 
-  // A prefix computed on a miss, held back until the target's footprint is
-  // known (oversized targets retain nothing).
-  struct PendingInsert {
-    AttrSet attrs;
-    std::shared_ptr<const StrippedPartition> partition;
-    int64_t bytes = 0;
-  };
-
-  // Computes Π*_attrs, reusing cached prefixes (flat or, via the compressed
-  // RefineInto, compressed in place) and appending newly computed prefixes to
-  // `pending` instead of inserting them. Runs unlocked except for lookups.
-  StrippedPartition ComputeMissing(AttrSet attrs,
-                                   std::vector<PendingInsert>* pending) EXCLUDES(mu_);
-
-  // Decodes a cold entry outside the lock and swaps the hot form back in.
-  std::shared_ptr<const StrippedPartition> PromoteCold(
-      AttrSet attrs, std::shared_ptr<const CompressedPartition> cold) EXCLUDES(mu_);
-
-  // Inserts at MRU unless the key raced in meanwhile; adjusts totals.
-  void InsertFlatLocked(AttrSet attrs, std::shared_ptr<const StrippedPartition> p,
-                        int64_t bytes) REQUIRES(mu_);
-
-  // First compresses LRU-cold flat entries (never `keep`), then — still over
-  // budget — evicts from the cold end.
-  void EvictToBudgetLocked(AttrSet keep) REQUIRES(mu_);
+  // Evicts from the LRU end until the footprint fits the budget.
+  void EvictToBudgetLocked() REQUIRES(mu_);
   void PublishGaugesLocked() REQUIRES(mu_);
   Status AuditInvariantsLocked() const REQUIRES(mu_);
 
@@ -512,21 +451,16 @@ class PartitionCache {
   const int64_t budget_bytes_;
   MetricsRegistry* const metrics_;
 
-  // mu_ is held only around map/LRU bookkeeping plus cold-tier compression
-  // (one linear encode pass per victim); partition computation, promotion
-  // decode, and prefix lookups run unlocked. The MetricsRegistry's internal
-  // lock is the one lock legitimately taken under mu_ (PublishGaugesLocked).
+  // mu_ is held only around map/LRU bookkeeping; partition builds run
+  // unlocked. The MetricsRegistry's internal lock is the one lock
+  // legitimately taken under mu_ (PublishGaugesLocked).
   mutable Mutex mu_;
   std::list<AttrSet> lru_ GUARDED_BY(mu_);  // Front = most recently used.
   std::unordered_map<AttrSet, Entry, AttrSetHash> cache_ GUARDED_BY(mu_);
   int64_t bytes_ GUARDED_BY(mu_) = 0;
-  int64_t cold_bytes_ GUARDED_BY(mu_) = 0;
-  size_t cold_entries_ GUARDED_BY(mu_) = 0;
   int64_t hits_ GUARDED_BY(mu_) = 0;
   int64_t misses_ GUARDED_BY(mu_) = 0;
   int64_t evictions_ GUARDED_BY(mu_) = 0;
-  int64_t compressions_ GUARDED_BY(mu_) = 0;
-  int64_t promotions_ GUARDED_BY(mu_) = 0;
 };
 
 }  // namespace fastofd

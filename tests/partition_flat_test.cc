@@ -204,8 +204,8 @@ TEST(FlatAuditTest, AcceptsWellFormedLayoutAndRejectsCorruption) {
 // evict (before the fix, undercounted footprints let the cache blow its
 // --cache-mb budget without ever evicting). Audit-backed: the cache's own
 // invariant auditor re-derives every charge and the budget check. The
-// budget is about one flat footprint, so even with cold entries compressed
-// the four partitions cannot all stay resident.
+// budget is about one footprint, so the four partitions cannot all stay
+// resident.
 TEST(PartitionCacheTest, EvictsWhenArenaBytesExceedBudget) {
   Relation rel = MakeRandomRelation(2000, {"four-cols", {50, 50, 50, 50}}, 9);
   StrippedPartition sample = StrippedPartition::Build(rel, 0);

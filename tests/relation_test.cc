@@ -243,12 +243,11 @@ TEST(PartitionCacheTest, CachesAndMatchesDirect) {
   AttrSet s = AttrSet::Of({0, 2, 4});
   std::shared_ptr<const StrippedPartition> p = cache.Get(s);
   EXPECT_EQ(AsSets(*p), ReferenceStripped(rel, s));
-  size_t size_after_first = cache.size();  // Includes recursive prefixes.
-  EXPECT_GE(size_after_first, 1u);
-  int64_t misses_after_first = cache.misses();
+  EXPECT_EQ(cache.size(), 1u);  // Only the set itself: no prefixes are cached.
+  EXPECT_EQ(cache.misses(), 1);
   cache.Get(s);
-  EXPECT_EQ(cache.size(), size_after_first);  // No recomputation.
-  EXPECT_EQ(cache.misses(), misses_after_first);
+  EXPECT_EQ(cache.size(), 1u);  // No recomputation.
+  EXPECT_EQ(cache.misses(), 1);
   EXPECT_EQ(cache.hits(), 1);
   cache.Clear();
   EXPECT_EQ(cache.size(), 0u);
@@ -265,8 +264,7 @@ TEST(PartitionCacheTest, LruEvictionOrder) {
   AttrSet a = AttrSet::Of({0});  // CC
   AttrSet b = AttrSet::Of({2});  // SYMP
   AttrSet c = AttrSet::Of({3});  // TEST
-  // Budget admits any two of the three partitions, never all three — not
-  // even once the cache compresses its cold entries.
+  // Budget admits any two of the three partitions, never all three.
   const int64_t fa = Footprint(rel, a);
   const int64_t fb = Footprint(rel, b);
   const int64_t fc = Footprint(rel, c);

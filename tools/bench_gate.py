@@ -20,10 +20,6 @@ output) against a committed baseline and fails when:
     reach --clean-threads-speedup-min — enforced only on rows whose `hw`
     column (the producing machine's hardware concurrency) is >= the row's
     thread count, since a smaller machine physically cannot scale there, or
-  * a `storage_bytes` row for a compressible regime (dense / mid) reports a
-    flat-vs-compressed footprint ratio below --storage-ratio-min (the
-    high_card row is adversarial — mostly size-2 classes — and is reported
-    but not ratio-gated), or any row failed the decode round-trip, or
   * a `snapshot_open` row reports a cold-compile-vs-snapshot-open speedup
     below --snapshot-speedup-min, or the snapshot-loaded session is not
     byte-identical to the cold compile.
@@ -55,10 +51,6 @@ TIME_COLUMN_RE = re.compile(r"ms|\(s\)|\bseconds\b|_s$")
 # Ops in the micro_partition table whose speedup ratio is gated hard.
 GATED_INTERSECTION_OPS = ("product", "refine", "error")
 
-# Datasets in the storage_bytes table whose compression ratio is gated hard.
-# high_card is deliberately adversarial (mostly size-2 classes) and exempt.
-GATED_STORAGE_DATASETS = ("dense", "mid")
-
 
 def is_time_column(name):
     return bool(TIME_COLUMN_RE.search(name))
@@ -79,8 +71,7 @@ def as_number(cell):
 def compare_tables(baseline, fresh, rel_tol, abs_slack, speedup_min,
                    clean_speedup_min=2.0, ext_products_speedup_min=4.0,
                    clean_threads_speedup_min=3.0, serve_reject_max=1.0,
-                   serve_p99_max_ms=10.0, storage_ratio_min=3.0,
-                   snapshot_speedup_min=5.0):
+                   serve_p99_max_ms=10.0, snapshot_speedup_min=5.0):
     """Returns a list of human-readable failure strings (empty == pass)."""
     failures = []
     fresh_by_name = {t["bench"]: t for t in fresh}
@@ -136,10 +127,6 @@ def compare_tables(baseline, fresh, rel_tol, abs_slack, speedup_min,
         if name == "serve_closed_loop":
             failures.extend(check_serve_closed_loop(
                 fresh_table, serve_reject_max, serve_p99_max_ms))
-        if name == "storage_bytes":
-            failures.extend(check_identical_rows(fresh_table))
-            failures.extend(check_storage_bytes(fresh_table,
-                                                storage_ratio_min))
         if name == "snapshot_open":
             failures.extend(check_identical_rows(fresh_table))
             failures.extend(check_snapshot_open(fresh_table,
@@ -170,30 +157,6 @@ def check_micro_partition(table, speedup_min):
                 f"micro_partition: op {op!r} at {row[rows_col]} rows has "
                 f"flat-vs-legacy speedup {row[speedup_col]} "
                 f"(gate requires >= {speedup_min:g})")
-    return failures
-
-
-def check_storage_bytes(table, ratio_min):
-    """Hard gate: the compressed partition tier must shrink the working-set
-    footprint by at least ratio_min on the compressible regimes. The ratio
-    is a byte count divided by a byte count, computed over the same data in
-    one process, so no tolerance applies. The high_card dataset is an
-    adversarial worst case (mostly size-2 classes) and is exempt — it is
-    still covered by the identical (decode round-trip) check."""
-    failures = []
-    columns = table["columns"]
-    dataset_col = columns.index("dataset")
-    ratio_col = columns.index("ratio")
-    for row in table["rows"]:
-        dataset = row[dataset_col]
-        if dataset not in GATED_STORAGE_DATASETS:
-            continue
-        ratio = as_number(row[ratio_col])
-        if ratio is None or ratio < ratio_min:
-            failures.append(
-                f"storage_bytes: dataset {dataset!r} has flat-vs-compressed "
-                f"footprint ratio {row[ratio_col]} "
-                f"(gate requires >= {ratio_min:g})")
     return failures
 
 
@@ -355,7 +318,6 @@ def run_gate(args):
                               args.ext_products_speedup_min,
                               args.clean_threads_speedup_min,
                               args.serve_reject_max, args.serve_p99_max_ms,
-                              args.storage_ratio_min,
                               args.snapshot_speedup_min)
     if failures:
         print(f"bench gate FAILED ({len(failures)} problem(s)) comparing "
@@ -397,13 +359,6 @@ def self_test():
                      "rejected_503", "p50_ms", "p95_ms", "p99_ms"],
          "rows": [[32, 64, 16, 1600, 1600, 0, 0.9, 2.1, 3.2],
                   [256, 64, 16, 12800, 12795, 5, 4.0, 7.5, 9.8]]},
-        {"bench": "storage_bytes",
-         "columns": ["dataset", "rows", "flat_kb", "comp_kb", "flat_b_row",
-                     "comp_b_row", "ratio", "identical"],
-         "rows": [["dense", 40000, 3446.3, 656.0, 88.22, 16.79, 5.25, "yes"],
-                  ["mid", 40000, 3091.1, 946.2, 79.13, 24.22, 3.27, "yes"],
-                  ["high_card", 40000, 1582.1, 591.2, 40.50, 15.13, 2.68,
-                   "yes"]]},
         {"bench": "snapshot_open",
          "columns": ["rows", "cold(s)", "snap(s)", "speedup", "identical"],
          "rows": [[120000, 0.62, 0.07, 8.90, "yes"]]},
@@ -415,7 +370,7 @@ def self_test():
                               ext_products_speedup_min=4.0,
                               clean_threads_speedup_min=3.0,
                               serve_reject_max=1.0, serve_p99_max_ms=10.0,
-                              storage_ratio_min=3.0, snapshot_speedup_min=5.0)
+                              snapshot_speedup_min=5.0)
 
     def clone(tables):
         return json.loads(json.dumps(tables))
@@ -556,38 +511,18 @@ def self_test():
     checks.append(("serve floors skipped when hw < 8",
                    gate(small_serve) == []))
 
-    # 16. Storage-tier floors. A gated storage_bytes dataset (dense / mid)
-    #     with a compression ratio below 3.0 fails ...
-    weak_ratio = clone(baseline)
-    weak_ratio[6]["rows"][1][6] = 2.40  # mid ratio < 3.0
-    failures = gate(weak_ratio)
-    checks.append(("storage_bytes ratio below minimum fails",
-                   len(failures) == 1 and "footprint ratio" in failures[0]
-                   and "'mid'" in failures[0]))
-    #     ... while the adversarial high_card dataset is exempt from the
-    #     ratio floor (but still identical-checked).
-    weak_adversarial = clone(baseline)
-    weak_adversarial[6]["rows"][2][6] = 1.10  # high_card ratio: allowed
-    checks.append(("high_card dataset not ratio-gated",
-                   gate(weak_adversarial) == []))
-    broken_decode = clone(baseline)
-    broken_decode[6]["rows"][0][7] = "NO"
-    failures = gate(broken_decode)
-    checks.append(("storage_bytes decode mismatch fails",
-                   len(failures) == 1 and "byte-identical" in failures[0]))
-
-    # 17. Snapshot-open floors: a speedup below 5.0 fails even when the
+    # 16. Snapshot-open floors: a speedup below 5.0 fails even when the
     #     absolute times are within tolerance, and a non-identical loaded
     #     session fails unconditionally.
     slow_snapshot = clone(baseline)
-    slow_snapshot[7]["rows"][0][1] = 0.25  # cold(s): faster than baseline
-    slow_snapshot[7]["rows"][0][3] = 3.60  # speedup < 5.0
+    slow_snapshot[6]["rows"][0][1] = 0.25  # cold(s): faster than baseline
+    slow_snapshot[6]["rows"][0][3] = 3.60  # speedup < 5.0
     failures = gate(slow_snapshot)
     checks.append(("snapshot_open speedup below minimum fails",
                    len(failures) == 1 and "cold-vs-snapshot" in failures[0]
                    and "3.6" in failures[0]))
     broken_snapshot = clone(baseline)
-    broken_snapshot[7]["rows"][0][4] = "NO"
+    broken_snapshot[6]["rows"][0][4] = "NO"
     failures = gate(broken_snapshot)
     checks.append(("non-identical snapshot session fails",
                    len(failures) == 1 and "byte-identical" in failures[0]))
@@ -634,10 +569,6 @@ def main():
                         help="hard maximum p99 latency (ms) for "
                              "serve_closed_loop rows with hw >= 8 and "
                              "clients <= 4*hw (default 10.0)")
-    parser.add_argument("--storage-ratio-min", type=float, default=3.0,
-                        help="hard minimum flat-vs-compressed footprint "
-                             "ratio for the gated storage_bytes datasets "
-                             "(dense, mid; default 3.0)")
     parser.add_argument("--snapshot-speedup-min", type=float, default=5.0,
                         help="hard minimum cold-compile-vs-snapshot-open "
                              "speedup for snapshot_open rows (default 5.0)")

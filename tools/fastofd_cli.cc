@@ -196,7 +196,7 @@ int RunVerify(const Flags& flags) {
   const SigmaSet& ofds = sigma.value();
 
   // Checks of distinct OFDs are independent: compute them on the pool (the
-  // partition cache is thread-safe and shares prefixes across OFDs), then
+  // partition cache is thread-safe and shares antecedents across OFDs), then
   // print in Σ order so output is identical for any thread count.
   struct Check {
     bool holds = false;
