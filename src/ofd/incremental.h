@@ -13,6 +13,13 @@
 // Σ may freely overlap — one attribute can be an antecedent of one OFD and
 // the consequent of another.
 //
+// Every verdict depends only on a class's multiset of consequent values, so
+// each group is stored as exactly that: its histogram of (value, rows)
+// slots plus its row count, never its rows. An update adjusts one slot by
+// ±1 per group it touches and re-tallies the group's slots, so it costs
+// O(distinct consequent values of the class × senses per value),
+// independent of how many rows the class holds.
+//
 // Each group also keeps its share of the support s(φ) (SenseTally::kept),
 // so a served session answers `verify` — satisfaction and support of every
 // OFD — from this state alone, in O(|Σ|).
@@ -23,6 +30,7 @@
 #include <atomic>
 #include <cstdint>
 #include <unordered_map>
+#include <utility>
 #include <vector>
 
 #include "common/status.h"
@@ -30,6 +38,7 @@
 #include "ofd/verifier.h"
 #include "ontology/ontology.h"
 #include "ontology/synonym_index.h"
+#include "relation/partition.h"
 #include "relation/relation.h"
 
 namespace fastofd {
@@ -40,10 +49,11 @@ namespace fastofd {
 class IncrementalVerifier {
  public:
   /// Builds per-OFD class maps and initial per-class state. Each OFD's
-  /// groups come from the classes of Π*_lhs (StrippedPartition::BuildForSet)
-  /// plus one singleton per uncovered row, so construction is linear in the
-  /// rows and hashes one key per group, not per row. `ontology` may be null
-  /// unless Σ holds inheritance OFDs (see OfdVerifier).
+  /// groups are the class histograms of Π*_lhs (StrippedPartition::
+  /// BuildForSet, then HistogramInto on the consequent column) plus one
+  /// singleton per uncovered row, so construction is linear in the rows and
+  /// hashes one key per group, not per row. `ontology` may be null unless Σ
+  /// holds inheritance OFDs (see OfdVerifier).
   IncrementalVerifier(Relation* rel, const SynonymIndex& index, SigmaSet sigma,
                       const Ontology* ontology = nullptr);
 
@@ -77,7 +87,8 @@ class IncrementalVerifier {
   /// Applies rel->SetId(row, attr, value) and re-checks only the classes
   /// containing `row`: for OFDs with consequent `attr` the row's class, for
   /// OFDs with `attr` in the antecedent the classes the row leaves and
-  /// joins. A no-op when the cell already holds `value`.
+  /// joins. A no-op when the cell already holds `value`. Each re-check
+  /// tallies the class's histogram, not its rows.
   void UpdateCell(RowId row, AttrId attr, ValueId value);
 
   /// Classes re-checked since construction (the work a full re-verification
@@ -89,14 +100,16 @@ class IncrementalVerifier {
 
   const SigmaSet& sigma() const { return sigma_; }
 
-  /// Deep invariant audit (common/audit.h). Structural: per OFD, the groups
-  /// partition all rows, the key map and row->group map agree with the
-  /// relation's current antecedent values, free-list entries are empty and
-  /// unreferenced, and the violation counters and kept-row sums match the
-  /// per-group fields. On relations at or below audit::kDeepAuditMaxRows
-  /// rows, additionally cross-checks every group's satisfaction bit — and
-  /// each OFD's overall Holds() and Support() — against a full from-scratch
-  /// re-verification. Returns the first violation found.
+  /// Deep invariant audit (common/audit.h). On relations at or below
+  /// audit::kDeepAuditMaxRows rows, first cross-checks each OFD's Holds()
+  /// and Support() against a full from-scratch re-verification. Then, at
+  /// every size, recounts each row's consequent under its current
+  /// antecedent key and compares the recount with every group's slots and
+  /// size; checks that the key map reaches exactly the non-empty groups,
+  /// that free-list entries are empty and unreferenced, that each group's
+  /// satisfaction bit and kept rows match a tally of its slots, and that
+  /// the violation counters and kept-row sums match the per-group fields.
+  /// Returns the first violation found.
   Status AuditState() const;
 
  private:
@@ -116,9 +129,12 @@ class IncrementalVerifier {
   };
 
   /// One equivalence class of Π_lhs (singletons included, so rows can move
-  /// in and out without rebuilding).
+  /// in and out without rebuilding), kept as its consequent histogram.
   struct Group {
-    std::vector<RowId> rows;
+    // The class's distinct consequent values and their row counts, in no
+    // particular order; every count is positive.
+    std::vector<ClassHistogram::Slot> values;
+    int32_t size = 0;     // Rows in the class: the sum of the counts.
     bool ok = true;       // Satisfaction; vacuously true for size < 2.
     bool counted = false; // Currently counted in `violating`.
     // Rows kept: SenseTally::kept for a synonym OFD's class of 2+ rows,
@@ -131,18 +147,24 @@ class IncrementalVerifier {
     std::unordered_map<LhsKey, int32_t, LhsKeyHash> key_to_group;
     std::vector<Group> groups;      // Indexed by the map; holes on free list.
     std::vector<int32_t> free_groups;
-    std::vector<int32_t> row_group; // row -> group index.
     int violating = 0;
     int64_t kept = 0;               // Sum of the groups' kept rows.
   };
 
   LhsKey KeyFor(const OfdState& state, RowId row) const;
+  /// Adds one row with consequent `value` to `group`'s histogram.
+  static void AddValue(Group& group, ValueId value);
+  /// Removes one row with consequent `value`, swap-removing its slot at 0.
+  static void RemoveValue(Group& group, ValueId value);
+  /// Group satisfaction and kept rows, tallied from its slots.
+  std::pair<bool, int64_t> Check(const Ofd& ofd, const Group& group) const;
   /// Re-checks group `g` (if it still has >= 2 rows) and updates the
   /// violating counters and kept-row sum.
   void RefreshGroup(OfdState& state, const Ofd& ofd, int32_t g);
   void SetCounted(OfdState& state, Group& group, bool counted);
   /// Moves `row` from its old group (keyed with `old_value` at `attr`) to
-  /// the group matching its current antecedent values.
+  /// the group matching its current antecedent values, carrying its
+  /// consequent (`old_value` too when `attr` is also the consequent).
   void MoveRow(OfdState& state, const Ofd& ofd, RowId row, AttrId attr,
                ValueId old_value);
 

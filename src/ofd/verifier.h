@@ -84,6 +84,9 @@ class OfdVerifier {
   /// Satisfaction within one equivalence class (rows of the class).
   bool HoldsInClass(RowSpan rows, AttrId rhs, OfdKind kind) const;
 
+  /// A class's distinct consequent values with their row counts.
+  using Values = std::span<const ClassHistogram::Slot>;
+
   /// The one per-class tally every synonym check reads: the class's
   /// consequent values counted by the partition kernel, then their senses
   /// in dense per-thread counters. Thread-safe; allocation-free once the
@@ -91,6 +94,15 @@ class OfdVerifier {
   SenseTally Tally(RowSpan rows, AttrId rhs) const {
     return TallyValues(ClassValues(rows, rhs));
   }
+
+  /// Tally over a class already counted into (value, rows) slots, e.g. a
+  /// histogram kept up to date under updates. Slot order does not matter:
+  /// ties go to the lowest id.
+  SenseTally TallyValues(Values values) const;
+
+  /// Inheritance satisfaction (θ ancestors) of a class given as slots; as
+  /// order-free as TallyValues.
+  bool InheritanceClassHolds(Values values) const;
 
   /// Approximate-OFD support s(φ)/|I| (paper §4): the max fraction of tuples
   /// retaining which the OFD holds, summed per class as SenseTally::kept.
@@ -113,13 +125,9 @@ class OfdVerifier {
   const SynonymIndex& index() const { return index_; }
 
  private:
-  using Values = std::span<const ClassHistogram::Slot>;
-
   // The class's distinct `rhs` values with their row counts, in first-row
   // order, in the calling thread's scratch (valid until its next call).
   Values ClassValues(RowSpan rows, AttrId rhs) const;
-  SenseTally TallyValues(Values values) const;
-  bool InheritanceClassHolds(Values values) const;
   // Support and SupportAtLeast: the rows kept class by class plus the
   // stripped singletons, or -1 once keeping every unscanned row could no
   // longer lift support to `kappa`.

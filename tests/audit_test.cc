@@ -264,5 +264,25 @@ TEST(IncrementalAuditTest, DetectsSupportDriftBehindUnchangedVerdict) {
       << audit.message();
 }
 
+// Above audit::kDeepAuditMaxRows rows there is no full re-verification, so
+// a consequent written behind the verifier's back must show up in the
+// structural recount: the row's group histogram no longer matches it.
+TEST(IncrementalAuditTest, DetectsOutOfBandConsequentWriteOnLargeRelation) {
+  Relation rel(Schema({"X", "MED"}));
+  for (int64_t r = 0; r < audit::kDeepAuditMaxRows + 100; ++r) {
+    rel.AppendRow({"x" + std::to_string(r % 10), "p"});
+  }
+  Ontology ont;
+  SynonymIndex index(ont, rel.dict());
+  IncrementalVerifier verifier(&rel, index,
+                               {Ofd{AttrSet::Single(0), 1, OfdKind::kSynonym}});
+  ASSERT_TRUE(verifier.AuditState().ok());
+  rel.Set(7, 1, "q");
+  Status audit = verifier.AuditState();
+  ASSERT_FALSE(audit.ok());
+  EXPECT_NE(audit.message().find("recount"), std::string::npos)
+      << audit.message();
+}
+
 }  // namespace
 }  // namespace fastofd

@@ -9,6 +9,8 @@
 #include "common/rng.h"
 #include "datagen/datagen.h"
 #include "discovery/fastofd.h"
+#include "exec/task_group.h"
+#include "exec/thread_pool.h"
 #include "ofd/incremental.h"
 #include "ofd/lhs_synonym.h"
 #include "ofd/verifier.h"
@@ -200,14 +202,16 @@ TEST(IncrementalTest, RechecksOnlyAffectedClasses) {
   EXPECT_LE(inc.classes_rechecked() - initial, 1);
 }
 
-// Asserts the incremental verifier's full per-OFD state against fresh
-// re-verification of the (already mutated) relation.
+// Asserts the incremental verifier's full per-OFD state — verdict, support
+// and violating-class count — against fresh re-verification of the
+// (already mutated) relation. `ontology` is needed for inheritance OFDs.
 void ExpectMatchesFullVerification(const IncrementalVerifier& inc,
                                    const Relation& rel,
                                    const SynonymIndex& index,
                                    const SigmaSet& sigma,
-                                   const std::string& context) {
-  OfdVerifier verifier(rel, index);
+                                   const std::string& context,
+                                   const Ontology* ontology = nullptr) {
+  OfdVerifier verifier(rel, index, ontology);
   bool all = true;
   for (size_t i = 0; i < sigma.size(); ++i) {
     const StrippedPartition lhs = StrippedPartition::BuildForSet(rel, sigma[i].lhs);
@@ -215,8 +219,15 @@ void ExpectMatchesFullVerification(const IncrementalVerifier& inc,
     all &= holds;
     EXPECT_EQ(inc.Holds(i), holds) << context << " ofd " << i;
     // The maintained support is the same integer sum, divided the same way.
-    EXPECT_EQ(inc.Support(i), verifier.Support(sigma[i], lhs))
+    EXPECT_EQ(inc.Support(i), sigma[i].kind == OfdKind::kSynonym
+                                  ? verifier.Support(sigma[i], lhs)
+                                  : (holds ? 1.0 : 0.0))
         << context << " ofd " << i;
+    int violating = 0;
+    for (RowSpan cls : lhs.classes()) {
+      violating += verifier.HoldsInClass(cls, sigma[i].rhs, sigma[i].kind) ? 0 : 1;
+    }
+    EXPECT_EQ(inc.violating_classes(i), violating) << context << " ofd " << i;
   }
   EXPECT_EQ(inc.IsConsistent(), all) << context;
 }
@@ -470,6 +481,105 @@ TEST(IncrementalTest, GeneratedDataMatchesScratchCounts) {
     CheckConstructionAndUpdates(data.rel, data.ontology, data.sigma,
                                 7800 + static_cast<uint64_t>(seed),
                                 "seed " + std::to_string(seed));
+  }
+}
+
+// Senses under a concept chain, for inheritance OFDs (θ = 2): g1..g3 meet
+// at `drug`, g4 hangs off a separate tree, so a class holding g4 and any
+// other value violates.
+Ontology HierarchyOntology() {
+  Ontology ont;
+  ConceptId root = ont.AddConcept("root");
+  ConceptId drug = ont.AddConcept("drug", root);
+  ConceptId nsaid = ont.AddConcept("nsaid", drug);
+  ConceptId far = ont.AddConcept("far", ont.AddConcept("mid", ont.AddConcept("top")));
+  SenseId s = ont.AddSense("s", drug);
+  ont.AddValue(s, "g1");
+  ont.AddValue(s, "g2");
+  SenseId t = ont.AddSense("t", nsaid);
+  ont.AddValue(t, "g2");
+  ont.AddValue(t, "g3");
+  SenseId f = ont.AddSense("f", far);
+  ont.AddValue(f, "g4");
+  return ont;
+}
+
+// Every way a group's histogram changes shape: a brand-new value appends a
+// slot, a class's last occurrence of a value swap-removes its slot, and an
+// antecedent move empties a group that a later move reuses from the free
+// list. Σ holds a `{} ->syn` OFD (one group of every row), an `->inh` OFD,
+// an attribute that is the antecedent of one OFD and the consequent of
+// another, and a trivial OFD whose consequent is in its own antecedent (the
+// API accepts it; Σ files reject it). Each update runs as a task on a pool
+// of 1 or 4 workers, so the per-thread tally scratch serves the groups from
+// any thread; state is checked against scratch verification and the audit
+// after every step.
+TEST(IncrementalTest, SlotChurnMatchesScratchVerification) {
+  const Ontology ont = HierarchyOntology();
+  const char* meds[] = {"g1", "g4", "g2", "zz", "g3"};
+  Relation original(Schema({"A", "B", "MED"}));
+  for (int r = 0; r < 24; ++r) {
+    original.AppendRow({"a" + std::to_string(r % 3), "b" + std::to_string(r % 2),
+                        meds[r % 5]});
+  }
+  const SigmaSet sigma = {{AttrSet::Single(0), 2, OfdKind::kSynonym},
+                          {AttrSet(), 2, OfdKind::kSynonym},
+                          {AttrSet::Of({0, 1}), 2, OfdKind::kInheritance},
+                          {AttrSet::Single(1), 0, OfdKind::kSynonym},
+                          {AttrSet::Of({0, 1}), 1, OfdKind::kSynonym}};
+  for (int threads : {1, 4}) {
+    Relation rel = original;
+    SynonymIndex index(ont, rel.dict());
+    IncrementalVerifier inc(&rel, index, sigma, &ont);
+    ThreadPool pool(threads);
+    const std::string tag = "threads " + std::to_string(threads);
+    auto update = [&](RowId row, AttrId attr, const std::string& value,
+                      const std::string& what) {
+      const ValueId id = rel.mutable_dict().Intern(value);
+      TaskGroup group(&pool);
+      group.Submit([&](int) { inc.UpdateCell(row, attr, id); });
+      group.Wait();
+      const std::string context = tag + " " + what;
+      ExpectMatchesFullVerification(inc, rel, index, sigma, context, &ont);
+      Status audit = inc.AuditState();
+      EXPECT_TRUE(audit.ok()) << context << ": " << audit.message();
+    };
+    ExpectMatchesFullVerification(inc, rel, index, sigma, tag + " built", &ont);
+
+    // Class a0 holds rows 0, 3, ..., 21; row 9 carries its only g3, whose
+    // slot sits before the appended one, so removing it is a real swap.
+    update(0, 2, "brand-new", "slot appended");
+    update(9, 2, "g1", "class's only g3 swap-removed");
+    update(0, 2, "g1", "relation's only brand-new removed");
+    // Row 1 leaves a1 for a group of its own, returns (emptying it onto the
+    // free list), and row 2 takes the freed group under another key.
+    update(1, 0, "solo", "row split off");
+    update(1, 0, "a1", "split group emptied");
+    update(2, 0, "solo-2", "freed group reused");
+    update(2, 1, "b9", "second antecedent moved");
+    update(2, 0, "a2", "row back in its class");
+    update(2, 1, "b0", "row home");
+
+    std::vector<std::string> values;
+    for (AttrId a = 0; a < rel.num_attrs(); ++a) {
+      for (ValueId v : rel.Column(a)) values.emplace_back(rel.dict().String(v));
+    }
+    Rng rng(7900);
+    for (int step = 0; step < 80; ++step) {
+      const RowId row = static_cast<RowId>(rng.NextUint(rel.num_rows()));
+      const AttrId attr = static_cast<AttrId>(rng.NextUint(rel.num_attrs()));
+      const double pick = rng.NextDouble();
+      std::string value;
+      if (pick < 0.25) {
+        value = "new-" + std::to_string(step);  // Appends a slot.
+      } else if (pick < 0.5) {
+        value = std::string(original.dict().String(original.At(row, attr)));
+      } else {
+        value = values[rng.NextUint(values.size())];
+      }
+      update(row, attr, value, "step " + std::to_string(step));
+      if (HasFailure()) return;  // One diverged step implies cascades.
+    }
   }
 }
 

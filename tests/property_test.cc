@@ -18,6 +18,8 @@
 #include "datagen/datagen.h"
 #include "discovery/fastofd.h"
 #include "discovery/set_cover.h"
+#include "exec/task_group.h"
+#include "exec/thread_pool.h"
 #include "ofd/incremental.h"
 #include "ofd/inference.h"
 #include "ofd/sigma_io.h"
@@ -482,49 +484,71 @@ TEST_P(PropertyTest, BurstyErrorsRepeatOneValuePerClass) {
 TEST_P(PropertyTest, IncrementalVerifierMatchesFullReverification) {
   // A random mixed update stream (merges, ontology values, fresh values,
   // antecedent and consequent attributes) must keep the incremental
-  // verifier's cached verdicts equal to a from-scratch verification, and
-  // its group maps must pass the deep audit, after every single step.
-  Instance inst = MakeInstance(4200 + GetParam(), 4, 60);
-  Rng rng(97 + GetParam());
-  SynonymIndex index(inst.ontology, inst.rel.dict());
-  SigmaSet sigma;
-  sigma.push_back(Ofd{AttrSet::Single(0), 2, OfdKind::kSynonym});
-  sigma.push_back(Ofd{AttrSet().With(0).With(1), 3, OfdKind::kSynonym});
-  sigma.push_back(Ofd{AttrSet::Single(3), 1, OfdKind::kSynonym});
-  IncrementalVerifier inc(&inst.rel, index, sigma);
-  OfdVerifier full(inst.rel, index);
+  // verifier's cached verdicts, support and violating-class counts equal to
+  // a from-scratch verification, and its group histograms must pass the
+  // deep audit, after every single step. Fresh values append slots, copies
+  // remove a class's last occurrence of a value, and antecedent moves empty
+  // groups that later moves reuse; Σ holds an empty antecedent and an
+  // inheritance OFD. Updates run as tasks on a pool of 1 or 4 workers.
+  for (int threads : {1, 4}) {
+    Instance inst = MakeInstance(4200 + GetParam(), 4, 60);
+    Rng rng(97 + GetParam());
+    SynonymIndex index(inst.ontology, inst.rel.dict());
+    SigmaSet sigma;
+    sigma.push_back(Ofd{AttrSet::Single(0), 2, OfdKind::kSynonym});
+    sigma.push_back(Ofd{AttrSet().With(0).With(1), 3, OfdKind::kSynonym});
+    sigma.push_back(Ofd{AttrSet::Single(3), 1, OfdKind::kSynonym});
+    sigma.push_back(Ofd{AttrSet(), 2, OfdKind::kSynonym});
+    sigma.push_back(Ofd{AttrSet::Single(1), 3, OfdKind::kInheritance});
+    IncrementalVerifier inc(&inst.rel, index, sigma, &inst.ontology);
+    OfdVerifier full(inst.rel, index, &inst.ontology);
+    ThreadPool pool(threads);
 
-  const RowId n = inst.rel.num_rows();
-  for (int step = 0; step < 40; ++step) {
-    RowId row = static_cast<RowId>(rng.NextUint(static_cast<uint64_t>(n)));
-    AttrId attr = static_cast<AttrId>(rng.NextUint(4));
-    ValueId value;
-    double dice = rng.NextDouble();
-    if (dice < 0.5) {
-      // Copy from another cell of the same column: merges classes.
-      RowId other = static_cast<RowId>(rng.NextUint(static_cast<uint64_t>(n)));
-      value = inst.rel.At(other, attr);
-    } else if (dice < 0.8) {
-      // A value the ontology knows.
-      SenseId s = static_cast<SenseId>(
-          rng.NextUint(static_cast<uint64_t>(inst.ontology.num_senses())));
-      const auto& vals = inst.ontology.SenseValues(s);
-      value = inst.rel.mutable_dict().Intern(vals[rng.NextUint(vals.size())]);
-    } else {
-      // A fresh value: splits its class off.
-      value = inst.rel.mutable_dict().Intern("fresh" + std::to_string(step));
-    }
-    inc.UpdateCell(row, attr, value);
+    const RowId n = inst.rel.num_rows();
+    for (int step = 0; step < 40; ++step) {
+      RowId row = static_cast<RowId>(rng.NextUint(static_cast<uint64_t>(n)));
+      AttrId attr = static_cast<AttrId>(rng.NextUint(4));
+      ValueId value;
+      double dice = rng.NextDouble();
+      if (dice < 0.5) {
+        // Copy from another cell of the same column: merges classes.
+        RowId other = static_cast<RowId>(rng.NextUint(static_cast<uint64_t>(n)));
+        value = inst.rel.At(other, attr);
+      } else if (dice < 0.8) {
+        // A value the ontology knows.
+        SenseId s = static_cast<SenseId>(
+            rng.NextUint(static_cast<uint64_t>(inst.ontology.num_senses())));
+        const auto& vals = inst.ontology.SenseValues(s);
+        value = inst.rel.mutable_dict().Intern(vals[rng.NextUint(vals.size())]);
+      } else {
+        // A fresh value: splits its class off.
+        value = inst.rel.mutable_dict().Intern("fresh" + std::to_string(step));
+      }
+      TaskGroup group(&pool);
+      group.Submit([&](int) { inc.UpdateCell(row, attr, value); });
+      group.Wait();
 
-    Status audit = inc.AuditState();
-    EXPECT_TRUE(audit.ok()) << "step " << step << ": " << audit.message();
-    for (size_t i = 0; i < sigma.size(); ++i) {
-      StrippedPartition lhs =
-          StrippedPartition::BuildForSet(inst.rel, sigma[i].lhs);
-      EXPECT_EQ(inc.Holds(i), full.Holds(sigma[i], lhs))
-          << "step " << step << ", ofd " << i;
+      const std::string where = "threads " + std::to_string(threads) +
+                                " step " + std::to_string(step);
+      Status audit = inc.AuditState();
+      EXPECT_TRUE(audit.ok()) << where << ": " << audit.message();
+      for (size_t i = 0; i < sigma.size(); ++i) {
+        StrippedPartition lhs =
+            StrippedPartition::BuildForSet(inst.rel, sigma[i].lhs);
+        const bool holds = full.Holds(sigma[i], lhs);
+        EXPECT_EQ(inc.Holds(i), holds) << where << ", ofd " << i;
+        EXPECT_EQ(inc.Support(i), sigma[i].kind == OfdKind::kSynonym
+                                      ? full.Support(sigma[i], lhs)
+                                      : (holds ? 1.0 : 0.0))
+            << where << ", ofd " << i;
+        int violating = 0;
+        for (RowSpan cls : lhs.classes()) {
+          violating += full.HoldsInClass(cls, sigma[i].rhs, sigma[i].kind) ? 0 : 1;
+        }
+        EXPECT_EQ(inc.violating_classes(i), violating) << where << ", ofd " << i;
+      }
+      if (HasFailure()) return;  // One diverged step implies cascades; stop.
     }
-    if (HasFailure()) break;  // One diverged step implies cascades; stop.
   }
 }
 

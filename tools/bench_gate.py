@@ -22,7 +22,10 @@ output) against a committed baseline and fails when:
     thread count, since a smaller machine physically cannot scale there, or
   * a `snapshot_open` row reports a cold-compile-vs-snapshot-open speedup
     below --snapshot-speedup-min, or the snapshot-loaded session is not
-    byte-identical to the cold compile.
+    byte-identical to the cold compile, or
+  * the `ext_incremental` per-update cost grows with N: incremental(ms/upd)
+    at the largest N exceeds EXT_INCREMENTAL_GROWTH_MAX times its value at
+    the smallest N.
 
 Time-like columns (names containing "ms", "(s)", "seconds", or ending in
 "_s") are machine-dependent, so they get a generous relative tolerance with
@@ -30,7 +33,7 @@ an absolute slack floor for sub-millisecond cells: a cell passes if
     fresh <= base * (1 + rel_tol)   OR   fresh - base <= abs_slack.
 The speedup columns of `micro_partition` and `clean_beam` are same-process
 ratios and therefore machine-independent; they are gated hard, with no
-tolerance. The thread-scaling floors are also same-process ratios, but they
+tolerance, as is the `ext_incremental` growth ratio. The thread-scaling floors are also same-process ratios, but they
 additionally depend on physical core count, hence the hw >= threads
 condition. The `identical` columns (clean tables and `ext_parallel`) assert
 determinism — parallel search reproduces the serial reference byte for
@@ -50,6 +53,11 @@ TIME_COLUMN_RE = re.compile(r"ms|\(s\)|\bseconds\b|_s$")
 
 # Ops in the micro_partition table whose speedup ratio is gated hard.
 GATED_INTERSECTION_OPS = ("product", "refine", "error")
+
+# An incremental update re-checks one class histogram per affected OFD, so
+# its cost must not grow with N: the largest N may cost at most this many
+# times the smallest, measured in one process.
+EXT_INCREMENTAL_GROWTH_MAX = 2.0
 
 
 def is_time_column(name):
@@ -131,6 +139,8 @@ def compare_tables(baseline, fresh, rel_tol, abs_slack, speedup_min,
             failures.extend(check_identical_rows(fresh_table))
             failures.extend(check_snapshot_open(fresh_table,
                                                 snapshot_speedup_min))
+        if name == "ext_incremental":
+            failures.extend(check_ext_incremental(fresh_table))
     base_names = {t["bench"] for t in baseline}
     for extra in [n for n in fresh_by_name if n not in base_names]:
         print(f"note: fresh table {extra!r} has no committed baseline",
@@ -178,6 +188,27 @@ def check_snapshot_open(table, speedup_min):
                 f"open speedup {row[speedup_col]} "
                 f"(gate requires >= {speedup_min:g})")
     return failures
+
+
+def check_ext_incremental(table):
+    """Hard gate: the incremental verifier's per-update cost is flat in N.
+    Both ends of the sweep run in one process on one machine, so the ratio
+    gets no tolerance."""
+    columns = table["columns"]
+    n_col = columns.index("N")
+    inc_col = columns.index("incremental(ms/upd)")
+    rows = sorted(table["rows"], key=lambda row: as_number(row[n_col]))
+    if len(rows) < 2:
+        return []
+    smallest, largest = rows[0], rows[-1]
+    low = as_number(smallest[inc_col])
+    high = as_number(largest[inc_col])
+    if low is None or high is None or high > low * EXT_INCREMENTAL_GROWTH_MAX:
+        return [f"ext_incremental: incremental(ms/upd) grows from "
+                f"{smallest[inc_col]} at N={smallest[n_col]} to "
+                f"{largest[inc_col]} at N={largest[n_col]} (gate requires "
+                f"<= {EXT_INCREMENTAL_GROWTH_MAX:g}x)"]
+    return []
 
 
 def check_identical_rows(table):
@@ -362,6 +393,11 @@ def self_test():
         {"bench": "snapshot_open",
          "columns": ["rows", "cold(s)", "snap(s)", "speedup", "identical"],
          "rows": [[120000, 0.62, 0.07, 8.90, "yes"]]},
+        {"bench": "ext_incremental",
+         "columns": ["N", "full(ms/upd)", "incremental(ms/upd)", "speedup",
+                     "classes-rechecked"],
+         "rows": [[5000, 0.020, 0.00025, "80x", 9514],
+                  [40000, 0.157, 0.00040, "392x", 9515]]},
     ]
 
     def gate(fresh):
@@ -526,6 +562,17 @@ def self_test():
     failures = gate(broken_snapshot)
     checks.append(("non-identical snapshot session fails",
                    len(failures) == 1 and "byte-identical" in failures[0]))
+
+    # 17. ext_incremental flatness: a per-update cost that grows with N the
+    #     way a whole-class re-tally does (0.0007 -> 0.0037 ms from 5k to
+    #     40k rows) fails, although both cells are within the time slack.
+    growing = clone(baseline)
+    growing[7]["rows"][0][2] = 0.0007
+    growing[7]["rows"][1][2] = 0.0037
+    failures = gate(growing)
+    checks.append(("ext_incremental cost growing with N fails",
+                   len(failures) == 1 and "grows from" in failures[0]
+                   and "0.0037" in failures[0]))
 
     failed = [name for name, ok in checks if not ok]
     for name, ok in checks:
