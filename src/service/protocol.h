@@ -61,6 +61,16 @@ inline bool IsSnapshotReadOp(const std::string& op) {
   return op == ops::kVerify || op == ops::kDiscover;
 }
 
+/// True for the O(|Σ|) and O(1) ops a connection's reader thread runs itself
+/// when their session's strand is idle, instead of handing them to the pool:
+/// the handoff would cost more than the request. Everything else (`load`,
+/// `unload`, `discover`, `clean`, `sleep`, `shutdown`), and these too when
+/// their strand is busy, runs on the shared pool.
+inline bool IsReaderOp(const std::string& op) {
+  return op == ops::kPing || op == ops::kVerify || op == ops::kUpdate ||
+         op == ops::kList || op == ops::kStats;
+}
+
 }  // namespace fastofd
 
 #endif  // FASTOFD_SERVICE_PROTOCOL_H_

@@ -16,6 +16,7 @@
 #include <chrono>
 #include <cstdlib>
 #include <cstring>
+#include <unordered_map>
 #include <utility>
 
 #include "clean/repair.h"
@@ -51,6 +52,35 @@ void ReleaseFreedMemory() {
 #if defined(__GLIBC__)
   malloc_trim(0);
 #endif
+}
+
+/// The metric names of one op, built once. `op` comes from the client, so
+/// every op outside ops:: shares the `unknown` names: otherwise each new op
+/// string would add three registry entries (and `stats` output) for good.
+struct OpMetricNames {
+  explicit OpMetricNames(const std::string& op)
+      : requests("serve.requests." + op),
+        exec("serve.exec." + op + ".seconds"),
+        latency("serve.latency." + op) {}
+  std::string requests;  // Counter: requests read off the wire.
+  std::string exec;      // Timer: Execute.
+  std::string latency;   // Histogram: admission to response.
+};
+
+const OpMetricNames& MetricNamesFor(const std::string& op) {
+  static const std::unordered_map<std::string, OpMetricNames> kKnown = [] {
+    std::unordered_map<std::string, OpMetricNames> names;
+    for (const char* name :
+         {ops::kPing, ops::kLoad, ops::kUnload, ops::kList, ops::kVerify,
+          ops::kDiscover, ops::kClean, ops::kUpdate, ops::kStats, ops::kSleep,
+          ops::kShutdown}) {
+      names.emplace(name, OpMetricNames(name));
+    }
+    return names;
+  }();
+  static const OpMetricNames kUnknown("unknown");
+  auto it = kKnown.find(op);
+  return it != kKnown.end() ? it->second : kUnknown;
 }
 
 Json OkResponse(const Json& request) {
@@ -109,6 +139,7 @@ ServiceServer::ServiceServer(ServerConfig config, MetricsRegistry* metrics)
   metrics_->Add("serve.rejected", 0);
   metrics_->Add("serve.shed", 0);
   metrics_->Add("serve.snapshot_reads", 0);
+  metrics_->Add("serve.inline", 0);
   metrics_->Add("serve.deadline_exceeded", 0);
   metrics_->Add("serve.responses.ok", 0);
   metrics_->Add("serve.responses.error", 0);
@@ -183,9 +214,16 @@ void ServiceServer::NotifyShutdown() {
 void ServiceServer::Wait() {
   if (!started_ || joined_) return;
   if (listener_.joinable()) listener_.join();
-  // The listener closed admission. Every admitted request is in a task or
-  // behind one (parked entries are promoted or shed, never dropped), and
-  // each task dispatches its successors before it completes.
+  // The listener closed admission, so no request starts on a reader any
+  // more; the ones running there answer, dispatching what queued behind
+  // them, before the count drops.
+  {
+    MutexLock lock(mu_);
+    while (on_reader_ != 0) on_reader_cv_.Wait(mu_);
+  }
+  // Every admitted request is now in a task or behind one (parked entries
+  // are promoted or shed, never dropped), and each task dispatches its
+  // successors before it completes.
   tasks_.Wait();
   // All responses are written; now tear down connections.
   {
@@ -300,18 +338,21 @@ void ServiceServer::ReaderLoop(std::shared_ptr<Connection> conn,
       if (deadline_ms > 0) {
         request.deadline_seconds = request.enqueue_seconds + deadline_ms / 1e3;
       }
-      metrics_->Add("serve.requests." + request.op, 1);
-      // Admit only consumes the request on success, so `msg` is still valid
-      // when we build the rejection response below.
-      const Json& msg = request.msg;
-      if (!Admit(std::move(request))) {
-        metrics_->Add("serve.rejected", 1);
-        WriteResponse(*conn, ErrResponse(
-                                 msg, kCodeOverloaded,
-                                 draining_.load()
-                                     ? "server draining"
-                                     : "request queue and wait list full"));
-        continue;
+      metrics_->Add(MetricNamesFor(request.op).requests, 1);
+      switch (Admit(request)) {
+        case Admission::kQueued:
+          break;
+        case Admission::kOnReader:
+          RunOnReader(request);
+          break;
+        case Admission::kRejected:
+          metrics_->Add("serve.rejected", 1);
+          WriteResponse(*conn, ErrResponse(
+                                   request.msg, kCodeOverloaded,
+                                   draining_.load()
+                                       ? "server draining"
+                                       : "request queue and wait list full"));
+          break;
       }
     }
     buffer.erase(0, start);
@@ -361,9 +402,9 @@ void ServiceServer::WriteResponse(Connection& conn, const Json& response) {
 // ---------------------------------------------------------------------------
 // Strands: admission, parking, shedding, dispatch.
 
-bool ServiceServer::Admit(Request&& request) {
+ServiceServer::Admission ServiceServer::Admit(Request& request) {
   std::vector<Request> shed;
-  bool admitted = false;
+  Admission admission = Admission::kRejected;
   {
     MutexLock lock(mu_);
     if (!draining_.load()) {
@@ -373,16 +414,54 @@ bool ServiceServer::Admit(Request&& request) {
       // break per-session FIFO.
       if (parked_.empty() &&
           queued_ < static_cast<size_t>(config_.queue_depth)) {
-        EnqueueLocked(std::move(request));
-        admitted = true;
+        if (TakeIdleStrandLocked(request)) {
+          ++on_reader_;
+          admission = Admission::kOnReader;
+        } else {
+          EnqueueLocked(std::move(request));
+          admission = Admission::kQueued;
+        }
       } else if (parked_.size() < static_cast<size_t>(config_.max_parked)) {
         parked_.push_back(std::move(request));
-        admitted = true;
+        admission = Admission::kQueued;
       }
     }
   }
   RespondShed(shed);
-  return admitted;
+  return admission;
+}
+
+bool ServiceServer::TakeIdleStrandLocked(const Request& request) {
+  if (!IsReaderOp(request.op)) return false;
+  const bool read = IsSnapshotReadOp(request.op);
+  auto [it, absent] = strands_.try_emplace(request.session);
+  Strand& strand = it->second;
+  // A present strand is busy (idle ones are erased); a read may still join
+  // its readers when nothing waits in the mailbox for them to finish.
+  if (!absent && (!read || strand.writer || !strand.mailbox.empty())) {
+    return false;
+  }
+  if (read) {
+    ++strand.readers;
+  } else {
+    strand.writer = true;
+  }
+  return true;
+}
+
+void ServiceServer::RunOnReader(Request& request) {
+  metrics_->Add("serve.inline", 1);
+  FASTOFD_AUDIT_OK(AuditBatchShape(std::span<const Request>(&request, 1)));
+  Json response = Respond(request);
+  {
+    MutexLock lock(mu_);
+    ReleaseStrandLocked(request.session, IsSnapshotReadOp(request.op));
+  }
+  // Written after the release: a client that stops reading blocks this
+  // reader only, while the strand serves other connections.
+  WriteResponse(*request.conn, response);
+  MutexLock lock(mu_);
+  if (--on_reader_ == 0) on_reader_cv_.NotifyAll();
 }
 
 void ServiceServer::EnqueueLocked(Request&& request) {
@@ -421,6 +500,17 @@ void ServiceServer::DispatchLocked(const std::string& session) {
   if (strand.mailbox.empty() && strand.readers == 0 && !strand.writer) {
     strands_.erase(it);
   }
+}
+
+void ServiceServer::ReleaseStrandLocked(const std::string& session,
+                                        bool read) {
+  Strand& strand = strands_.at(session);  // Held by the caller: not erased.
+  if (read) {
+    --strand.readers;
+  } else {
+    strand.writer = false;
+  }
+  DispatchLocked(session);
 }
 
 void ServiceServer::ShedExpiredLocked(std::vector<Request>* shed) {
@@ -463,27 +553,20 @@ void ServiceServer::RunTask(std::vector<Request>& batch) {
     }
   }
   RespondShed(shed);
-  if (read) {
-    metrics_->Add("serve.snapshot_reads", 1);
-  } else if (batch.size() > 1) {
+  if (batch.size() > 1) {
     metrics_->Add("serve.batches", 1);
     metrics_->Observe("serve.batch_size", static_cast<double>(batch.size()));
   }
-  ExecuteBatch(batch);
+  FASTOFD_AUDIT_OK(AuditBatchShape(batch));
+  for (Request& request : batch) WriteResponse(*request.conn, Respond(request));
   MutexLock lock(mu_);
-  Strand& strand = strands_.at(session);  // Held by us, so not erased.
-  if (read) {
-    --strand.readers;
-  } else {
-    strand.writer = false;
-  }
-  DispatchLocked(session);
+  ReleaseStrandLocked(session, read);
 }
 
 // ---------------------------------------------------------------------------
 // Request execution.
 
-Status ServiceServer::AuditBatchShape(const std::vector<Request>& batch) const {
+Status ServiceServer::AuditBatchShape(std::span<const Request> batch) const {
   auto fail = [](const std::string& message) {
     return audit::internal::Counted(Status::Error("batch audit: " + message));
   };
@@ -514,12 +597,8 @@ Status ServiceServer::AuditBatchShape(const std::vector<Request>& batch) const {
   return audit::internal::Counted(Status::Ok());
 }
 
-void ServiceServer::ExecuteBatch(std::vector<Request>& batch) {
-  FASTOFD_AUDIT_OK(AuditBatchShape(batch));
-  for (Request& request : batch) ExecuteOne(request);
-}
-
-void ServiceServer::ExecuteOne(Request& request) {
+Json ServiceServer::Respond(Request& request) {
+  if (IsSnapshotReadOp(request.op)) metrics_->Add("serve.snapshot_reads", 1);
   double begin = NowSeconds();
   metrics_->Observe("serve.queue_wait", begin - request.enqueue_seconds);
   Json response;
@@ -531,16 +610,16 @@ void ServiceServer::ExecuteOne(Request& request) {
   } else {
     response = Execute(request.msg);
   }
-  metrics_->Observe("serve.latency." + request.op,
+  metrics_->Observe(MetricNamesFor(request.op).latency,
                     NowSeconds() - request.enqueue_seconds);
-  WriteResponse(*request.conn, response);
+  return response;
 }
 
 Json ServiceServer::Execute(const Json& request) {
   const std::string op = request.Get("op").AsString();
   Json response;
   {
-    ScopedTimer timer(metrics_, "serve.exec." + op + ".seconds");
+    ScopedTimer timer(metrics_, MetricNamesFor(op).exec);
     if (op == ops::kPing) response = HandlePing(request);
     else if (op == ops::kLoad) response = HandleLoad(request);
     else if (op == ops::kUnload) response = HandleUnload(request);

@@ -14,7 +14,8 @@
 //        │ mailbox (FIFO)    │ │ mailbox (FIFO)    │  session, erased
 //        │ readers / writer  │ │ readers / writer  │  when idle
 //        └────────┬──────────┘ └────────┬──────────┘
-//                 └──── submit ─────────┴──► shared work-stealing ThreadPool
+//                 ├──── submit ─────────┴──► shared work-stealing ThreadPool
+//                 └──── idle strand, reader op ──► run on the reader itself
 //
 // Admission (reader thread): a request enters its session's strand while
 // fewer than queue_depth requests are admitted but not started and nobody
@@ -24,26 +25,37 @@
 // start, and shed 503 once their deadline has passed — checked at every
 // admission and every request start, so no timer or poll is needed.
 //
+// Execution on the reader: `ping`, `verify`, `update`, `list` and `stats`
+// (IsReaderOp) cost O(|Σ|) or O(1), less than a wake-up of a pool worker.
+// When one would enter the queue and its strand is absent — or, for a read,
+// holds only readers and an empty mailbox — the reader takes the strand
+// as a pool task would, runs the request, releases the strand (dispatching
+// whatever queued behind it meanwhile), and only then writes the response,
+// so a client that stops reading blocks its own reader, never a strand.
+// Nothing of the session is queued, parked or writing at that moment, so
+// per-session FIFO holds.
+//
 // Execution (pool tasks): a strand submits its head to the pool as soon as
 // it may run. Reads (`verify`/`discover`) at the head go at once and run
 // concurrently with each other; a write at the head waits until the
 // strand's readers reach zero, then holds the strand alone, with a run of
-// consecutive `update`s submitted as one batch. Whichever task releases the
-// strand last dispatches the next head, so no worker ever blocks waiting
-// for another request. Session::version() seqlock-audits that no read
-// overlaps a writer of its session.
+// consecutive `update`s submitted as one batch. Whichever holder releases
+// the strand last dispatches the next head, so no worker ever blocks
+// waiting for another request. Session::version() seqlock-audits that no
+// read overlaps a writer of its session.
 //
 // Graceful drain: NotifyShutdown() (async-signal-safe; SIGTERM handlers and
 // the `shutdown` op call it) stops the listener and closes admission so new
 // requests are rejected with 503, waits for every admitted request —
 // queued, parked, or running — to be answered, and only then tears
-// connections down. Wait() returns once the drain completes; the caller
-// then flushes metrics.
+// connections down (requests running on readers included). Wait() returns
+// once the drain completes; the caller then flushes metrics.
 //
 // Observability: per-op request counters and latency histograms
-// (p50/p95/p99 via `stats`), queue-wait and batch-size histograms, and
-// rejection/shed/deadline counters, all in the shared MetricsRegistry
-// under `serve.*`.
+// (p50/p95/p99 via `stats`; every op outside ops:: shares the `unknown`
+// names, so clients cannot grow the registry), queue-wait and batch-size
+// histograms, and rejection/shed/deadline/reader-path counters, all in the
+// shared MetricsRegistry under `serve.*`.
 
 #ifndef FASTOFD_SERVICE_SERVER_H_
 #define FASTOFD_SERVICE_SERVER_H_
@@ -53,6 +65,7 @@
 #include <deque>
 #include <list>
 #include <memory>
+#include <span>
 #include <string>
 #include <thread>
 #include <unordered_map>
@@ -75,10 +88,12 @@ struct ServerConfig {
   std::string unix_socket;
   /// TCP port on 127.0.0.1 (0 = ephemeral, see ServiceServer::port()).
   int tcp_port = 0;
-  /// Parallel kernel threads. Every request runs on the shared pool, which
-  /// gets threads + 1 workers (at least 2): one request body may hold a
-  /// worker while reads keep `threads` for their kernels, and no request
-  /// ever runs inline on a connection reader.
+  /// Parallel kernel threads. The shared pool gets threads + 1 workers (at
+  /// least 2): one request body may hold a worker while reads keep
+  /// `threads` for their kernels. `load`, `unload`, `discover`, `clean`,
+  /// `sleep` and `shutdown` always run on the pool; `ping`, `verify`,
+  /// `update`, `list` and `stats` run on their connection's reader thread
+  /// when their session's strand is idle, and on the pool otherwise.
   int threads = 1;
   /// Admission control: maximum admitted requests not yet started, across
   /// all sessions.
@@ -169,11 +184,22 @@ class ServiceServer {
   /// threads have already exited.
   void ReapFinishedReaders();
 
-  /// Admission (reader threads): queue, else park, else reject (false).
-  /// The request is only consumed on success; on rejection the caller's
-  /// object is untouched so it can still build the 503 (echoing the id).
+  enum class Admission {
+    kRejected,  // Answer 503; the request is untouched.
+    kQueued,    // Moved into its strand or the wait list.
+    kOnReader,  // Holds its strand; the caller must RunOnReader it.
+  };
+  /// Admission (reader threads): take an idle strand for a reader op, else
+  /// queue, else park, else reject. The request is only moved from when
+  /// queued, so a rejected one can still build its 503 (echoing the id).
   /// Also sheds expired parked requests as a side effect.
-  bool Admit(Request&& request) EXCLUDES(mu_);
+  Admission Admit(Request& request) EXCLUDES(mu_);
+  /// Takes the request's strand for it when IsReaderOp(op) and the strand
+  /// is absent, or (for a read) holds only readers and an empty mailbox.
+  bool TakeIdleStrandLocked(const Request& request) REQUIRES(mu_);
+  /// Runs a request admitted kOnReader on the calling reader: executes it,
+  /// releases its strand, then writes the response.
+  void RunOnReader(Request& request) EXCLUDES(mu_);
   /// Appends an admitted request to its session's strand and dispatches.
   void EnqueueLocked(Request&& request) REQUIRES(mu_);
   /// Submits every request at the head of the session's strand that may
@@ -181,34 +207,35 @@ class ServiceServer {
   /// run of updates behind it) once the readers reach zero. Erases the
   /// strand when it is idle.
   void DispatchLocked(const std::string& session) REQUIRES(mu_);
+  /// Drops one hold on the session's strand (a reader's, or the writer's)
+  /// and dispatches what may now start.
+  void ReleaseStrandLocked(const std::string& session, bool read)
+      REQUIRES(mu_);
   /// Moves parked requests whose deadline has passed into *shed.
   void ShedExpiredLocked(std::vector<Request>* shed) REQUIRES(mu_);
   /// Writes the 503 shed responses. Call without mu_ held.
   void RespondShed(std::vector<Request>& shed) EXCLUDES(mu_);
   /// Pool task body: releases the batch's queue slots (shedding and
-  /// promoting parked requests), executes it, then releases its hold on the
-  /// strand and dispatches the next head.
+  /// promoting parked requests), executes it, writing responses in order,
+  /// then releases its hold on the strand and dispatches the next head.
   void RunTask(std::vector<Request>& batch) EXCLUDES(mu_);
 
   void WriteResponse(Connection& conn, const Json& response);
-  /// Runs a batch of requests inline: per-request queue-wait/deadline
-  /// accounting around Execute, responses written in order.
-  void ExecuteBatch(std::vector<Request>& batch);
-  /// One request of a batch: deadline check (expired → 504), Execute,
-  /// latency observation, response write.
-  void ExecuteOne(Request& request);
+  /// One request of a batch: queue-wait accounting, deadline check
+  /// (expired → 504), Execute, latency observation. Returns the response.
+  Json Respond(Request& request);
 
   /// Deep invariant audit (common/audit.h): a dispatched batch is
   /// non-empty, within the micro-batch bound, every request carries a live
   /// connection and an op matching its message, and multi-request batches
   /// are runs of same-session updates — the shape DispatchLocked promises.
-  Status AuditBatchShape(const std::vector<Request>& batch) const;
+  Status AuditBatchShape(std::span<const Request> batch) const;
 
   /// Snapshot file for a session name, or "" when snapshots are disabled
   /// or the name contains characters unsafe for a filename.
   std::string SnapshotPathFor(const std::string& session) const;
 
-  // --- Handlers (pool workers) ---
+  // --- Handlers (pool workers, or readers for IsReaderOp) ---
   Json HandlePing(const Json& request);
   Json HandleLoad(const Json& request);
   Json HandleUnload(const Json& request);
@@ -228,15 +255,19 @@ class ServiceServer {
   TaskGroup tasks_;
   SessionRegistry sessions_;
 
-  // Admission and strand state. Tasks are submitted under mu_, and
-  // draining_ is set under it too, so once the drain begins tasks_.Wait()
-  // covers every admitted request. Invariant after each critical section: a
-  // non-empty mailbox has a task in flight for its strand, and parked_ is
-  // empty unless queued_ >= queue_depth.
+  // Admission and strand state. Tasks are submitted and reader-path
+  // requests counted under mu_, and draining_ is set under it too, so once
+  // the drain begins, waiting for on_reader_ to reach 0 and then for
+  // tasks_ covers every admitted request. Invariant after each critical
+  // section: a non-empty mailbox has a task or a reader holding its strand,
+  // and parked_ is empty unless queued_ >= queue_depth.
   Mutex mu_;
   std::unordered_map<std::string, Strand> strands_ GUARDED_BY(mu_);
   std::deque<Request> parked_ GUARDED_BY(mu_);
   size_t queued_ GUARDED_BY(mu_) = 0;  // Admitted, not started.
+  // Requests admitted kOnReader whose response is not yet written.
+  int on_reader_ GUARDED_BY(mu_) = 0;
+  CondVar on_reader_cv_;
 
   // listen_fd_ is single-threaded by phase: written by Start() before any
   // thread exists, then owned by the listener thread (ListenerLoop /

@@ -84,13 +84,16 @@ constexpr int kVerifies = 8;
 constexpr int64_t kUpdateIdBase = 1000;
 constexpr int64_t kVerifyIdBase = 2000;
 
-// One client's pipelined stream: send everything, then read every response.
+// One client's pipelined stream: send everything (`gap` apart), then read
+// every response.
 std::vector<std::string> RunStream(ServiceClient& client,
-                                   const std::vector<Json>& requests) {
+                                   const std::vector<Json>& requests,
+                                   std::chrono::milliseconds gap = {}) {
   std::vector<std::string> responses;
   for (const Json& request : requests) {
     Status sent = client.Send(request);
     EXPECT_TRUE(sent.ok()) << sent.message();
+    if (gap.count() > 0) std::this_thread::sleep_for(gap);
   }
   for (size_t i = 0; i < requests.size(); ++i) {
     auto resp = client.ReadResponse();
@@ -104,15 +107,15 @@ std::vector<std::string> RunStream(ServiceClient& client,
 // The update stream writes a constant value into NOISE0 — an attribute no
 // OFD mentions — so the session's violation state never changes and every
 // verify response has exactly one correct byte sequence, independent of how
-// the streams interleave.
-std::vector<Json> UpdateStream() {
+// the streams interleave. Stream k uses its own ids and rows.
+std::vector<Json> UpdateStream(int k = 0) {
   std::vector<Json> requests;
   for (int i = 0; i < kUpdates; ++i) {
     Json r = Json::Object();
-    r.Set("id", Json::Int(kUpdateIdBase + i));
+    r.Set("id", Json::Int(kUpdateIdBase + 100 * k + i));
     r.Set("op", Json::Str(ops::kUpdate));
     r.Set("session", Json::Str("hot"));
-    r.Set("row", Json::Int(i));
+    r.Set("row", Json::Int(kUpdates * k + i));
     r.Set("attr", Json::Str("NOISE0"));
     r.Set("value", Json::Str("zz"));
     requests.push_back(std::move(r));
@@ -120,11 +123,11 @@ std::vector<Json> UpdateStream() {
   return requests;
 }
 
-std::vector<Json> VerifyStream() {
+std::vector<Json> VerifyStream(int k = 0) {
   std::vector<Json> requests;
   for (int i = 0; i < kVerifies; ++i) {
     Json r = Json::Object();
-    r.Set("id", Json::Int(kVerifyIdBase + i));
+    r.Set("id", Json::Int(kVerifyIdBase + 100 * k + i));
     r.Set("op", Json::Str(ops::kVerify));
     r.Set("session", Json::Str("hot"));
     requests.push_back(std::move(r));
@@ -210,6 +213,93 @@ TEST_F(ServiceShardTest, ConcurrentStreamsMatchSingleExecutorByteForByte) {
     EXPECT_EQ(ById(verifies), ref_verifies_by_id);
     EXPECT_GT(metrics.Snapshot().Counter("serve.snapshot_reads"), 0);
     EXPECT_EQ(metrics.Snapshot().Counter("serve.rejected"), 0);
+  }
+}
+
+TEST_F(ServiceShardTest, SharedSessionStreamsFromManyConnectionsMatchSerial) {
+  // Several connections drive one session at once: a request that finds the
+  // strand idle runs on its connection's reader, one that finds it busy
+  // queues for the pool. The streams start behind a short pool `sleep` on
+  // the session and are paced, so their first requests queue and the later
+  // ones mostly find the strand idle: both paths interleave on one strand.
+  constexpr int kUpdateStreams = 2;
+  constexpr int kVerifyStreams = 3;
+  std::vector<std::vector<Json>> streams;
+  for (int k = 0; k < kUpdateStreams; ++k) streams.push_back(UpdateStream(k));
+  for (int k = 0; k < kVerifyStreams; ++k) streams.push_back(VerifyStream(k));
+
+  // Reference: every stream back to back on one connection.
+  std::vector<std::vector<std::string>> expected;
+  {
+    MetricsRegistry metrics;
+    ServerConfig config;
+    config.threads = 2;
+    ServiceServer server(config, &metrics);
+    ASSERT_TRUE(server.Start().ok());
+    auto client = ServiceClient::ConnectTcp(server.port());
+    ASSERT_TRUE(client.ok());
+    auto loaded = client.value().Call(LoadReq("hot"));
+    ASSERT_TRUE(loaded.ok());
+    ASSERT_TRUE(loaded.value().Get("ok").AsBool()) << loaded.value().Dump();
+    for (const std::vector<Json>& stream : streams) {
+      expected.push_back(RunStream(client.value(), stream));
+    }
+    server.NotifyShutdown();
+    server.Wait();
+  }
+
+  for (int threads : {2, 4}) {
+    SCOPED_TRACE("threads=" + std::to_string(threads));
+    MetricsRegistry metrics;
+    ServerConfig config;
+    config.threads = threads;
+    ServiceServer server(config, &metrics);
+    ASSERT_TRUE(server.Start().ok());
+    std::vector<ServiceClient> clients;
+    for (size_t k = 0; k < streams.size(); ++k) {
+      auto client = ServiceClient::ConnectTcp(server.port());
+      ASSERT_TRUE(client.ok());
+      clients.push_back(std::move(client).value());
+    }
+    auto blocker = ServiceClient::ConnectTcp(server.port());
+    ASSERT_TRUE(blocker.ok());
+    auto loaded = blocker.value().Call(LoadReq("hot"));
+    ASSERT_TRUE(loaded.ok());
+    ASSERT_TRUE(loaded.value().Get("ok").AsBool()) << loaded.value().Dump();
+
+    Json sleep_req = Req(ops::kSleep, 1);
+    sleep_req.Set("session", Json::Str("hot"));
+    sleep_req.Set("ms", Json::Number(30));
+    ASSERT_TRUE(blocker.value().Send(sleep_req).ok());
+    while (metrics.Snapshot().Counter("serve.requests.sleep") == 0) {
+      std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    }
+    std::vector<std::vector<std::string>> got(streams.size());
+    std::vector<std::thread> runners;
+    for (size_t k = 0; k < streams.size(); ++k) {
+      runners.emplace_back([&, k] {
+        got[k] = RunStream(clients[k], streams[k],
+                           std::chrono::milliseconds(5));
+      });
+    }
+    for (std::thread& runner : runners) runner.join();
+    EXPECT_TRUE(blocker.value().ReadResponse().ok());  // The sleep.
+    server.NotifyShutdown();
+    server.Wait();
+
+    for (size_t k = 0; k < streams.size(); ++k) {
+      if (k < kUpdateStreams) {
+        EXPECT_EQ(got[k], expected[k]) << "update stream " << k;
+      } else {
+        EXPECT_EQ(ById(got[k]), ById(expected[k])) << "verify stream " << k;
+      }
+    }
+    MetricsSnapshot snapshot = metrics.Snapshot();
+    EXPECT_EQ(snapshot.Counter("serve.rejected"), 0);
+    const int64_t requests = kUpdateStreams * kUpdates +
+                             kVerifyStreams * kVerifies;
+    EXPECT_GT(snapshot.Counter("serve.inline"), 0);
+    EXPECT_LT(snapshot.Counter("serve.inline"), requests);
   }
 }
 

@@ -1,17 +1,21 @@
 // Tests for the fastofd service layer: the NDJSON codec, the in-process
 // request core, and the full socket path (admission control, deadlines,
-// micro-batching, graceful drain).
+// micro-batching, requests run on their connection's reader, graceful
+// drain).
 
 #include <arpa/inet.h>
 #include <netinet/in.h>
 #include <sys/socket.h>
+#include <sys/un.h>
 #include <unistd.h>
 
 #include <atomic>
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
+#include <cstring>
 #include <fstream>
+#include <future>
 #include <memory>
 #include <string>
 #include <thread>
@@ -842,6 +846,205 @@ TEST_F(ServiceSocketTest, ConsecutiveUpdatesAreMicroBatched) {
     EXPECT_EQ(resp.value().Get("applied").AsInt(), 1);
   }
   EXPECT_GE(metrics_.Snapshot().Counter("serve.batches"), 1);
+}
+
+TEST_F(ServiceSocketTest, UnknownOpsShareOneSetOfMetricNames) {
+  StartServer(ServerConfig{});
+  ServiceClient client = Connect();
+  // Names in `stats`: each op adds a request counter, an exec timer and a
+  // latency histogram.
+  auto stats_names = [&] {
+    auto stats = client.Call(Req(ops::kStats, 0));
+    EXPECT_TRUE(stats.ok());
+    if (!stats.ok()) return size_t{0};
+    const Json& r = stats.value();
+    return r.Get("counters").size() + r.Get("gauges").size() +
+           r.Get("timers").size() + r.Get("latency").size();
+  };
+  // One unknown op and a first `stats` register every name the flood below
+  // may touch.
+  auto first = client.Call(Req("no-such-op", 1));
+  ASSERT_TRUE(first.ok());
+  EXPECT_EQ(first.value().Get("code").AsInt(), kCodeBadRequest);
+  stats_names();
+  const size_t before = stats_names();
+
+  constexpr int kBogus = 300;
+  for (int i = 0; i < kBogus; ++i) {
+    std::string op = "bogus-" + std::to_string(i);
+    if (i % 50 == 0) op += std::string(size_t{64} << 10, 'x');
+    ASSERT_TRUE(client.Send(Req(op, 100 + i)).ok());
+  }
+  for (int i = 0; i < kBogus; ++i) {
+    auto resp = client.ReadResponse();
+    ASSERT_TRUE(resp.ok()) << "response " << i;
+    EXPECT_EQ(resp.value().Get("code").AsInt(), kCodeBadRequest);
+    EXPECT_EQ(resp.value().Get("id").AsInt(), 100 + i);
+  }
+  EXPECT_EQ(stats_names(), before);
+  EXPECT_EQ(metrics_.Snapshot().Counter("serve.requests.unknown"), kBogus + 1);
+}
+
+TEST_F(ServiceSocketTest, ReaderPathQueuesBehindABusyStrandOnly) {
+  ServerConfig config;
+  config.threads = 2;
+  StartServer(config);
+  ServiceClient blocker = Connect();
+  ServiceClient writer = Connect();
+  ServiceClient prober = Connect();
+  for (const char* session : {"s", "t"}) {
+    auto loaded = prober.Call(LoadReq(session));
+    ASSERT_TRUE(loaded.ok());
+    ASSERT_TRUE(loaded.value().Get("ok").AsBool()) << loaded.value().Dump();
+  }
+  Json update = UpdateReq("s", 0, "VAL0", "a value no row has");
+  update.Set("id", Json::Int(2));
+  Json verify_s = Req(ops::kVerify, 3);
+  verify_s.Set("session", Json::Str("s"));
+  // Reference answers from the in-process core, before and after the update.
+  std::string before_update, after_update;
+  {
+    MetricsRegistry metrics;
+    ServiceServer replay(ServerConfig{}, &metrics);
+    ASSERT_TRUE(replay.Execute(LoadReq("s")).Get("ok").AsBool());
+    before_update = replay.Execute(verify_s).Dump();
+    ASSERT_TRUE(replay.Execute(update).Get("ok").AsBool());
+    after_update = replay.Execute(verify_s).Dump();
+  }
+  ASSERT_NE(before_update, after_update);
+
+  // A pool sleep holds s, so the update and verify behind it must queue on
+  // its strand; the verify on idle t runs on its reader at once.
+  const int64_t inline_before = metrics_.Snapshot().Counter("serve.inline");
+  Json sleep_req = Req(ops::kSleep, 1);
+  sleep_req.Set("session", Json::Str("s"));
+  sleep_req.Set("ms", Json::Number(500));
+  ASSERT_TRUE(blocker.Send(sleep_req).ok());
+  std::this_thread::sleep_for(std::chrono::milliseconds(50));
+  ASSERT_TRUE(writer.Send(update).ok());
+  ASSERT_TRUE(writer.Send(verify_s).ok());
+
+  Json verify_t = Req(ops::kVerify, 4);
+  verify_t.Set("session", Json::Str("t"));
+  auto begin = std::chrono::steady_clock::now();
+  auto on_t = prober.Call(verify_t);
+  double elapsed_ms = std::chrono::duration<double, std::milli>(
+                          std::chrono::steady_clock::now() - begin)
+                          .count();
+  ASSERT_TRUE(on_t.ok());
+  EXPECT_TRUE(on_t.value().Get("ok").AsBool()) << on_t.value().Dump();
+  EXPECT_LT(elapsed_ms, 300.0);  // Behind the sleep it would wait ~450 ms.
+  EXPECT_EQ(metrics_.Snapshot().Counter("serve.inline") - inline_before, 1);
+
+  auto updated = writer.ReadResponse();
+  ASSERT_TRUE(updated.ok());
+  EXPECT_EQ(updated.value().Get("id").AsInt(), 2);
+  EXPECT_TRUE(updated.value().Get("ok").AsBool()) << updated.value().Dump();
+  auto verified = writer.ReadResponse();
+  ASSERT_TRUE(verified.ok());
+  EXPECT_EQ(verified.value().Dump(), after_update);
+  EXPECT_TRUE(blocker.ReadResponse().ok());
+  EXPECT_EQ(metrics_.Snapshot().Counter("serve.inline") - inline_before, 1);
+}
+
+TEST_F(ServiceSocketTest, ClientThatStopsReadingCannotHoldASession) {
+  ServerConfig config;
+  config.threads = 2;
+  config.unix_socket = dir_ + "/stalled.sock";
+  StartServer(config);
+  auto control = ServiceClient::ConnectUnix(config.unix_socket);
+  ASSERT_TRUE(control.ok()) << control.status().message();
+  auto loaded = control.value().Call(LoadReq("s"));
+  ASSERT_TRUE(loaded.ok());
+  ASSERT_TRUE(loaded.value().Get("ok").AsBool()) << loaded.value().Dump();
+
+  // A raw connection pipelines verifies on s and never reads its responses,
+  // so its reader ends up blocked in send.
+  int fd = ::socket(AF_UNIX, SOCK_STREAM, 0);
+  ASSERT_GE(fd, 0);
+  sockaddr_un addr{};
+  addr.sun_family = AF_UNIX;
+  std::strncpy(addr.sun_path, config.unix_socket.c_str(),
+               sizeof(addr.sun_path) - 1);
+  ASSERT_EQ(::connect(fd, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)), 0);
+  Json verify = Req(ops::kVerify, 7);
+  verify.Set("session", Json::Str("s"));
+  const std::string line = verify.Dump() + "\n";
+  constexpr int kPipelined = 3000;
+  std::thread sender([&] {
+    for (int i = 0; i < kPipelined; ++i) {
+      for (size_t off = 0; off < line.size();) {
+        ssize_t n = ::send(fd, line.data() + off, line.size() - off,
+                           MSG_NOSIGNAL);
+        if (n <= 0) return;  // Shut down below.
+        off += static_cast<size_t>(n);
+      }
+    }
+  });
+  // The reader has stalled once it stops taking requests off the wire.
+  int64_t seen = -1;
+  for (int still = 0, polls = 0; still < 10 && polls < 500; ++polls) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(20));
+    const int64_t now = metrics_.Snapshot().Counter("serve.requests.verify");
+    still = now == seen ? still + 1 : 0;
+    seen = now;
+  }
+  EXPECT_LT(seen, kPipelined);
+
+  auto other = ServiceClient::ConnectUnix(config.unix_socket);
+  ASSERT_TRUE(other.ok()) << other.status().message();
+  auto answered = std::async(std::launch::async, [&] {
+    auto updated = other.value().Call(UpdateReq("s", 1, "VAL0", "zz"));
+    auto verified = other.value().Call(verify);
+    return updated.ok() && updated.value().Get("ok").AsBool() &&
+           verified.ok() && verified.value().Get("ok").AsBool();
+  });
+  const bool prompt =
+      answered.wait_for(std::chrono::seconds(10)) == std::future_status::ready;
+  // Unstall the reader either way, so the drain at teardown can finish.
+  ::shutdown(fd, SHUT_RDWR);
+  sender.join();
+  ::close(fd);
+  EXPECT_TRUE(prompt) << "a stalled client held session s";
+  EXPECT_TRUE(answered.get());
+}
+
+TEST_F(ServiceSocketTest, DrainAnswersARequestRunningOnItsReader) {
+  StartServer(ServerConfig{});
+  ServiceClient client = Connect();
+  auto loaded = client.Call(LoadReq("s"));
+  ASSERT_TRUE(loaded.ok());
+  ASSERT_TRUE(loaded.value().Get("ok").AsBool()) << loaded.value().Dump();
+
+  // A large updates[] batch keeps the reader busy long enough for the drain
+  // to begin under it.
+  constexpr int kCells = 50000;
+  Json cells = Json::Array();
+  for (int i = 0; i < kCells; ++i) {
+    Json cell = Json::Object();
+    cell.Set("row", Json::Int(i % 500));
+    cell.Set("attr", Json::Str("CTX0"));
+    cell.Set("value", Json::Str("d" + std::to_string(i % 7)));
+    cells.Push(std::move(cell));
+  }
+  Json update = Req(ops::kUpdate, 2);
+  update.Set("session", Json::Str("s"));
+  update.Set("updates", std::move(cells));
+  ASSERT_TRUE(client.Send(update).ok());
+  for (int spin = 0;
+       spin < 10000 && metrics_.Snapshot().Counter("serve.inline") == 0;
+       ++spin) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  ASSERT_EQ(metrics_.Snapshot().Counter("serve.inline"), 1);
+  server_->NotifyShutdown();
+
+  auto resp = client.ReadResponse();
+  ASSERT_TRUE(resp.ok());
+  EXPECT_TRUE(resp.value().Get("ok").AsBool()) << resp.value().Dump();
+  EXPECT_EQ(resp.value().Get("applied").AsInt(), kCells);
+  server_->Wait();
+  server_.reset();
 }
 
 TEST_F(ServiceSocketTest, GracefulDrainAnswersEveryAcceptedRequest) {
