@@ -3,7 +3,7 @@
 // level are independent; results are applied in a deterministic order, so
 // output is identical for any thread count (asserted in tests). This harness
 // sweeps thread counts through a shared ThreadPool and reports per-phase
-// times (candidate validation vs. partition products) from the metrics
+// times (candidate validation vs. lattice children) from the metrics
 // registry instead of ad-hoc timers.
 //
 //   bench_ext_parallel [--rows N] [--seed S]
@@ -99,7 +99,8 @@ int main(int argc, char** argv) {
   table.Print();
   WriteJsonIfRequested(flags, "ext_parallel", table);
   std::printf("expected shape: validate speedup tracks the thread count until\n"
-              "partition products (parallel but coarser-grained) dominate;\n"
+              "lattice children (one serial refinement each, parallel\n"
+              "across a level) dominate;\n"
               "output is identical for every thread count.\n");
   return 0;
 }

@@ -53,7 +53,7 @@ FastOfdResult FastOfd::Discover() {
   FastOfdResult result;
 
   // Execution & instrumentation substrate: one pool for the whole run
-  // (validation and partition products, every level), one registry as the
+  // (validation and lattice children, every level), one registry as the
   // single source of truth for telemetry. Both may be shared by the caller.
   MetricsRegistry local_metrics;
   MetricsRegistry& metrics =
@@ -209,7 +209,8 @@ FastOfdResult FastOfd::Discover() {
       ++stats.ofds_found;
     }
 
-    // Prune nodes with empty candidate sets (nothing minimal above them).
+    // Opt-2: prune nodes with empty candidate sets (nothing minimal above
+    // them).
     if (config_.opt_augmentation) {
       for (auto it = cur.begin(); it != cur.end();) {
         if (it->second.cand.empty()) {
@@ -221,9 +222,8 @@ FastOfdResult FastOfd::Discover() {
     }
 
     // calculateNextLevel(L_l): prefix blocks — two sets combine iff they
-    // share all attributes except their highest one. The partition products
-    // of distinct children are independent, so they are computed in
-    // parallel when num_threads > 1.
+    // share all attributes except their highest one. Distinct children are
+    // independent, so they are built in parallel when num_threads > 1.
     Level next;
     if (level < n && level < config_.max_level) {
       std::unordered_map<uint64_t, std::vector<AttrSet>> blocks;
@@ -232,10 +232,14 @@ FastOfdResult FastOfd::Discover() {
         uint64_t prefix = mask & ~(uint64_t{1} << (63 - std::countl_zero(mask)));
         blocks[prefix].push_back(attrs);
       }
+      // Siblings X∪{a} and X∪{b}: `left_only` = a and `right_only` = b, the
+      // columns LatticeChild refines the other parent by.
       struct Pending {
         AttrSet combined;
         const Node* left;
         const Node* right;
+        AttrId left_only;
+        AttrId right_only;
       };
       std::vector<Pending> pending;
       for (auto& [_, members] : blocks) {
@@ -256,15 +260,17 @@ FastOfdResult FastOfd::Discover() {
             const Node& left = cur.at(members[i]);
             const Node& right = cur.at(members[j]);
             if (config_.opt_keys && (left.superkey || right.superkey)) {
-              // Opt-3: a superset of a superkey is a superkey; skip the
-              // partition product entirely.
+              // Opt-3: a superset of a superkey is a superkey; skip
+              // building its partition entirely.
               Node node;
               node.partition = StrippedPartition::Empty(rel_.num_rows());
               node.superkey = true;
               next.emplace(combined, std::move(node));
             } else {
               next.emplace(combined, Node{});  // Reserve; filled below.
-              pending.push_back(Pending{combined, &left, &right});
+              pending.push_back(Pending{combined, &left, &right,
+                                        members[i].Minus(members[j]).First(),
+                                        members[j].Minus(members[i]).First()});
             }
           }
         }
@@ -278,24 +284,24 @@ FastOfdResult FastOfd::Discover() {
                   return x.combined < y.combined;
                 });
       ScopedTimer products_timer(&metrics, "discover.products.seconds");
-      // Level-wide task parallelism: one task per product, every pending
-      // node in flight at once. A product whose operands are large splits
-      // *itself* further — ProductParallel's chunks become nested, stealable
-      // subtasks — so both levels of parallelism compose instead of the old
-      // either/or (wide across products XOR wide inside one product).
+      // Level-wide task parallelism: one task per child, every pending node
+      // in flight at once. Each child is one serial refinement of its
+      // smaller parent by the other parent's column, so its class order —
+      // and every count read off it — is the same for any thread count.
       OrderedReduce<StrippedPartition>(
           pool, pending.size(), /*grain=*/1,
           [&](size_t i, int) {
             const Pending& p = pending[i];
-            return StrippedPartition::ProductParallel(p.left->partition,
-                                                      p.right->partition, pool);
+            return StrippedPartition::LatticeChild(rel_, p.left->partition,
+                                                   p.left_only, p.right->partition,
+                                                   p.right_only);
           },
           [&](size_t i, StrippedPartition part) {
             const Pending& p = pending[i];
             Node& node = next.at(p.combined);
             node.partition = std::move(part);
             node.superkey = node.partition.IsSuperkey();
-            // Audit builds re-check every product against the partition laws
+            // Audit builds re-check every child against the partition laws
             // (and, on small relations, against a naive rebuild of Π*_X).
             FASTOFD_AUDIT_OK(node.partition.AuditInvariants(rel_, p.combined));
           });

@@ -3,12 +3,17 @@
 // Level-wise traversal of the set-containment lattice (Algorithm 2). At a
 // node X the candidates are (X \ A) -> A for A ∈ X, kept minimal via the
 // candidate sets C+(X) (Definition 4.2, Lemma 4.3) — the paper's Opt-2
-// (Augmentation pruning). Opt-1 (Reflexivity) is structural: trivial
-// candidates are never generated. Opt-3 exploits superkeys: a candidate with
-// a superkey antecedent is valid without touching the ontology, and nodes
-// with empty candidate sets are pruned from the lattice. Opt-4 (FD
+// (Augmentation pruning), which also prunes nodes with empty candidate sets
+// from the lattice. Opt-1 (Reflexivity) is structural: trivial candidates
+// are never generated. Opt-3 exploits superkeys: a superset of a superkey is
+// a superkey, so its partition is never computed, and a candidate with a
+// superkey antecedent is valid without touching the ontology. Opt-4 (FD
 // reduction) skips sense-intersection work for equivalence classes whose
 // consequent values are syntactically equal.
+//
+// Each lattice child X∪{a,b} is built from its siblings X∪{a} and X∪{b} by
+// StrippedPartition::LatticeChild: the smaller parent refined by the other
+// parent's column.
 //
 // Setting min_support < 1 discovers approximate OFDs (support s(φ) ≥ κ·|I|):
 // per equivalence class the best interpretation covers the most tuples, and
@@ -34,11 +39,13 @@ class ThreadPool;       // exec/thread_pool.h
 
 /// Tunables for FastOFD; defaults reproduce the paper's configuration.
 struct FastOfdConfig {
-  /// Opt-2: prune candidates via C+(X) (augmentation). Disabling verifies
-  /// every candidate and filters non-minimal results post hoc (identical
-  /// output, slower) — used by the Exp-3 ablation.
+  /// Opt-2: prune candidates via C+(X) (augmentation) and drop nodes whose
+  /// candidate set is empty from the lattice. Disabling verifies every
+  /// candidate, keeps every node, and filters non-minimal results post hoc
+  /// (identical output, slower) — used by the Exp-3 ablation.
   bool opt_augmentation = true;
-  /// Opt-3: superkey shortcut + empty-candidate-set node pruning.
+  /// Opt-3: superkey shortcut — a child of a superkey node is a superkey,
+  /// so its partition is never computed.
   bool opt_keys = true;
   /// Opt-4: skip ontology verification for syntactically-equal classes.
   bool opt_fd_reduction = true;
@@ -50,7 +57,7 @@ struct FastOfdConfig {
   OfdKind kind = OfdKind::kSynonym;
   /// Ancestor-distance bound for inheritance OFDs.
   int theta = 2;
-  /// Worker threads for candidate validation and partition products
+  /// Worker threads for candidate validation and lattice children
   /// (1 = serial). Output is identical regardless of thread count
   /// (validation results are applied in a deterministic order).
   int num_threads = 1;
@@ -87,7 +94,7 @@ struct FastOfdResult {
   int64_t candidates_checked = 0;
   /// Cells touched by sense-intersection verification (work Opt-4 avoids).
   int64_t values_scanned = 0;
-  /// Stripped-partition products computed (work Opt-3 avoids).
+  /// Lattice-child partitions computed (work Opt-3 avoids).
   int64_t partition_products = 0;
 };
 

@@ -73,9 +73,11 @@ class FdMine : public FdAlgorithm {
             for (size_t j = i + 1; j < members.size(); ++j) {
               AttrSet combined = members[i].Union(members[j]);
               if (next.count(combined)) continue;
-              next.emplace(combined,
-                           StrippedPartition::Product(cur.at(members[i]),
-                                                      cur.at(members[j])));
+              next.emplace(combined, StrippedPartition::LatticeChild(
+                                         rel, cur.at(members[i]),
+                                         members[i].Minus(members[j]).First(),
+                                         cur.at(members[j]),
+                                         members[j].Minus(members[i]).First()));
             }
           }
         }

@@ -122,8 +122,9 @@ class Tane : public FdAlgorithm {
               }
               if (!ok) continue;
               TaneNode node;
-              node.partition = StrippedPartition::Product(
-                  cur.at(members[i]).partition, cur.at(members[j]).partition);
+              node.partition = StrippedPartition::LatticeChild(
+                  rel, cur.at(members[i]).partition, members[i].Minus(members[j]).First(),
+                  cur.at(members[j]).partition, members[j].Minus(members[i]).First());
               next.emplace(combined, std::move(node));
             }
           }

@@ -1,6 +1,6 @@
 // Shared execution substrate: a persistent work-stealing task scheduler.
 //
-// Every compute-heavy phase (candidate validation, partition products, beam
+// Every compute-heavy phase (candidate validation, lattice children, beam
 // expansion, sense assignment, EMD edge weights, conflict-graph
 // construction) runs on one ThreadPool created once per Discover()/Clean()
 // invocation — or shared across invocations by the caller — instead of

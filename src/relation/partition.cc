@@ -8,7 +8,6 @@
 #include "common/audit.h"
 #include "common/check.h"
 #include "common/metrics.h"
-#include "exec/thread_pool.h"
 
 namespace fastofd {
 
@@ -231,6 +230,18 @@ StrippedPartition StrippedPartition::Refine(const StrippedPartition& a,
   return out;
 }
 
+StrippedPartition StrippedPartition::LatticeChild(const Relation& rel,
+                                                  const StrippedPartition& left,
+                                                  AttrId left_only,
+                                                  const StrippedPartition& right,
+                                                  AttrId right_only) {
+  FASTOFD_CHECK(left.num_rows_ == right.num_rows_);
+  // Π*_{X∪{a,b}} = Π*_{X∪{a}} refined by b = Π*_{X∪{b}} refined by a. The
+  // refinement walks only the refined parent's arena, so take the smaller.
+  return left.sum_sizes() <= right.sum_sizes() ? Refine(left, rel, right_only)
+                                               : Refine(right, rel, left_only);
+}
+
 namespace {
 
 // The one count loop: tallies the rows of `cls` per key(row), recording each
@@ -271,7 +282,7 @@ void StrippedPartition::EmitGroups(const ClassesView& classes, Key key,
     if (touched.empty()) continue;
     // Assign each surviving group (count >= 2) a contiguous slot range at
     // the end of the arena; groups appear in first-touch order, which is
-    // deterministic and independent of chunking.
+    // deterministic.
     const size_t old_size = rows->size();
     size_t pos = old_size;
     for (int32_t k : touched) {
@@ -418,92 +429,6 @@ int64_t StrippedPartition::IntersectError(const StrippedPartition& a,
     }
   });
   return err;
-}
-
-StrippedPartition StrippedPartition::ProductParallel(const StrippedPartition& a,
-                                                     const StrippedPartition& b,
-                                                     ThreadPool* pool) {
-  FASTOFD_CHECK(a.num_rows_ == b.num_rows_);
-  // Below this arena size the probe fill dominates; the serial kernel wins.
-  constexpr int64_t kMinParallelRows = 1 << 14;
-  if (pool == nullptr || pool->num_threads() <= 1 ||
-      a.sum_sizes() + b.sum_sizes() < kMinParallelRows || a.IsSuperkey() ||
-      b.IsSuperkey() || a.IsAllRowsClass() || b.IsAllRowsClass()) {
-    return Product(a, b);
-  }
-  const bool a_probes = a.sum_sizes() <= b.sum_sizes();
-  const StrippedPartition& probe_side = a_probes ? a : b;
-  const StrippedPartition& outer = a_probes ? b : a;
-  // The probe table is shared read-only across workers; each worker emits
-  // into its own chunk arena with its thread-local counts/slots. Filling it
-  // parallelizes too: distinct classes hold distinct rows, so per-class
-  // scatter writes never alias. This was the serial prologue that capped
-  // each product's scaling before the emission chunks even started.
-  std::vector<int32_t> probe(static_cast<size_t>(a.num_rows_), -1);
-  const size_t num_probe_classes = probe_side.NumClassesSize();
-  const size_t fill_grain = std::max<size_t>(
-      1, num_probe_classes / (static_cast<size_t>(pool->num_threads()) * 4));
-  pool->ParallelForGrained(num_probe_classes, fill_grain, [&](size_t ci, int) {
-    for (RowId r : probe_side.Class(ci)) {
-      probe[static_cast<size_t>(r)] = static_cast<int32_t>(ci);
-    }
-  });
-  // Chunk the outer classes into contiguous ranges balanced by arena rows.
-  // Per-class emission is independent, so concatenating chunk outputs in
-  // chunk order reproduces the serial class order byte-for-byte no matter
-  // how many chunks or threads there are.
-  const size_t num_classes = outer.NumClassesSize();
-  const size_t num_chunks =
-      std::min(num_classes, static_cast<size_t>(pool->num_threads()) * 4);
-  std::vector<size_t> bounds(num_chunks + 1, 0);
-  const uint64_t total_rows = outer.rows_.size();
-  for (size_t i = 1; i < num_chunks; ++i) {
-    const uint32_t target = static_cast<uint32_t>(total_rows * i / num_chunks);
-    size_t c = static_cast<size_t>(
-        std::lower_bound(outer.offsets_.begin(), outer.offsets_.end(), target) -
-        outer.offsets_.begin());
-    if (c > num_classes) c = num_classes;
-    bounds[i] = std::max(bounds[i - 1], c);
-  }
-  bounds[num_chunks] = num_classes;
-
-  struct Chunk {
-    std::vector<RowId> rows;
-    std::vector<uint32_t> offsets;
-  };
-  std::vector<Chunk> chunks(num_chunks);
-  // Grain 1: the chunks above are already balanced by arena rows, and each
-  // becomes one stealable task — from a lattice-level task this nests, so an
-  // oversized product borrows idle workers instead of running serially.
-  pool->ParallelForGrained(num_chunks, /*grain=*/1, [&](size_t i, int /*worker*/) {
-    PartitionScratch& scratch = ThreadLocalScratch();
-    scratch.EnsureKeys(num_probe_classes);
-    const ClassesView slice(outer.rows_.data(), outer.offsets_.data() + bounds[i],
-                            bounds[i + 1] - bounds[i]);
-    EmitGroups(slice, ProbeKey{probe.data()}, &scratch, &chunks[i].rows,
-               &chunks[i].offsets);
-  });
-
-  StrippedPartition out;
-  out.num_rows_ = a.num_rows_;
-  size_t out_rows = 0;
-  size_t out_classes = 0;
-  for (const Chunk& c : chunks) {
-    out_rows += c.rows.size();
-    if (!c.offsets.empty()) out_classes += c.offsets.size() - 1;
-  }
-  if (out_classes == 0) return out;
-  out.rows_.reserve(out_rows);
-  out.offsets_.reserve(out_classes + 1);
-  out.offsets_.push_back(0);
-  for (const Chunk& c : chunks) {
-    const uint32_t base = static_cast<uint32_t>(out.rows_.size());
-    out.rows_.insert(out.rows_.end(), c.rows.begin(), c.rows.end());
-    for (size_t j = 1; j < c.offsets.size(); ++j) {
-      out.offsets_.push_back(base + c.offsets[j]);
-    }
-  }
-  return out;
 }
 
 PartitionCache::PartitionCache(const Relation& rel, int64_t budget_bytes,

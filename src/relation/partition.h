@@ -2,9 +2,10 @@
 //
 // A partition Π_X groups tuples with equal X-values into equivalence
 // classes; the *stripped* partition Π*_X drops singleton classes, which can
-// never violate an FD or OFD (paper Lemma 3.8 / Opt-4 context). Products of
-// stripped partitions are computed with the linear probe-table algorithm, so
-// level-wise lattice search costs O(rows) per candidate.
+// never violate an FD or OFD (paper Lemma 3.8 / Opt-4 context). A lattice
+// node X∪{a,b} is its smaller parent refined by the other parent's column
+// (LatticeChild), so level-wise lattice search costs O(rows) per node;
+// Product keeps the linear probe-table algorithm for arbitrary operand pairs.
 //
 // Memory layout: one contiguous RowId buffer holding every class's rows
 // back to back, plus a class-offset array (class i spans
@@ -31,8 +32,6 @@
 #include "relation/relation.h"
 
 namespace fastofd {
-
-class ThreadPool;  // exec/thread_pool.h
 
 /// Read-only view of one equivalence class: a contiguous, strictly
 /// ascending run of row ids inside a partition's arena. Implicitly
@@ -210,6 +209,16 @@ class StrippedPartition {
   static StrippedPartition Refine(const StrippedPartition& a, const Relation& rel,
                                   AttrId attr);
 
+  /// The lattice step X∪{a}, X∪{b} -> X∪{a,b}: given `left` = Π*_{X∪{a}}
+  /// with a = `left_only` and `right` = Π*_{X∪{b}} with b = `right_only`,
+  /// refines the parent with the smaller arena by the other parent's own
+  /// column (the left parent on a tie). One arena walk, no probe table;
+  /// the classes equal Product(left, right) up to class order.
+  static StrippedPartition LatticeChild(const Relation& rel,
+                                        const StrippedPartition& left, AttrId left_only,
+                                        const StrippedPartition& right,
+                                        AttrId right_only);
+
   /// TANE error e(a·b) = ||Π*_{a·b}|| - |Π*_{a·b}| without materializing the
   /// product, aborting early once the error exceeds `max_error` (the
   /// approximate-verification fast path: callers compare against a
@@ -231,14 +240,6 @@ class StrippedPartition {
   static void HistogramClass(RowSpan cls, const std::vector<ValueId>& column,
                              size_t num_values, PartitionScratch* scratch,
                              std::vector<ClassHistogram::Slot>* out);
-
-  /// Product on `pool` for large operands: the outer side's classes are
-  /// chunked across workers and the per-chunk arenas concatenated in class
-  /// order, so the result is byte-identical to IntersectInto for any thread
-  /// count. Falls back to the serial kernel for small inputs or a null /
-  /// single-threaded pool.
-  static StrippedPartition ProductParallel(const StrippedPartition& a,
-                                           const StrippedPartition& b, ThreadPool* pool);
 
   /// The stripped partition of a superkey: no classes at all.
   static StrippedPartition Empty(int64_t num_rows) {
@@ -337,11 +338,11 @@ class StrippedPartition {
   }
 
   // The one emission loop behind every kernel. For each class of `classes`
-  // (whole or sliced) it groups the rows by `key(row)` (a probe-side class
-  // index or a ValueId; negative = stripped row) and appends every group of
-  // size >= 2 to rows/offsets, in first-touch order. The leading 0 of
-  // `offsets` is pushed with the first emitted class. The caller sizes the
-  // key range with scratch->EnsureKeys first.
+  // it groups the rows by `key(row)` (a probe-side class index or a
+  // ValueId; negative = stripped row) and appends every group of size >= 2
+  // to rows/offsets, in first-touch order. The leading 0 of `offsets` is
+  // pushed with the first emitted class. The caller sizes the key range
+  // with scratch->EnsureKeys first.
   template <typename Key>
   static void EmitGroups(const ClassesView& classes, Key key, PartitionScratch* scratch,
                          std::vector<RowId>* rows, std::vector<uint32_t>* offsets);

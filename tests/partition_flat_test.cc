@@ -1,8 +1,8 @@
 // Property tests for the flat partition kernels: IntersectInto / RefineInto /
 // IntersectError against a naive map-based reference on randomized relations
-// (all-singleton, all-one-class, and ragged class-size shapes), byte-identical
-// ProductParallel output across thread counts, flat-layout audit coverage,
-// and the PartitionCache eviction-at-budget contract.
+// (all-singleton, all-one-class, and ragged class-size shapes), the lattice
+// step LatticeChild against BuildForSet on every sibling pair, flat-layout
+// audit coverage, and the PartitionCache eviction-at-budget contract.
 
 #include <cstdint>
 #include <limits>
@@ -13,7 +13,6 @@
 #include <gtest/gtest.h>
 
 #include "common/rng.h"
-#include "exec/thread_pool.h"
 #include "relation/partition.h"
 #include "relation/relation.h"
 #include "relation/schema.h"
@@ -144,23 +143,87 @@ TEST(FlatKernelPropertyTest, MatchesNaiveReferenceAcrossShapes) {
   }
 }
 
-TEST(FlatKernelPropertyTest, ProductParallelIsByteIdenticalAcrossThreadCounts) {
-  // Large enough to clear the parallel-dispatch threshold (1 << 14 rows).
-  Relation rel = MakeRandomRelation(20000, {"mid", {64, 97}}, 77);
-  StrippedPartition fa = StrippedPartition::Build(rel, 0);
-  StrippedPartition fb = StrippedPartition::Build(rel, 1);
-  StrippedPartition serial = StrippedPartition::Product(fa, fb);
-  for (int threads : {1, 2, 8}) {
-    SCOPED_TRACE("threads=" + std::to_string(threads));
-    ThreadPool pool(threads);
-    StrippedPartition par = StrippedPartition::ProductParallel(fa, fb, &pool);
-    // Byte-identical, not just canonically equal: same class order, same
-    // arena contents, for any thread count.
-    EXPECT_EQ(par.ToClassVectors(), serial.ToClassVectors());
-    EXPECT_EQ(par.num_classes(), serial.num_classes());
-    EXPECT_EQ(par.sum_sizes(), serial.sum_sizes());
-    EXPECT_TRUE(par.AuditInvariants(rel, AttrSet::Of({0, 1})).ok());
+// A relation whose attribute 1 is attribute 0 read one row later
+// (cyclically): both columns have the same class sizes, so their stripped
+// partitions tie on sum_sizes, but they group different rows. Attribute 2
+// is random with `card` values.
+Relation MakeShiftedRelation(int rows, uint64_t card, uint64_t seed) {
+  Relation rel(Schema({"A0", "A1", "A2"}));
+  Rng rng(seed);
+  std::vector<uint64_t> a0(static_cast<size_t>(rows));
+  for (uint64_t& v : a0) v = rng.NextUint(card);
+  for (int r = 0; r < rows; ++r) {
+    const uint64_t shifted = a0[static_cast<size_t>((r + 1) % rows)];
+    rel.AppendRow({"a0_" + std::to_string(a0[static_cast<size_t>(r)]),
+                   "a1_" + std::to_string(shifted),
+                   "a2_" + std::to_string(rng.NextUint(card))});
   }
+  return rel;
+}
+
+// The lattice step on every sibling pair X∪{a}, X∪{b} with |X| <= 2 (so
+// children of 2 to 4 attributes), in both operand orders: the child must
+// equal BuildForSet(X∪{a,b}) class by class and pass the partition audit,
+// and it must be exactly the smaller parent refined by the other parent's
+// column (the left parent on a tie), so its class order is deterministic.
+TEST(LatticeChildPropertyTest, MatchesBuildForSetOnEverySiblingPair) {
+  int level1_pairs = 0, superkey_pairs = 0, left_bigger = 0, right_bigger = 0,
+      ties = 0;
+  auto check_all_pairs = [&](const Relation& rel) {
+    const int n = rel.num_attrs();
+    std::map<uint64_t, StrippedPartition> built;
+    auto partition = [&](AttrSet attrs) -> const StrippedPartition& {
+      auto it = built.find(attrs.mask());
+      if (it == built.end()) {
+        it = built.emplace(attrs.mask(), StrippedPartition::BuildForSet(rel, attrs)).first;
+      }
+      return it->second;
+    };
+    for (uint64_t mask = 0; mask < (uint64_t{1} << n); ++mask) {
+      const AttrSet x = AttrSet::FromMask(mask);
+      if (x.size() > 2) continue;
+      for (AttrId a = 0; a < n; ++a) {
+        for (AttrId b = 0; b < n; ++b) {
+          if (a == b || x.Contains(a) || x.Contains(b)) continue;
+          SCOPED_TRACE("X mask " + std::to_string(mask) + " a=" + std::to_string(a) +
+                       " b=" + std::to_string(b));
+          const StrippedPartition& left = partition(x.With(a));
+          const StrippedPartition& right = partition(x.With(b));
+          const AttrSet combined = x.With(a).With(b);
+          StrippedPartition child =
+              StrippedPartition::LatticeChild(rel, left, a, right, b);
+          EXPECT_EQ(Canonical(child), Canonical(partition(combined)));
+          EXPECT_TRUE(child.AuditInvariants(rel, combined).ok());
+          const bool refine_left = left.sum_sizes() <= right.sum_sizes();
+          StrippedPartition expected = refine_left
+                                           ? StrippedPartition::Refine(left, rel, b)
+                                           : StrippedPartition::Refine(right, rel, a);
+          EXPECT_EQ(child.ToClassVectors(), expected.ToClassVectors());
+
+          if (x.empty()) ++level1_pairs;
+          if (left.IsSuperkey() || right.IsSuperkey()) ++superkey_pairs;
+          if (left.sum_sizes() > right.sum_sizes()) ++left_bigger;
+          if (left.sum_sizes() < right.sum_sizes()) ++right_bigger;
+          if (left.sum_sizes() == right.sum_sizes() && !left.IsSuperkey()) ++ties;
+        }
+      }
+    }
+  };
+  // Attribute 2 is all-distinct (a superkey), attribute 3 one giant class.
+  const ColumnShape shape = {"mixed", {3, 7, 0, 1}};
+  for (uint64_t seed : {1u, 7u, 42u, 1234u}) {
+    for (int rows : {64, 300}) {
+      SCOPED_TRACE("seed=" + std::to_string(seed) + " rows=" + std::to_string(rows));
+      check_all_pairs(MakeRandomRelation(rows, shape, seed));
+      check_all_pairs(MakeShiftedRelation(rows, 5, seed));
+    }
+  }
+  // Every case the kernel distinguishes was exercised.
+  EXPECT_GT(level1_pairs, 0);
+  EXPECT_GT(superkey_pairs, 0);
+  EXPECT_GT(left_bigger, 0);
+  EXPECT_GT(right_bigger, 0);
+  EXPECT_GT(ties, 0);
 }
 
 TEST(RowSpanTest, BasicAccessors) {
