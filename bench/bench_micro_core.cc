@@ -1,5 +1,5 @@
 // Micro-benchmarks for the hot primitives underneath every experiment:
-// the flat partition kernels (build, intersect, refine, error count) against
+// the flat partition kernels (build, intersect, refine) against
 // an in-binary transcription of the legacy vector-of-vectors implementation,
 // plus the other per-class primitives (OFD closure, synonym verification,
 // approximate support, EMD, initial sense assignment).
@@ -43,10 +43,6 @@ struct LegacyPartition {
   std::vector<std::vector<RowId>> classes;
   int64_t sum_sizes = 0;
   int64_t num_rows = 0;
-
-  int64_t error() const {
-    return sum_sizes - static_cast<int64_t>(classes.size());
-  }
 };
 
 LegacyPartition LegacyBuild(const Relation& rel, AttrId attr) {
@@ -200,20 +196,6 @@ int main(int argc, char** argv) {
                                     &scratch, &out);
     });
     add_row("refine", legacy_refine, flat_refine);
-
-    // Error count with the approximate-verification cutoff: the legacy path
-    // materializes the full product; the flat kernel counts and aborts once
-    // the threshold is crossed.
-    const int64_t threshold = rows / 100;
-    double legacy_error = MinMs(iters, [&] {
-      LegacyPartition p = LegacyProduct(la, lb);
-      if (p.error() < 0) std::abort();
-    });
-    double flat_error = MinMs(iters, [&] {
-      int64_t e = StrippedPartition::IntersectError(fa, fb, &scratch, threshold);
-      if (e < 0) std::abort();
-    });
-    add_row("error", legacy_error, flat_error);
   }
   kernels.Print();
   WriteJsonIfRequested(flags, "micro_partition", kernels);
@@ -291,7 +273,7 @@ int main(int argc, char** argv) {
 
   std::printf("expected shape: the flat arena wins on every kernel op — no\n"
               "per-class heap allocation, probe scratch reused across calls —\n"
-              "with `speedup` >= 2 on the intersection ops (product, refine,\n"
-              "error), which tools/bench_gate.py enforces in CI.\n");
+              "with `speedup` >= 2 on the intersection ops (product and\n"
+              "refine), which tools/bench_gate.py enforces in CI.\n");
   return 0;
 }

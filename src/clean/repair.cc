@@ -388,17 +388,12 @@ OfdCleanResult OfdClean::Run() {
       level_nodes[e] = std::move(node);
       level_rescored[e] = rescored;
     };
-    // Batch grain: a run of candidate expansions per task (not one node per
-    // dispatch), so scheduling cost amortizes over the batch while work
-    // stealing still rebalances the uneven tail (nodes with long flip
-    // lists). The level result is byte-identical for any
-    // grain or thread count — slots, then one deterministic sort below.
-    const size_t beam_grain =
-        config_.beam_grain > 0
-            ? static_cast<size_t>(config_.beam_grain)
-            : std::max<size_t>(1, expansions.size() /
-                                      (static_cast<size_t>(pool->num_threads()) * 8));
-    pool->ParallelForGrained(expansions.size(), beam_grain, eval_expansion);
+    // ParallelFor's automatic grain batches ~8 runs of expansions per
+    // worker, so scheduling cost amortizes over a batch and per-worker
+    // scoring scratch stays warm, while work stealing still rebalances the
+    // uneven tail (nodes with long flip lists). The slots are sorted below,
+    // so the level is byte-identical for any thread count.
+    pool->ParallelFor(expansions.size(), eval_expansion);
     result.nodes_evaluated += static_cast<int64_t>(expansions.size());
     for (int64_t r : level_rescored) classes_rescored += r;
 

@@ -70,10 +70,6 @@ struct OfdCleanConfig {
   /// conflict-graph construction (1 = serial). The repair output is
   /// identical for any thread count.
   int num_threads = 1;
-  /// Beam expansions per scoring task (0 = automatic, ~8 batches per
-  /// worker). Batches amortize dispatch and keep per-worker scoring scratch
-  /// warm; output is identical for any grain.
-  int beam_grain = 0;
   /// Shared execution pool; when null, Run() creates its own
   /// `num_threads`-wide pool once and reuses it across all phases and every
   /// beam-search node. When set, `num_threads` is ignored.

@@ -11,7 +11,6 @@
 #include "common/check.h"
 #include "common/metrics.h"
 #include "common/timer.h"
-#include "exec/task_group.h"
 #include "exec/thread_pool.h"
 
 namespace fastofd {
@@ -172,34 +171,28 @@ FastOfdResult FastOfd::Discover() {
               });
     stats.candidates_checked = static_cast<int64_t>(candidates.size());
 
-    // Valid candidates land in a mutex-striped sink tagged with their
-    // canonical index; draining sorts by that index, so the apply loop below
-    // sees the same order as a serial run regardless of which worker
-    // validated what. Only validated candidates pay a (striped) lock.
-    ShardedSink<uint32_t> valid_sink(pool->num_threads());
+    // Each verdict lands in the pre-sized slot of its candidate's canonical
+    // index, and the apply loop reads the slots in that order, so output and
+    // pruning are identical for any thread count or steal schedule.
+    std::vector<uint8_t> valid(candidates.size(), 0);
     {
       ScopedTimer validate_timer(&metrics, "discover.validate.seconds");
       std::vector<int64_t> scanned(static_cast<size_t>(pool->num_threads()), 0);
-      const size_t grain =
-          config_.validate_grain > 0
-              ? static_cast<size_t>(config_.validate_grain)
-              : std::max<size_t>(1, candidates.size() /
-                                        (static_cast<size_t>(pool->num_threads()) * 16));
+      // ~16 tasks per worker, so work stealing can balance uneven candidates.
+      const size_t grain = std::max<size_t>(
+          1, candidates.size() / (static_cast<size_t>(pool->num_threads()) * 16));
       pool->ParallelForGrained(candidates.size(), grain, [&](size_t i, int worker) {
         int64_t values_scanned = 0;
-        if (candidate_valid(*candidates[i].lhs_partition,
-                            candidates[i].node->partition, candidates[i].a,
-                            &values_scanned)) {
-          valid_sink.Push(i, static_cast<uint32_t>(i));
-        }
+        valid[i] = candidate_valid(*candidates[i].lhs_partition,
+                                   candidates[i].node->partition, candidates[i].a,
+                                   &values_scanned);
         scanned[static_cast<size_t>(worker)] += values_scanned;
       });
       for (int64_t s : scanned) result.values_scanned += s;
     }
 
-    for (const auto& [seq, idx] : valid_sink.DrainSorted()) {
-      (void)seq;
-      const size_t i = idx;
+    for (size_t i = 0; i < candidates.size(); ++i) {
+      if (!valid[i]) continue;
       AttrSet lhs = candidates[i].attrs.Without(candidates[i].a);
       if (!config_.opt_augmentation && !minimal_against_sigma(lhs, candidates[i].a)) {
         continue;
@@ -233,13 +226,15 @@ FastOfdResult FastOfd::Discover() {
         blocks[prefix].push_back(attrs);
       }
       // Siblings X∪{a} and X∪{b}: `left_only` = a and `right_only` = b, the
-      // columns LatticeChild refines the other parent by.
+      // columns LatticeChild refines the other parent by. `node` is the slot
+      // reserved in `next`; unordered_map references survive rehashing.
       struct Pending {
         AttrSet combined;
         const Node* left;
         const Node* right;
         AttrId left_only;
         AttrId right_only;
+        Node* node;
       };
       std::vector<Pending> pending;
       for (auto& [_, members] : blocks) {
@@ -267,44 +262,29 @@ FastOfdResult FastOfd::Discover() {
               node.superkey = true;
               next.emplace(combined, std::move(node));
             } else {
-              next.emplace(combined, Node{});  // Reserve; filled below.
+              Node& slot = next.emplace(combined, Node{}).first->second;
               pending.push_back(Pending{combined, &left, &right,
                                         members[i].Minus(members[j]).First(),
-                                        members[j].Minus(members[i]).First()});
+                                        members[j].Minus(members[i]).First(), &slot});
             }
           }
         }
       }
       result.partition_products += static_cast<int64_t>(pending.size());
-      // Canonical lattice order: the ordered reduce consumes results by
-      // this index, so `next` fills identically for any thread count, grain,
-      // or steal schedule.
-      std::sort(pending.begin(), pending.end(),
-                [](const Pending& x, const Pending& y) {
-                  return x.combined < y.combined;
-                });
       ScopedTimer products_timer(&metrics, "discover.products.seconds");
-      // Level-wide task parallelism: one task per child, every pending node
-      // in flight at once. Each child is one serial refinement of its
+      // One task per child, every pending node in flight at once, each
+      // writing only its own slot. A child is one serial refinement of its
       // smaller parent by the other parent's column, so its class order —
       // and every count read off it — is the same for any thread count.
-      OrderedReduce<StrippedPartition>(
-          pool, pending.size(), /*grain=*/1,
-          [&](size_t i, int) {
-            const Pending& p = pending[i];
-            return StrippedPartition::LatticeChild(rel_, p.left->partition,
-                                                   p.left_only, p.right->partition,
-                                                   p.right_only);
-          },
-          [&](size_t i, StrippedPartition part) {
-            const Pending& p = pending[i];
-            Node& node = next.at(p.combined);
-            node.partition = std::move(part);
-            node.superkey = node.partition.IsSuperkey();
-            // Audit builds re-check every child against the partition laws
-            // (and, on small relations, against a naive rebuild of Π*_X).
-            FASTOFD_AUDIT_OK(node.partition.AuditInvariants(rel_, p.combined));
-          });
+      pool->ParallelForGrained(pending.size(), /*grain=*/1, [&](size_t i, int) {
+        const Pending& p = pending[i];
+        p.node->partition = StrippedPartition::LatticeChild(
+            rel_, p.left->partition, p.left_only, p.right->partition, p.right_only);
+        p.node->superkey = p.node->partition.IsSuperkey();
+        // Audit builds re-check every child against the partition laws (and,
+        // on small relations, against a naive rebuild of Π*_X).
+        FASTOFD_AUDIT_OK(p.node->partition.AuditInvariants(rel_, p.combined));
+      });
     }
 
     stats.seconds = timer.Seconds();

@@ -61,10 +61,6 @@ struct FastOfdConfig {
   /// (1 = serial). Output is identical regardless of thread count
   /// (validation results are applied in a deterministic order).
   int num_threads = 1;
-  /// Candidates per validation task (0 = automatic, ~16 tasks per worker so
-  /// work stealing can balance uneven candidates). Output is identical for
-  /// any grain.
-  int validate_grain = 0;
   /// Shared execution pool. When null, Discover() creates its own
   /// `num_threads`-wide pool once and reuses it across all levels and
   /// phases; when set, `num_threads` is ignored and this pool is used.

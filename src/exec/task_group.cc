@@ -19,10 +19,9 @@ void TaskGroup::OnTaskDone() {
   // may return and the group (often a stack object) be destroyed.
   ThreadPool* pool = pool_;
   pending_.fetch_sub(1, std::memory_order_acq_rel);
-  // Every completion (not just the last) wakes sleepers: an ordered-reduce
-  // consumer may be waiting on one specific block's flag, and a nested
-  // waiter may now find a newly stealable task. Tasks are coarse, so one
-  // notify per completion is cheap.
+  // Every completion bumps the epoch and wakes sleepers, so a Wait() that
+  // snapshotted the epoch before its last probe re-checks the count. Tasks
+  // are coarse, so one notify per completion is cheap.
   pool->NotifyStateChange();
 }
 

@@ -1,43 +1,20 @@
-// Structured task submission and deterministic result collection on top of
-// the work-stealing ThreadPool (exec/thread_pool.h).
+// Structured task submission on top of the work-stealing ThreadPool
+// (exec/thread_pool.h).
 //
-// Three primitives:
-//
-//   * TaskGroup — a fork/join scope: submit any number of tasks (from any
-//     thread, including from inside a running task) and Wait() for all of
-//     them. A worker that waits help-executes tasks *of the same group*
-//     while blocked, so nested submission composes without deadlock and
-//     without unbounded recursion into unrelated work.
-//
-//   * ShardedSink<T> — a mutex-striped sink for results whose count is not
-//     known up front. Producers Push(seq, value) with a deterministic
-//     sequence key (e.g. the candidate's canonical lattice index);
-//     DrainSorted() merges every stripe and returns values ordered by seq,
-//     so downstream application is byte-identical for any thread count or
-//     steal schedule.
-//
-//   * OrderedReduce — produce/consume over [0, n): `produce(i, worker)`
-//     runs as parallel block tasks into pre-sized slots; `consume(i, T)` is
-//     called on the *calling* thread strictly in index order, streaming — a
-//     block is consumed as soon as it (and all earlier blocks) finished, so
-//     ordered application overlaps with tail computation instead of
-//     waiting behind a barrier. consume must not mutate state that produce
-//     reads.
+// TaskGroup is a fork/join scope: submit any number of tasks (from any
+// thread, including from inside a running task) and Wait() for all of them.
+// A worker that waits help-executes tasks *of the same group* while
+// blocked, so nested submission composes without deadlock and without
+// unbounded recursion into unrelated work.
 
 #ifndef FASTOFD_EXEC_TASK_GROUP_H_
 #define FASTOFD_EXEC_TASK_GROUP_H_
 
-#include <algorithm>
 #include <atomic>
-#include <cstddef>
 #include <cstdint>
 #include <functional>
-#include <memory>
-#include <utility>
-#include <vector>
 
 #include "common/check.h"
-#include "common/sync.h"
 #include "exec/thread_pool.h"
 
 namespace fastofd {
@@ -72,112 +49,6 @@ class TaskGroup {
   ThreadPool* pool_;
   std::atomic<int64_t> pending_{0};
 };
-
-/// Mutex-striped collection of (seq, value) pairs; Push is safe from any
-/// number of producers concurrently, DrainSorted returns everything ordered
-/// by seq. Stripes are keyed by seq so two producers rarely contend.
-template <typename T>
-class ShardedSink {
- public:
-  explicit ShardedSink(int num_stripes)
-      : num_stripes_(static_cast<size_t>(std::max(1, num_stripes))),
-        stripes_(std::make_unique<Stripe[]>(num_stripes_)) {}
-
-  void Push(uint64_t seq, T value) {
-    Stripe& s = stripes_[seq % num_stripes_];
-    MutexLock lock(s.mu);
-    s.items.emplace_back(seq, std::move(value));
-  }
-
-  /// Empties every stripe and returns the items sorted ascending by seq.
-  /// Each stripe is drained under its lock, so overlapping with a straggler
-  /// Push is a data-race-free (if nondeterministic) snapshot — callers
-  /// should still quiesce producers (group.Wait()) first so the contents
-  /// are deterministic.
-  std::vector<std::pair<uint64_t, T>> DrainSorted() {
-    std::vector<std::pair<uint64_t, T>> out;
-    size_t total = 0;
-    for (size_t s = 0; s < num_stripes_; ++s) {
-      Stripe& st = stripes_[s];
-      MutexLock lock(st.mu);
-      total += st.items.size();
-    }
-    out.reserve(total);
-    for (size_t s = 0; s < num_stripes_; ++s) {
-      Stripe& st = stripes_[s];
-      MutexLock lock(st.mu);
-      std::move(st.items.begin(), st.items.end(), std::back_inserter(out));
-      st.items.clear();
-    }
-    std::sort(out.begin(), out.end(),
-              [](const auto& a, const auto& b) { return a.first < b.first; });
-    return out;
-  }
-
- private:
-  // Lock-order contract: stripe locks are leaves — at most one is held at a
-  // time, and nothing is called under one (TSA cannot order elements of a
-  // mutex array; see src/common/sync.h).
-  struct Stripe {
-    Mutex mu;
-    std::vector<std::pair<uint64_t, T>> items GUARDED_BY(mu);
-  };
-  size_t num_stripes_;
-  std::unique_ptr<Stripe[]> stripes_;
-};
-
-/// Parallel produce, ordered streaming consume. produce(i, worker) -> T
-/// fills slot i (blocks of `grain` indices per task; grain == 0 picks one
-/// block per ~2 per worker); consume(i, T) runs on the calling thread for
-/// i = 0, 1, ..., n-1 in that exact order, each block as soon as it and all
-/// earlier blocks are done. produce may itself use the pool (e.g. a nested
-/// ParallelFor): its subtasks are stealable. consume must not mutate
-/// anything produce reads.
-template <typename T, typename ProduceFn, typename ConsumeFn>
-void OrderedReduce(ThreadPool* pool, size_t n, size_t grain,
-                   const ProduceFn& produce, const ConsumeFn& consume) {
-  FASTOFD_CHECK(pool != nullptr);
-  if (n == 0) return;
-  if (grain == 0) {
-    grain = std::max<size_t>(
-        1, n / (static_cast<size_t>(pool->num_threads()) * 2));
-  }
-  if (pool->num_threads() <= 1) {
-    for (size_t i = 0; i < n; ++i) consume(i, produce(i, /*worker=*/0));
-    return;
-  }
-  std::vector<T> slots(n);
-  const size_t num_blocks = (n + grain - 1) / grain;
-  // One release-stored flag per block; the consumer's acquire load makes the
-  // block's slot writes visible without any lock.
-  std::vector<std::atomic<uint8_t>> done(num_blocks);
-  TaskGroup group(pool);
-  for (size_t b = 0; b < num_blocks; ++b) {
-    const size_t begin = b * grain;
-    const size_t end = std::min(n, begin + grain);
-    group.Submit([&produce, &slots, &done, b, begin, end](int worker) {
-      for (size_t i = begin; i < end; ++i) slots[i] = produce(i, worker);
-      done[b].store(1, std::memory_order_release);
-    });
-  }
-  for (size_t b = 0; b < num_blocks; ++b) {
-    while (done[b].load(std::memory_order_acquire) == 0) {
-      // Snapshot the epoch *before* re-probing so a completion that lands
-      // between the probe and the sleep still wakes us.
-      const uint64_t seen = pool->StateEpoch();
-      if (done[b].load(std::memory_order_acquire) != 0) break;
-      if (!pool->HelpExecuteOne(&group)) {
-        pool->WaitEpochChangeOr(seen, [&done, b] {
-          return done[b].load(std::memory_order_acquire) != 0;
-        });
-      }
-    }
-    const size_t begin = b * grain;
-    const size_t end = std::min(n, begin + grain);
-    for (size_t i = begin; i < end; ++i) consume(i, std::move(slots[i]));
-  }
-  group.Wait();
-}
 
 }  // namespace fastofd
 

@@ -6,12 +6,9 @@
 // invocation — or shared across invocations by the caller — instead of
 // spawning and joining fresh std::threads per lattice level.
 //
-// The original pool ran one flat ParallelFor job at a time behind a job
-// mutex, with contiguous chunks claimed off a shared atomic counter. That
-// shape cannot express the two-level parallelism the hot phases need (many
-// partition products per lattice level, each itself splittable) and it
-// serialized concurrent callers such as the cleaning service. The pool is
-// now a task scheduler:
+// The pool is a task scheduler, so concurrent callers (the cleaning
+// service's requests) share it and a parallel stage may run from inside a
+// task:
 //
 //   * every worker owns a deque of tasks: newly submitted work is pushed to
 //     the back and popped from the back by the owner (LIFO, for cache
@@ -19,8 +16,8 @@
 //     deque (FIFO, so the oldest — typically largest — task migrates);
 //   * tasks belong to TaskGroups (exec/task_group.h) which support nested
 //     submission: a task may open its own group, submit subtasks, and
-//     help-execute them while waiting, which is how one huge partition
-//     product splits itself while its sibling products run;
+//     help-execute them while waiting, which is how a Discover() or Clean()
+//     running as one service task still fans its stages out over the pool;
 //   * there is no per-job mutex: tasks from concurrent callers interleave
 //     at task granularity instead of whole jobs queueing behind each other.
 //
@@ -31,11 +28,10 @@
 // with concurrent callers. With num_threads <= 1 no threads are spawned
 // and everything runs inline and serially on the caller (worker 0).
 //
-// The house determinism contract is unchanged: parallel stages *compute*
-// into pre-sized slots (or push into sequence-tagged sinks, see
-// exec/task_group.h) and results are *applied* sequentially in a fixed
-// order, so output is byte-identical for any thread count, grain size, or
-// steal schedule.
+// The house determinism contract: parallel stages *compute* into pre-sized
+// slots, one per index, and results are *applied* sequentially in index
+// order, so output is byte-identical for any thread count or steal
+// schedule.
 
 #ifndef FASTOFD_EXEC_THREAD_POOL_H_
 #define FASTOFD_EXEC_THREAD_POOL_H_
@@ -107,29 +103,26 @@ class ThreadPool {
     return hw == 0 ? 1 : static_cast<int>(hw);
   }
 
-  // --- Scheduler internals exposed for the exec primitives ---------------
-  // (TaskGroup::Wait and OrderedReduce's streaming consumer; not intended
-  // for general use.)
+ private:
+  // TaskGroup is the only caller of the submit and wait protocol below.
+  friend class TaskGroup;
 
-  /// Monotonic counter bumped on every submission and task completion.
-  /// Snapshot it *before* probing queue state, then sleep on the snapshot:
-  /// any concurrent state change invalidates it, so no wakeup is missed.
+  // Monotonic counter bumped on every submission and task completion.
+  // Snapshot it *before* probing queue state, then sleep on the snapshot:
+  // any concurrent state change invalidates it, so no wakeup is missed.
   uint64_t StateEpoch() const { return epoch_.load(std::memory_order_acquire); }
 
-  /// Blocks until the epoch differs from `seen` or `ready()` holds (ready
-  /// is re-evaluated under the scheduler's wake lock, so it must only read
-  /// atomics — it must not take locks or touch guarded state).
+  // Blocks until the epoch differs from `seen` or `ready()` holds (ready
+  // is re-evaluated under the scheduler's wake lock, so it must only read
+  // atomics — it must not take locks or touch guarded state).
   void WaitEpochChangeOr(uint64_t seen, const std::function<bool()>& ready)
       EXCLUDES(wake_mu_);
 
-  /// If the calling thread is a worker of this pool and a task belonging to
-  /// `group` is available (own deque first, then steal), executes it and
-  /// returns true. Returns false otherwise. The group filter keeps nested
-  /// waits from recursing into unrelated coarse tasks.
+  // If the calling thread is a worker of this pool and a task belonging to
+  // `group` is available (own deque first, then steal), executes it and
+  // returns true. Returns false otherwise. The group filter keeps nested
+  // waits from recursing into unrelated coarse tasks.
   bool HelpExecuteOne(TaskGroup* group);
-
- private:
-  friend class TaskGroup;
 
   struct Task {
     TaskGroup* group = nullptr;

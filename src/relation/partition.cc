@@ -312,31 +312,6 @@ void StrippedPartition::EmitGroups(const ClassesView& classes, Key key,
   }
 }
 
-template <typename Fn>
-void StrippedPartition::WithProbe(const StrippedPartition& a,
-                                  const StrippedPartition& b,
-                                  PartitionScratch* scratch, Fn&& fn) {
-  // Probe from the smaller side: the probe table costs one write per
-  // probe-side row, so putting the bigger operand on the outer loop keeps
-  // total work at min + max instead of 2 * max.
-  const bool a_probes = a.sum_sizes() <= b.sum_sizes();
-  const StrippedPartition& probe_side = a_probes ? a : b;
-  const StrippedPartition& outer = a_probes ? b : a;
-  scratch->EnsureRows(static_cast<size_t>(a.num_rows_));
-  scratch->EnsureKeys(probe_side.NumClassesSize());
-  std::vector<int32_t>& probe = scratch->probe_;
-  const size_t num_probe_classes = probe_side.NumClassesSize();
-  for (size_t ci = 0; ci < num_probe_classes; ++ci) {
-    for (RowId r : probe_side.Class(ci)) {
-      probe[static_cast<size_t>(r)] = static_cast<int32_t>(ci);
-    }
-  }
-  fn(outer, ProbeKey{probe.data()});
-  // Reset only the touched probe entries so the next call starts clean
-  // without an O(num_rows) clear.
-  for (RowId r : probe_side.rows()) probe[static_cast<size_t>(r)] = -1;
-}
-
 void StrippedPartition::IntersectInto(const StrippedPartition& a,
                                       const StrippedPartition& b,
                                       PartitionScratch* scratch,
@@ -357,9 +332,26 @@ void StrippedPartition::IntersectInto(const StrippedPartition& a,
     out->offsets_ = a.offsets_;
     return;
   }
-  WithProbe(a, b, scratch, [&](const StrippedPartition& outer, ProbeKey key) {
-    EmitGroups(outer.classes(), key, scratch, &out->rows_, &out->offsets_);
-  });
+  // Probe from the smaller side: the probe table costs one write per
+  // probe-side row, so putting the bigger operand on the outer loop keeps
+  // total work at min + max instead of 2 * max.
+  const bool a_probes = a.sum_sizes() <= b.sum_sizes();
+  const StrippedPartition& probe_side = a_probes ? a : b;
+  const StrippedPartition& outer = a_probes ? b : a;
+  scratch->EnsureRows(static_cast<size_t>(a.num_rows_));
+  scratch->EnsureKeys(probe_side.NumClassesSize());
+  std::vector<int32_t>& probe = scratch->probe_;
+  const size_t num_probe_classes = probe_side.NumClassesSize();
+  for (size_t ci = 0; ci < num_probe_classes; ++ci) {
+    for (RowId r : probe_side.Class(ci)) {
+      probe[static_cast<size_t>(r)] = static_cast<int32_t>(ci);
+    }
+  }
+  EmitGroups(outer.classes(), ProbeKey{probe.data()}, scratch, &out->rows_,
+             &out->offsets_);
+  // Reset only the touched probe entries so the next call starts clean
+  // without an O(num_rows) clear.
+  for (RowId r : probe_side.rows()) probe[static_cast<size_t>(r)] = -1;
 }
 
 void StrippedPartition::RefineInto(const StrippedPartition& a,
@@ -401,34 +393,6 @@ void StrippedPartition::HistogramClass(RowSpan cls, const std::vector<ValueId>& 
     counts[static_cast<size_t>(v)] = 0;
   }
   touched.clear();
-}
-
-int64_t StrippedPartition::IntersectError(const StrippedPartition& a,
-                                          const StrippedPartition& b,
-                                          PartitionScratch* scratch,
-                                          int64_t max_error) {
-  FASTOFD_CHECK(a.num_rows_ == b.num_rows_);
-  if (a.IsSuperkey() || b.IsSuperkey()) return 0;
-  if (a.IsAllRowsClass()) return b.error();
-  if (b.IsAllRowsClass()) return a.error();
-  std::vector<int32_t>& counts = scratch->counts_;
-  std::vector<int32_t>& touched = scratch->touched_;
-  int64_t err = 0;
-  WithProbe(a, b, scratch, [&](const StrippedPartition& outer, ProbeKey key) {
-    for (RowSpan cls : outer.classes()) {
-      // err is exact when <= max_error; any larger value only signals "over
-      // threshold" (the remaining outer classes are skipped).
-      if (err > max_error) break;
-      CountGroups(cls, key, counts, touched);
-      for (int32_t ci : touched) {
-        int32_t c = counts[static_cast<size_t>(ci)];
-        if (c >= 2) err += c - 1;
-        counts[static_cast<size_t>(ci)] = 0;
-      }
-      touched.clear();
-    }
-  });
-  return err;
 }
 
 PartitionCache::PartitionCache(const Relation& rel, int64_t budget_bytes,

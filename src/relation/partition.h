@@ -114,7 +114,7 @@ class ClassesView {
 };
 
 /// Reusable probe-table scratch for the partition kernels. One scratch per
-/// thread: after warm-up, IntersectInto/RefineInto/IntersectError allocate
+/// thread: after warm-up, IntersectInto/RefineInto/HistogramInto allocate
 /// nothing. StrippedPartition::ThreadLocalScratch() hands out a per-thread
 /// instance for call sites without their own.
 ///
@@ -218,14 +218,6 @@ class StrippedPartition {
                                         const StrippedPartition& left, AttrId left_only,
                                         const StrippedPartition& right,
                                         AttrId right_only);
-
-  /// TANE error e(a·b) = ||Π*_{a·b}|| - |Π*_{a·b}| without materializing the
-  /// product, aborting early once the error exceeds `max_error` (the
-  /// approximate-verification fast path: callers compare against a
-  /// threshold, so any value > max_error is as good as the exact one).
-  /// The returned value is exact when <= max_error.
-  static int64_t IntersectError(const StrippedPartition& a, const StrippedPartition& b,
-                                PartitionScratch* scratch, int64_t max_error);
 
   /// Tallies every class of `a` by its value in `column` into `out` (reused
   /// across calls): the count loop behind RefineInto, but emitting each
@@ -346,12 +338,6 @@ class StrippedPartition {
   template <typename Key>
   static void EmitGroups(const ClassesView& classes, Key key, PartitionScratch* scratch,
                          std::vector<RowId>* rows, std::vector<uint32_t>* offsets);
-
-  // Fills scratch's probe table from the smaller of `a` and `b`, runs
-  // fn(outer, probe_key) with the other operand, then resets the table.
-  template <typename Fn>
-  static void WithProbe(const StrippedPartition& a, const StrippedPartition& b,
-                        PartitionScratch* scratch, Fn&& fn);
 
   // rows_ holds every class back to back; class i spans
   // rows_[offsets_[i], offsets_[i+1]). offsets_ is empty when there are no

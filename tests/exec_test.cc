@@ -267,68 +267,6 @@ TEST(TaskGroupTest, NestedParallelForInsideTasksCoversAllIndices) {
   for (size_t i = 0; i < hits.size(); ++i) ASSERT_EQ(hits[i].load(), 1) << i;
 }
 
-TEST(ShardedSinkTest, DrainSortedMergesConcurrentPushes) {
-  ShardedSink<int> sink(/*num_stripes=*/4);
-  ThreadPool pool(8);
-  const size_t n = 5000;
-  // Push a deterministic subset (every third seq) from many workers.
-  pool.ParallelForGrained(n, /*grain=*/7, [&](size_t i, int) {
-    if (i % 3 == 0) sink.Push(i, static_cast<int>(i * 2));
-  });
-  auto items = sink.DrainSorted();
-  ASSERT_EQ(items.size(), (n + 2) / 3);
-  for (size_t k = 0; k < items.size(); ++k) {
-    ASSERT_EQ(items[k].first, k * 3);
-    ASSERT_EQ(items[k].second, static_cast<int>(k * 3 * 2));
-  }
-  EXPECT_TRUE(sink.DrainSorted().empty());  // Drained.
-}
-
-TEST(OrderedReduceTest, ConsumesInIndexOrderAtEveryThreadCountAndGrain) {
-  // The work-stealing schedule must never leak into the consume order: for
-  // 1/2/8 threads and a spread of grains, consume sees i = 0..n-1 exactly,
-  // in order, with the value produce(i) returned — i.e. the reduce is
-  // deterministic even though block completion order is not.
-  const size_t n = 403;
-  for (int threads : {1, 2, 8}) {
-    ThreadPool pool(threads);
-    for (size_t grain : {size_t{0}, size_t{1}, size_t{5}, size_t{64}, size_t{1000}}) {
-      std::vector<size_t> consumed;
-      consumed.reserve(n);
-      OrderedReduce<int64_t>(
-          &pool, n, grain,
-          [](size_t i, int) { return static_cast<int64_t>(i) * 3 + 1; },
-          [&consumed](size_t i, int64_t v) {
-            ASSERT_EQ(v, static_cast<int64_t>(i) * 3 + 1);
-            consumed.push_back(i);  // Safe: consume runs on this thread only.
-          });
-      ASSERT_EQ(consumed.size(), n) << "threads " << threads << " grain " << grain;
-      for (size_t i = 0; i < n; ++i) ASSERT_EQ(consumed[i], i);
-    }
-  }
-}
-
-TEST(OrderedReduceTest, ProducersMayUseThePoolThemselves) {
-  // produce() fans out again on the same pool (the discovery shape: one task
-  // per product, big products split inside). The nested work must not
-  // deadlock the streaming consumer.
-  ThreadPool pool(4);
-  const size_t n = 16;
-  int64_t total = 0;
-  OrderedReduce<int64_t>(
-      &pool, n, /*grain=*/1,
-      [&pool](size_t, int) {
-        std::atomic<int64_t> part{0};
-        pool.ParallelForGrained(100, /*grain=*/9,
-                                [&part](size_t j, int) {
-                                  part.fetch_add(static_cast<int64_t>(j));
-                                });
-        return part.load();
-      },
-      [&total](size_t, int64_t v) { total += v; });
-  EXPECT_EQ(total, static_cast<int64_t>(n) * (99 * 100 / 2));
-}
-
 TEST(MetricsTest, CountersGaugesTimers) {
   MetricsRegistry reg;
   reg.Add("a.count", 0);  // Registers the counter at zero.

@@ -7,7 +7,7 @@ output) against a committed baseline and fails when:
   * a table present in the baseline is missing from the fresh run,
   * a table's row count changed (shape drift — refresh the baseline),
   * a time-like cell regressed beyond tolerance,
-  * a `micro_partition` intersection op (product / refine / error) reports
+  * a `micro_partition` intersection op (product / refine) reports
     a flat-vs-legacy speedup below --speedup-min, or
   * a `clean_beam` row reports a full-vs-incremental node-scoring speedup
     below --clean-speedup-min, or is not byte-identical across modes, or
@@ -52,7 +52,7 @@ import sys
 TIME_COLUMN_RE = re.compile(r"ms|\(s\)|\bseconds\b|_s$")
 
 # Ops in the micro_partition table whose speedup ratio is gated hard.
-GATED_INTERSECTION_OPS = ("product", "refine", "error")
+GATED_INTERSECTION_OPS = ("product", "refine")
 
 # An incremental update re-checks one class histogram per affected OFD, so
 # its cost must not grow with N: the largest N may cost at most this many
@@ -464,7 +464,7 @@ def self_test():
 
     # 9. Shape drift (row count change) fails with refresh advice.
     reshaped = clone(baseline)
-    reshaped[0]["rows"].append(["error", 20000, 0.73, 0.04, 16.0])
+    reshaped[0]["rows"].append(["refine", 20000, 0.73, 0.04, 16.0])
     failures = gate(reshaped)
     checks.append(("row-count drift fails",
                    len(failures) == 1 and "refresh" in failures[0]))

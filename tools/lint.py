@@ -31,10 +31,10 @@ in a trailing comment):
                       non-test code must be joined by a same-scope Wait()
                       before the captures' scope closes — otherwise the
                       task can outlive what it captured.
-  wait-under-lock     TaskGroup::Wait()/ParallelFor*/OrderedReduce while a
-                      MutexLock is live in an enclosing scope: the caller
-                      may help-execute arbitrary queued tasks, and any of
-                      them taking the held lock deadlocks. (CondVar waits
+  wait-under-lock     TaskGroup::Wait()/ParallelFor* while a MutexLock is
+                      live in an enclosing scope: the caller may
+                      help-execute arbitrary queued tasks, and any of them
+                      taking the held lock deadlocks. (CondVar waits
                       release their mutex and are fine.)
 
 Usage: tools/lint.py [--self-test] [--fix-dry-run] [paths...]
@@ -88,8 +88,7 @@ SUBMIT_REF_CAPTURE_RE = re.compile(r"\bSubmit\s*\(\s*\[\s*&")
 WAIT_CALL_RE = re.compile(r"\.\s*Wait\s*\(\s*\)")
 # Calls that may help-execute arbitrary queued tasks on the calling thread.
 BLOCKING_EXEC_RE = re.compile(
-    r"\.\s*Wait\s*\(\s*\)|\bParallelForGrained\s*\(|\bParallelFor\s*\(|"
-    r"\bOrderedReduce\s*\("
+    r"\.\s*Wait\s*\(\s*\)|\bParallelForGrained\s*\(|\bParallelFor\s*\("
 )
 MUTEX_LOCK_DECL_RE = re.compile(r"\bMutexLock\s+\w+\s*\(")
 UNLOCK_CALL_RE = re.compile(r"\.\s*Unlock\s*\(\s*\)")
@@ -258,10 +257,9 @@ def check_wait_under_lock(rel, lines, findings):
                     and not allowed(line, "wait-under-lock")):
                 findings.append(
                     (rel, i, "wait-under-lock",
-                     "blocking task execution (Wait/ParallelFor/"
-                     "OrderedReduce) while the MutexLock from line "
-                     f"{active[-1][1]} is held; a help-executed task taking "
-                     "that lock deadlocks")
+                     "blocking task execution (Wait/ParallelFor) while the "
+                     f"MutexLock from line {active[-1][1]} is held; a "
+                     "help-executed task taking that lock deadlocks")
                 )
             if active and UNLOCK_CALL_RE.search(text):
                 active.pop()
