@@ -78,6 +78,9 @@ int main(int argc, char** argv) {
                "ofds", "vs-all"});
   double base = 0.0;
   const int kReps = 3;  // Best-of-3 to de-noise millisecond-scale runs.
+  // One untimed run first, so the first timed variant does not pay the
+  // allocator's and the thread-local scratches' warm-up.
+  FastOfd(data.rel, index, variants.front().config).Discover();
   for (const Variant& v : variants) {
     FastOfdResult result;
     double secs = 1e30;

@@ -2,7 +2,8 @@
 // the flat partition kernels (build, intersect, refine) against
 // an in-binary transcription of the legacy vector-of-vectors implementation,
 // plus the other per-class primitives (OFD closure, synonym verification,
-// approximate support, EMD, initial sense assignment).
+// approximate support, on ragged and on all-2-row classes, EMD, initial
+// sense assignment).
 //
 // The legacy-vs-flat table makes the kernel speedup machine-independent:
 // both sides run in the same process on the same data, so the `speedup`
@@ -15,6 +16,7 @@
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
+#include <string>
 #include <vector>
 
 #include "bench_common.h"
@@ -235,6 +237,42 @@ int main(int argc, char** argv) {
       SenseSelector::InitialAssignment(data.rel, index, cls, data.sigma[0].rhs);
     });
     prims.AddRow({"sense_assignment", Fmt("%zu", cls.size()), Fmt("%.3f", sense_ms)});
+  }
+  {
+    // Classes of two rows, the common case deep in the lattice: sigma[0]'s
+    // consequent under a key that pairs consecutive rows of its Π*_lhs
+    // classes (then of the stripped rows), so most pairs agree up to
+    // synonyms and the scan runs to the end.
+    const int rows = row_sizes.back();
+    GeneratedData data = MakeData(rows, 16);
+    const Ofd& planted = data.sigma[0];
+    std::vector<RowId> order;
+    std::vector<char> in_class(static_cast<size_t>(data.rel.num_rows()), 0);
+    const StrippedPartition by_lhs = StrippedPartition::BuildForSet(data.rel, planted.lhs);
+    for (RowId r : by_lhs.rows()) {
+      order.push_back(r);
+      in_class[static_cast<size_t>(r)] = 1;
+    }
+    for (RowId r = 0; r < data.rel.num_rows(); ++r) {
+      if (in_class[static_cast<size_t>(r)] == 0) order.push_back(r);
+    }
+    Relation pairs(Schema({"K", "V"}));
+    for (size_t i = 0; i < order.size(); ++i) {
+      pairs.AppendRow({"k" + std::to_string(i / 2), data.rel.StringAt(order[i], planted.rhs)});
+    }
+    SynonymIndex index(data.ontology, pairs.dict());
+    OfdVerifier verifier(pairs, index);
+    StrippedPartition p = StrippedPartition::Build(pairs, 0);
+    const Ofd ofd{AttrSet::Single(0), 1, OfdKind::kSynonym};
+    const double kappa = 0.5;
+    int64_t tallied = 0;
+    verifier.SupportAtLeast(ofd, p, kappa, &tallied);
+    if (tallied != p.sum_sizes()) std::abort();  // The scan must not exit early.
+    double small_ms = MinMs(iters, [&] {
+      if (verifier.SupportAtLeast(ofd, p, kappa) && p.num_rows() < 0) std::abort();
+    });
+    prims.AddRow({"support_small_classes", Fmt("%lld", static_cast<long long>(p.sum_sizes())),
+                  Fmt("%.3f", small_ms)});
   }
   {
     const int deps = smoke ? 32 : 256;

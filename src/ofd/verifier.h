@@ -7,9 +7,12 @@
 // yields the class's distinct consequent values with their row counts, and
 // each value's senses are counted into dense per-sense counters reset
 // through a touched list — linear in the class size under the
-// indexed-ontology assumption. The exact check, approximate support, the
-// Exp-5 statistic, discovery, LHS-synonym validation and the metric-FD
-// comparison all read that one tally.
+// indexed-ontology assumption. Most classes of a deep lattice node hold two
+// rows, so the tally has a constant-time form for them: it reads the two
+// values and merges their sorted sense lists, with the same output field for
+// field. The exact check, approximate support, the Exp-5 statistic,
+// discovery, LHS-synonym validation and the metric-FD comparison all read
+// that one tally.
 
 #ifndef FASTOFD_OFD_VERIFIER_H_
 #define FASTOFD_OFD_VERIFIER_H_
@@ -17,6 +20,7 @@
 #include <algorithm>
 #include <cstdint>
 #include <span>
+#include <vector>
 
 #include "ofd/ofd.h"
 #include "ontology/ontology.h"
@@ -89,11 +93,10 @@ class OfdVerifier {
 
   /// The one per-class tally every synonym check reads: the class's
   /// consequent values counted by the partition kernel, then their senses
-  /// in dense per-thread counters. Thread-safe; allocation-free once the
-  /// calling thread's counters are warm.
-  SenseTally Tally(RowSpan rows, AttrId rhs) const {
-    return TallyValues(ClassValues(rows, rhs));
-  }
+  /// in dense per-thread counters; a 2-row class merges its two values'
+  /// sense lists instead, with the same result. Thread-safe; allocation-free
+  /// once the calling thread's counters are warm.
+  SenseTally Tally(RowSpan rows, AttrId rhs) const;
 
   /// Tally over a class already counted into (value, rows) slots, e.g. a
   /// histogram kept up to date under updates. Slot order does not matter:
@@ -111,10 +114,11 @@ class OfdVerifier {
   /// Early-exit form of Support for the discovery hot path: returns
   /// Support(...) >= kappa, but stops scanning classes as soon as the
   /// tuples already lost exceed the (1 - kappa) * |I| error budget — the
-  /// e(X->A) > threshold cutoff for approximate verification. Agrees with
-  /// Support on the boundary (same final comparison when no early exit
-  /// fires). Adds the rows of every class it tallies to `*rows_tallied` if
-  /// non-null.
+  /// e(X->A) > threshold cutoff for approximate verification, tested as an
+  /// integer row count against the least count that still reaches kappa.
+  /// Agrees with Support on the boundary (same final comparison when no
+  /// early exit fires). Adds the rows of every class it tallies to
+  /// `*rows_tallied` if non-null.
   bool SupportAtLeast(const Ofd& ofd, const StrippedPartition& lhs_partition,
                       double kappa, int64_t* rows_tallied = nullptr) const;
 
@@ -125,9 +129,24 @@ class OfdVerifier {
   const SynonymIndex& index() const { return index_; }
 
  private:
-  // The class's distinct `rhs` values with their row counts, in first-row
-  // order, in the calling thread's scratch (valid until its next call).
-  Values ClassValues(RowSpan rows, AttrId rhs) const;
+  // The calling thread's tally scratch (verifier.cc); a loop over classes
+  // fetches it once and passes it to the overloads below.
+  struct Scratch;
+  static Scratch& ThreadScratch();
+
+  // The class's distinct `column` values with their row counts, in
+  // first-row order, in `scratch` (valid until its next use).
+  Values ClassValues(RowSpan rows, const std::vector<ValueId>& column,
+                     Scratch& scratch) const;
+  SenseTally Tally(RowSpan rows, const std::vector<ValueId>& column,
+                   Scratch& scratch) const;
+  SenseTally TallyValues(Values values, Scratch& scratch) const;
+  // The 2-row class with consequent values `v0` and `v1`, tallied without
+  // counters by merging the two sorted sense lists: exactly what
+  // TallyValues returns for the class's slots.
+  SenseTally TallyPair(ValueId v0, ValueId v1) const;
+  bool HoldsInClass(RowSpan rows, const std::vector<ValueId>& column, OfdKind kind,
+                    Scratch& scratch) const;
   // Support and SupportAtLeast: the rows kept class by class plus the
   // stripped singletons, or -1 once keeping every unscanned row could no
   // longer lift support to `kappa`.

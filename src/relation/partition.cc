@@ -278,6 +278,18 @@ void StrippedPartition::EmitGroups(const ClassesView& classes, Key key,
   std::vector<int32_t>& slot = scratch->slot_;
   std::vector<int32_t>& touched = scratch->touched_;
   for (RowSpan cls : classes) {
+    if (cls.size() == 2) {
+      // What the loop below emits for two rows, without its tables: the
+      // pair itself iff both rows have the same kept key.
+      const int32_t k = key(cls[0]);
+      if (k >= 0 && k == key(cls[1])) {
+        if (offsets->empty()) offsets->push_back(0);
+        rows->push_back(cls[0]);
+        rows->push_back(cls[1]);
+        offsets->push_back(static_cast<uint32_t>(rows->size()));
+      }
+      continue;
+    }
     CountGroups(cls, key, counts, touched);
     if (touched.empty()) continue;
     // Assign each surviving group (count >= 2) a contiguous slot range at

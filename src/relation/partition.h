@@ -332,9 +332,12 @@ class StrippedPartition {
   // The one emission loop behind every kernel. For each class of `classes`
   // it groups the rows by `key(row)` (a probe-side class index or a
   // ValueId; negative = stripped row) and appends every group of size >= 2
-  // to rows/offsets, in first-touch order. The leading 0 of `offsets` is
-  // pushed with the first emitted class. The caller sizes the key range
-  // with scratch->EnsureKeys first.
+  // to rows/offsets, in first-touch order. A 2-row class (most classes of a
+  // deep lattice node) skips the count/slot/scatter tables: it is appended
+  // whole iff its two keys are equal and non-negative, which is what the
+  // tables would emit. The leading 0 of `offsets` is pushed with the first
+  // emitted class. The caller sizes the key range with scratch->EnsureKeys
+  // first.
   template <typename Key>
   static void EmitGroups(const ClassesView& classes, Key key, PartitionScratch* scratch,
                          std::vector<RowId>* rows, std::vector<uint32_t>* offsets);

@@ -1,8 +1,11 @@
 // Integration tests for the fastofd command-line tool: gen -> discover ->
 // verify -> clean round trips through real files and process exits.
 
+#include <unistd.h>
+
 #include <cstdio>
 #include <cstdlib>
+#include <filesystem>
 #include <fstream>
 #include <sstream>
 #include <string>
@@ -12,14 +15,26 @@
 namespace fastofd {
 namespace {
 
-std::string TempDir() {
+// Per process, so concurrent runs of the suite never share files.
+std::string TempDirPath() {
   const char* t = std::getenv("TMPDIR");
-  std::string dir = (t ? t : "/tmp");
-  dir += "/fastofd_cli_test";
+  return std::string(t ? t : "/tmp") + "/fastofd_cli_test_" + std::to_string(getpid());
+}
+
+std::string TempDir() {
+  std::string dir = TempDirPath();
   std::string cmd = "mkdir -p " + dir;
   EXPECT_EQ(std::system(cmd.c_str()), 0);
   return dir;
 }
+
+// Removes this process's directory once every test has run.
+class TempDirCleanup : public ::testing::Environment {
+ public:
+  void TearDown() override { std::filesystem::remove_all(TempDirPath()); }
+};
+::testing::Environment* const kTempDirCleanup =
+    ::testing::AddGlobalTestEnvironment(new TempDirCleanup);
 
 int RunCli(const std::string& args, std::string* output = nullptr) {
   std::string out_file = TempDir() + "/out.txt";

@@ -371,6 +371,61 @@ TEST(SenseTallyTest, CountersResetBetweenClasses) {
   EXPECT_FALSE(other.covered);
 }
 
+// A 2-row class is tallied by merging its two values' sense lists, without
+// the counters; it must return the counted tally field for field. Senses:
+// a, b share s0 and s1 (several), a, c share s1 (one), c, d share s2, and
+// b, e share only s4, which is the lowest sense of neither; d, e and a, e
+// are disjoint, and zz, yy are outside the ontology.
+TEST(SenseTallyTest, TwoRowClassMatchesCountedTally) {
+  const std::vector<const char*> values = {"e", "zz", "a", "d", "b", "yy", "c"};
+  Relation rel{Schema({"Y"})};
+  // Rows 0..n-1 hold each value once, rows n..2n-1 again, so the class
+  // {i, n + j} is the ordered pair (value i, value j) and {i, n + i} is an
+  // equal pair.
+  for (int copy = 0; copy < 2; ++copy) {
+    for (const char* v : values) rel.AppendRow({v});
+  }
+  Ontology ontology;
+  const SenseId s0 = ontology.AddSense("s0");
+  const SenseId s1 = ontology.AddSense("s1");
+  const SenseId s2 = ontology.AddSense("s2");
+  const SenseId s3 = ontology.AddSense("s3");
+  const SenseId s4 = ontology.AddSense("s4");
+  for (auto [s, v] : std::vector<std::pair<SenseId, const char*>>{
+           {s4, "b"}, {s0, "a"}, {s0, "b"}, {s1, "a"}, {s1, "b"}, {s1, "c"},
+           {s2, "c"}, {s2, "d"}, {s3, "e"}, {s4, "e"}}) {
+    ontology.AddValue(s, v);
+  }
+  SynonymIndex index(ontology, rel.dict());
+  OfdVerifier verifier(rel, index);
+  PartitionScratch scratch;
+  const RowId n = rel.num_rows() / 2;
+  int covered = 0, uncovered_with_sense = 0, no_sense = 0;
+  for (RowId i = 0; i < n; ++i) {
+    for (RowId j = 0; j < n; ++j) {
+      SCOPED_TRACE(std::string(values[static_cast<size_t>(i)]) + ", " +
+                   values[static_cast<size_t>(j)]);
+      const std::vector<RowId> cls = {i, n + j};
+      std::vector<ClassHistogram::Slot> slots;
+      StrippedPartition::HistogramClass(cls, rel.Column(0), rel.dict().size(), &scratch,
+                                        &slots);
+      const SenseTally counted = verifier.TallyValues(slots);
+      const SenseTally paired = verifier.Tally(cls, 0);
+      ExpectSameTally(paired, counted);
+      if (counted.covered) {
+        ++covered;
+      } else if (counted.best_sense != kInvalidSense) {
+        ++uncovered_with_sense;
+      } else {
+        ++no_sense;
+      }
+    }
+  }
+  EXPECT_GT(covered, 0);
+  EXPECT_GT(uncovered_with_sense, 0);
+  EXPECT_GT(no_sense, 0);
+}
+
 TEST(SenseTallyTest, SharedVerifierAgreesAcrossPoolWorkers) {
   DataGenConfig cfg;
   cfg.num_rows = 400;

@@ -1,6 +1,7 @@
 // Property tests for the flat partition kernels: IntersectInto / RefineInto
 // against a naive map-based reference on randomized relations
-// (all-singleton, all-one-class, and ragged class-size shapes), the lattice
+// (all-singleton, all-one-class, and ragged class-size shapes), byte for byte
+// against first-touch grouping on mostly-2-row classes, the lattice
 // step LatticeChild against BuildForSet on every sibling pair, flat-layout
 // audit coverage, and the PartitionCache eviction-at-budget contract.
 
@@ -204,6 +205,102 @@ TEST(LatticeChildPropertyTest, MatchesBuildForSetOnEverySiblingPair) {
   EXPECT_GT(left_bigger, 0);
   EXPECT_GT(right_bigger, 0);
   EXPECT_GT(ties, 0);
+}
+
+// EmitGroups' contract spelled out: each class of `outer`, in order, split
+// by key(row) (negative = the row is dropped) into groups in first-touch
+// order, keeping the groups of 2+ rows.
+template <typename Key>
+std::vector<std::vector<RowId>> NaiveFirstTouch(const StrippedPartition& outer, Key key) {
+  std::vector<std::vector<RowId>> out;
+  for (RowSpan cls : outer.classes()) {
+    std::vector<int32_t> order;
+    std::map<int32_t, std::vector<RowId>> groups;
+    for (RowId r : cls) {
+      const int32_t k = key(r);
+      if (k < 0) continue;
+      std::vector<RowId>& group = groups[k];
+      if (group.empty()) order.push_back(k);
+      group.push_back(r);
+    }
+    for (int32_t k : order) {
+      if (groups[k].size() >= 2) out.push_back(groups[k]);
+    }
+  }
+  return out;
+}
+
+// Classes of two rows take a table-free path through the kernels. A0 holds
+// every value exactly twice; A1 mostly twice, some values 3 or 4 times, so
+// both paths run in one call. B keeps some pairs, splits others, and is
+// unique on about a quarter of the rows, so Π*_B strips them and the
+// intersection probes them as -1. Refinement and intersection must match
+// the first-touch grouping byte for byte.
+TEST(FlatKernelPropertyTest, TwoRowClassesMatchFirstTouchGrouping) {
+  constexpr int kRows = 2000;
+  Rng rng(2024);
+  std::vector<int> pairs(kRows), mixed(kRows);
+  for (int r = 0; r < kRows; ++r) pairs[static_cast<size_t>(r)] = r / 2;
+  for (int r = 0, group = 0; r < kRows; ++group) {
+    const int size = group % 10 == 0 ? 3 + group % 20 / 10 : 2;
+    for (int k = 0; k < size && r < kRows; ++k) mixed[static_cast<size_t>(r++)] = group;
+  }
+  rng.Shuffle(&pairs);
+  rng.Shuffle(&mixed);
+  Relation rel(Schema({"A0", "A1", "B"}));
+  for (int r = 0; r < kRows; ++r) {
+    const std::string b = rng.NextUint(4) == 0 ? "u" + std::to_string(r)
+                                               : "b" + std::to_string(rng.NextUint(3));
+    rel.AppendRow({"p" + std::to_string(pairs[static_cast<size_t>(r)]),
+                   "m" + std::to_string(mixed[static_cast<size_t>(r)]), b});
+  }
+  const StrippedPartition pb = StrippedPartition::Build(rel, 2);
+  std::vector<int32_t> b_class(kRows, -1);  // Row -> class of Π*_B, -1 stripped.
+  for (size_t ci = 0; ci < static_cast<size_t>(pb.num_classes()); ++ci) {
+    for (RowId r : pb.Class(ci)) b_class[static_cast<size_t>(r)] = static_cast<int32_t>(ci);
+  }
+  const std::vector<ValueId>& column_b = rel.Column(2);
+  PartitionScratch scratch;
+  StrippedPartition out;
+  for (AttrId a : {0, 1}) {
+    SCOPED_TRACE("A" + std::to_string(a));
+    const StrippedPartition pa = StrippedPartition::Build(rel, a);
+    const AttrSet both = AttrSet::Of({a, 2});
+    int64_t pairs_kept = 0, pairs_split = 0, pairs_stripped = 0;
+    for (RowSpan cls : pa.classes()) {
+      if (cls.size() != 2) continue;
+      const int32_t k0 = b_class[static_cast<size_t>(cls[0])];
+      const int32_t k1 = b_class[static_cast<size_t>(cls[1])];
+      if (k0 < 0 || k1 < 0) ++pairs_stripped;
+      if (column_b[static_cast<size_t>(cls[0])] == column_b[static_cast<size_t>(cls[1])]) {
+        ++pairs_kept;
+      } else {
+        ++pairs_split;
+      }
+    }
+    EXPECT_GT(pairs_kept, 0);
+    EXPECT_GT(pairs_split, 0);
+    EXPECT_GT(pairs_stripped, 0);
+    if (a == 0) {
+      EXPECT_EQ(pa.num_classes() * 2, pa.sum_sizes());
+    }
+
+    StrippedPartition::RefineInto(pa, column_b, rel.dict().size(), &scratch, &out);
+    EXPECT_EQ(out.ToClassVectors(),
+              NaiveFirstTouch(pa, [&](RowId r) { return column_b[static_cast<size_t>(r)]; }))
+        << "refine";
+    EXPECT_TRUE(out.AuditInvariants(rel, both).ok());
+
+    // Π*_B is the smaller operand, so it is the probe side in either order.
+    ASSERT_LT(pb.sum_sizes(), pa.sum_sizes());
+    const std::vector<std::vector<RowId>> probed =
+        NaiveFirstTouch(pa, [&](RowId r) { return b_class[static_cast<size_t>(r)]; });
+    StrippedPartition::IntersectInto(pa, pb, &scratch, &out);
+    EXPECT_EQ(out.ToClassVectors(), probed) << "intersect";
+    EXPECT_TRUE(out.AuditInvariants(rel, both).ok());
+    StrippedPartition::IntersectInto(pb, pa, &scratch, &out);
+    EXPECT_EQ(out.ToClassVectors(), probed) << "intersect, operands swapped";
+  }
 }
 
 TEST(RowSpanTest, BasicAccessors) {

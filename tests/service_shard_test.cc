@@ -5,8 +5,11 @@
 // data-race probe for the snapshot-read protocol (strand readers/writer +
 // the session version seqlock).
 
+#include <unistd.h>
+
 #include <chrono>
 #include <cstdlib>
+#include <filesystem>
 #include <fstream>
 #include <map>
 #include <string>
@@ -33,7 +36,8 @@ class ServiceShardTest : public ::testing::Test {
   static std::string Dir() {
     const char* t = std::getenv("TMPDIR");
     std::string dir = (t ? t : "/tmp");
-    dir += "/fastofd_service_shard_test";
+    // Per process, so concurrent runs of the suite never share files.
+    dir += "/fastofd_service_shard_test_" + std::to_string(getpid());
     std::string cmd = "mkdir -p " + dir;
     EXPECT_EQ(std::system(cmd.c_str()), 0);
     return dir;
@@ -53,6 +57,8 @@ class ServiceShardTest : public ::testing::Test {
     WriteText(ontology_path_, WriteOntology(data.ontology));
     WriteText(sigma_path_, WriteSigma(data.sigma, data.rel.schema()));
   }
+
+  void TearDown() override { std::filesystem::remove_all(dir_); }
 
   static void WriteText(const std::string& path, const std::string& text) {
     std::ofstream out(path);

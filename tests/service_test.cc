@@ -14,6 +14,7 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <filesystem>
 #include <fstream>
 #include <future>
 #include <memory>
@@ -95,7 +96,8 @@ class ServiceTest : public ::testing::Test {
   static std::string Dir() {
     const char* t = std::getenv("TMPDIR");
     std::string dir = (t ? t : "/tmp");
-    dir += "/fastofd_service_test";
+    // Per process, so concurrent runs of the suite never share files.
+    dir += "/fastofd_service_test_" + std::to_string(getpid());
     std::string cmd = "mkdir -p " + dir;
     EXPECT_EQ(std::system(cmd.c_str()), 0);
     return dir;
@@ -115,6 +117,8 @@ class ServiceTest : public ::testing::Test {
     WriteText(ontology_path_, WriteOntology(data.ontology));
     WriteText(sigma_path_, WriteSigma(data.sigma, data.rel.schema()));
   }
+
+  void TearDown() override { std::filesystem::remove_all(dir_); }
 
   static void WriteText(const std::string& path, const std::string& text) {
     std::ofstream out(path);
@@ -594,6 +598,7 @@ class ServiceSocketTest : public ServiceTest {
       server_->NotifyShutdown();
       server_->Wait();
     }
+    ServiceTest::TearDown();
   }
 
   MetricsRegistry metrics_;

@@ -6,10 +6,13 @@
 // cold compile. The server-level test drives the same guarantees
 // through `load` with --snapshot-dir.
 
+#include <unistd.h>
+
 #include <algorithm>
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
+#include <filesystem>
 #include <fstream>
 #include <memory>
 #include <string>
@@ -35,7 +38,8 @@ class SnapshotTest : public ::testing::Test {
   void SetUp() override {
     const char* t = std::getenv("TMPDIR");
     dir_ = (t ? t : "/tmp");
-    dir_ += "/fastofd_snapshot_test";
+    // Per process, so concurrent runs of the suite never share files.
+    dir_ += "/fastofd_snapshot_test_" + std::to_string(getpid());
     ASSERT_EQ(std::system(("rm -rf " + dir_ + " && mkdir -p " + dir_).c_str()),
               0);
     DataGenConfig cfg;
@@ -51,6 +55,8 @@ class SnapshotTest : public ::testing::Test {
     WriteText(ontology_path_, WriteOntology(data.ontology));
     WriteText(sigma_path_, WriteSigma(data.sigma, data.rel.schema()));
   }
+
+  void TearDown() override { std::filesystem::remove_all(dir_); }
 
   static void WriteText(const std::string& path, const std::string& text) {
     std::ofstream out(path);
