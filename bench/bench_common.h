@@ -13,8 +13,12 @@
 #include <cstdarg>
 #include <cstdio>
 #include <cstdlib>
+#include <filesystem>
 #include <string>
+#include <system_error>
 #include <vector>
+
+#include <unistd.h>
 
 #include "common/flags.h"
 #include "common/parse.h"
@@ -30,6 +34,34 @@ inline void Banner(const std::string& id, const std::string& what,
   std::printf("paper reference: %s\n", paper_ref.c_str());
   std::printf("==============================================================\n");
 }
+
+/// A per-process scratch directory, `$TMPDIR/<name>_<pid>` (or under /tmp),
+/// created empty and removed with its contents when it goes out of scope:
+/// concurrent runs never share files, and a finished run leaves none.
+class ScratchDir {
+ public:
+  explicit ScratchDir(const std::string& name) {
+    const char* tmp = std::getenv("TMPDIR");
+    path_ = std::string(tmp != nullptr ? tmp : "/tmp") + "/" + name + "_" +
+            std::to_string(getpid());
+    std::error_code ec;
+    std::filesystem::remove_all(path_, ec);
+    ok_ = std::filesystem::create_directories(path_, ec);
+  }
+  ~ScratchDir() {
+    std::error_code ec;
+    std::filesystem::remove_all(path_, ec);
+  }
+  ScratchDir(const ScratchDir&) = delete;
+  ScratchDir& operator=(const ScratchDir&) = delete;
+
+  const std::string& path() const { return path_; }
+  bool ok() const { return ok_; }
+
+ private:
+  std::string path_;
+  bool ok_ = false;
+};
 
 /// Accumulates an aligned text table + CSV twin.
 class Table {

@@ -117,9 +117,9 @@ int main(int argc, char** argv) {
   Banner("Serve", "resident service vs batch invocations, tail latency, drain",
          "service-mode extension (sessions + incremental verification)");
 
-  const char* t = std::getenv("TMPDIR");
-  std::string dir = std::string(t ? t : "/tmp") + "/fastofd_bench_serve";
-  if (std::system(("mkdir -p " + dir).c_str()) != 0) return 1;
+  ScratchDir scratch("fastofd_bench_serve");
+  const std::string& dir = scratch.path();
+  if (!scratch.ok()) return 1;
 
   // -------------------------------------------------------------- 1. warm
   {

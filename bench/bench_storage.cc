@@ -109,9 +109,9 @@ int main(int argc, char** argv) {
   // Σ is left empty so both paths skip the (identical) incremental-verifier
   // rebuild and the ratio isolates what the snapshot actually replaces: CSV
   // parse + dictionary interning + index compile versus mmap + validate.
-  const char* tmp = std::getenv("TMPDIR");
-  std::string dir = std::string(tmp ? tmp : "/tmp") + "/fastofd_bench_storage";
-  if (std::system(("mkdir -p " + dir).c_str()) != 0) {
+  ScratchDir scratch("fastofd_bench_storage");
+  const std::string& dir = scratch.path();
+  if (!scratch.ok()) {
     std::fprintf(stderr, "bench_storage: cannot create %s\n", dir.c_str());
     return 1;
   }

@@ -12,6 +12,7 @@
 
 #include <cstdint>
 #include <cstdlib>
+#include <filesystem>
 #include <fstream>
 #include <string>
 #include <string_view>
@@ -38,15 +39,20 @@ void WriteText(const std::string& path, const std::string& text) {
 fastofd::ServiceServer& Server() {
   using namespace fastofd;
   static ServiceServer* server = [] {
-    char tmpl[] = "/tmp/fastofd_fuzz_service_XXXXXX";
-    const char* dir = mkdtemp(tmpl);
-    FASTOFD_CHECK(dir != nullptr);
+    // The session's files live under $TMPDIR and go at process exit.
+    static std::string dir;
+    const char* tmp = std::getenv("TMPDIR");
+    std::string tmpl = std::string(tmp != nullptr ? tmp : "/tmp") +
+                       "/fastofd_fuzz_service_XXXXXX";
+    FASTOFD_CHECK(mkdtemp(tmpl.data()) != nullptr);
+    dir = tmpl;
+    std::atexit([] { std::filesystem::remove_all(dir); });
     DataGenConfig cfg;
     cfg.num_rows = 50;
     cfg.error_rate = 0.05;
     cfg.seed = 11;
     GeneratedData data = GenerateData(cfg);
-    std::string base(dir);
+    const std::string& base = dir;
     FASTOFD_CHECK(WriteCsvFile(base + "/d.csv", data.rel.ToCsv()).ok());
     WriteText(base + "/o.txt", WriteOntology(data.ontology));
     WriteText(base + "/s.txt", WriteSigma(data.sigma, data.rel.schema()));

@@ -16,19 +16,6 @@ namespace fastofd {
 
 namespace {
 
-// Data repairs RepairData makes in a class with this tally. It rewrites
-// every uncovered tuple whose value differs from the repair target. With a
-// covered target, no uncovered value can equal it, so the cost is exactly
-// the uncovered occurrences. With no covered value but a sense, the target
-// is a sense value absent from the class — every tuple changes (the sense
-// has values: BeamScorer CHECKs it). Otherwise the majority value survives.
-int64_t RepairCost(const ClassTally& tally, SenseId sense) {
-  if (!tally.violating()) return 0;
-  if (tally.best_covered != kInvalidValue) return tally.uncovered_occurrences;
-  if (sense != kInvalidSense) return tally.size;
-  return tally.size - tally.majority_count;
-}
-
 void ForEachIndex(ThreadPool* pool, size_t n, const std::function<void(size_t)>& fn) {
   if (pool != nullptr) {
     pool->ParallelFor(n, [&](size_t i, int) { fn(i); });
@@ -58,14 +45,13 @@ BeamScorer::BeamScorer(const Relation& rel, const SynonymIndex& index,
   }
   ForEachIndex(pool, items_.size(), [&](size_t item) {
     Item& it = items_[item];
-    FASTOFD_CHECK(it.sense == kInvalidSense || !index_.SenseValues(it.sense).empty());
     for (const ClassHistogram::Slot& slot :
          histograms_[static_cast<size_t>(it.ofd)].Class(static_cast<size_t>(it.cls))) {
       const bool covered =
           it.sense != kInvalidSense && index_.SenseContains(it.sense, slot.value);
       it.base.Add(slot.value, slot.count, covered);
     }
-    it.base_cost = RepairCost(it.base, it.sense);
+    it.base_cost = it.base.cover_size();
   });
   for (const Item& it : items_) base_cost_ += it.base_cost;
 }
@@ -93,7 +79,7 @@ BeamScorer::NodeScore BeamScorer::ScoreFull(const std::vector<int>& picks) const
                                         picked(it.sense, slot.value));
       tally.Add(slot.value, slot.count, covered);
     }
-    score.data_changes += RepairCost(tally, it.sense);
+    score.data_changes += tally.cover_size();
   }
   return score;
 }
@@ -125,7 +111,7 @@ BeamScorer::NodeScore BeamScorer::ScoreIncremental(const std::vector<int>& picks
       const ClassHistogram::Slot& slot = hist.slots[flips[f].slot];
       tally.Cover(slot.value, slot.count);
     }
-    score.data_changes += RepairCost(tally, it.sense) - it.base_cost;
+    score.data_changes += tally.cover_size() - it.base_cost;
     ++score.classes_rescored;
   }
   return score;
@@ -148,7 +134,8 @@ Status BeamScorer::AuditNodeScore(const std::vector<int>& picks,
   // From-scratch cross-check against RepairData on a materialized index
   // copy. Exact only under per-class independence: distinct consequents and
   // no antecedent/consequent overlap (coupled classes read each other's
-  // rewrites). Bounded so audit-mode services stay usable.
+  // rewrites). OfdClean scores a minimal cover, so OFDs implied by others
+  // never disable the check. Bounded so audit-mode services stay usable.
   if (rel_.num_rows() > audit::kDeepAuditMaxRows) {
     return audit::internal::Counted(Status::Ok());
   }

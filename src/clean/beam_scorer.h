@@ -2,22 +2,24 @@
 // beam search (paper §7.1).
 //
 // A beam node is a set of candidate insertions (sense, value); its score is
-// the number of data repairs RepairData would still need with those
-// insertions applied. Three observations make scoring cheap and parallel:
+// the sum of per-class minimum vertex covers (ClassTally::cover_size) with
+// those insertions applied. Three observations make scoring cheap and
+// parallel:
 //
 //   1. Per-class independence. With each OFD repairing its own consequent
-//      column and classes of one partition disjoint, the repair count
-//      decomposes into a sum of per-class costs, each a function of only the
+//      column and classes of one partition disjoint, RepairData's change
+//      count decomposes into that sum, each term a function of only the
 //      class's consequent histogram, its assigned sense λ, and which of its
-//      distinct values λ covers.
+//      distinct values λ covers. OfdClean's minimal cover of Σ usually has
+//      distinct consequents; where OFDs still share one, their repairs
+//      interact and the score is an estimate, not RepairData's count.
 //   2. Locality of insertions. Adding (λ, v) to the ontology can change the
 //      cost of class x only when λ_x = λ and v occurs among x's consequent
 //      values: it flips exactly one histogram slot of x from uncovered to
-//      covered, and the covered set of any other class is untouched. (This
-//      needs every assigned sense to hold at least one value already, or the
-//      insertion would also change the fallback target of λ's classes that
-//      do not contain v; the constructor CHECKs it.) So each candidate
-//      carries its precomputed (class, slot) flips.
+//      covered, and the covered set of any other class is untouched. (A
+//      class's repair target is always one of its own values, so nothing
+//      else about λ's other classes changes.) So each candidate carries its
+//      precomputed (class, slot) flips.
 //   3. Memoize once, then flip slots. Construction builds one value
 //      histogram per Σ partition (StrippedPartition::HistogramInto) and
 //      summarizes each class once against the base index (ClassTally). A
@@ -68,8 +70,7 @@ class BeamScorer {
 
   /// Builds the histograms and memoizes the base (no insertions) summaries
   /// (on `pool` when provided; the memo is byte-identical for any thread
-  /// count). CHECKs that every assigned sense has at least one value in
-  /// `index` (observation 2).
+  /// count).
   BeamScorer(const Relation& rel, const SynonymIndex& index, const SigmaSet& sigma,
              const SenseAssignmentResult& assignment, ThreadPool* pool = nullptr);
 

@@ -12,177 +12,97 @@
 #include "common/check.h"
 #include "common/metrics.h"
 #include "exec/thread_pool.h"
+#include "ofd/inference.h"
 #include "ofd/verifier.h"
 
 namespace fastofd {
 
 namespace {
 
-// Best repair value for a class under sense λ: the most frequent value of
-// the class covered by λ; falls back to the sense's canonical value, then to
-// the class majority value (λ invalid / nothing covered).
-ValueId RepairValue(const ClassTally& tally, const SynonymIndex& index,
-                    SenseId sense) {
-  if (tally.best_covered != kInvalidValue) return tally.best_covered;
-  if (sense != kInvalidSense && !index.SenseValues(sense).empty()) {
-    return *std::min_element(index.SenseValues(sense).begin(),
-                             index.SenseValues(sense).end());
+// Cap on repair passes over Σ. One pass is exact when consequents are
+// distinct; OFDs sharing a consequent may need more, and may never settle.
+constexpr int kMaxRepairPasses = 8;
+
+// Rewrites every violating class's minimum vertex cover (see ClassTally),
+// without verifying the result. Each OFD's histogram is retaken from `out`
+// first, since an OFD with the same consequent may have rewritten the
+// column. `data_changes` stays the exact count of cells that differ from
+// `rel`, so the budget exit describes the relation it returns; with
+// distinct consequents each cell is written at most once and the count only
+// grows, so the completed repair would exceed the budget as well.
+RepairResult RepairCells(const Relation& rel, const SynonymIndex& index,
+                         const SigmaSet& sigma, const SenseAssignmentResult& assignment,
+                         int64_t max_changes, MetricsRegistry* metrics) {
+  RepairResult result{rel, {}, 0, false, true};
+  Relation& out = result.repaired;
+  AttrSet rhs_attrs;
+  bool shared_rhs = false;
+  for (const Ofd& ofd : sigma) {
+    shared_rhs |= rhs_attrs.Contains(ofd.rhs);
+    rhs_attrs = rhs_attrs.With(ofd.rhs);
   }
-  return tally.majority;
+  ClassHistogram histogram;
+  int64_t cover_tuples = 0;
+  // One pass over Σ; false once the budget is exceeded.
+  auto repair_pass = [&] {
+    for (size_t i = 0; i < sigma.size(); ++i) {
+      const AttrId rhs = sigma[i].rhs;
+      const auto& classes = assignment.partitions[i].classes();
+      StrippedPartition::HistogramInto(assignment.partitions[i], out.Column(rhs),
+                                       out.dict().size(),
+                                       &StrippedPartition::ThreadLocalScratch(), &histogram);
+      for (size_t c = 0; c < classes.size(); ++c) {
+        const SenseId sense = assignment.senses[i][c];
+        auto covered = [&](ValueId v) {
+          return sense != kInvalidSense && index.SenseContains(sense, v);
+        };
+        ClassTally tally;
+        for (const ClassHistogram::Slot& slot : histogram.Class(c)) {
+          tally.Add(slot.value, slot.count, covered(slot.value));
+        }
+        if (!tally.violating()) continue;
+        const bool keep_covered = tally.keeps_covered();
+        const ValueId target = tally.target();
+        cover_tuples += tally.cover_size();
+        for (RowId r : classes[c]) {
+          const ValueId v = out.At(r, rhs);
+          if (v == target || (keep_covered && covered(v))) continue;
+          const ValueId original = rel.At(r, rhs);
+          if (v == original) {
+            ++result.data_changes;
+          } else if (target == original) {
+            --result.data_changes;
+          }
+          out.SetId(r, rhs, target);
+          if (result.data_changes > max_changes) return false;
+        }
+      }
+    }
+    return true;
+  };
+  for (int pass = 0; pass < kMaxRepairPasses; ++pass) {
+    const int64_t pass_start = cover_tuples;
+    if (!repair_pass()) {
+      result.tau_feasible = false;
+      break;
+    }
+    if (!shared_rhs || cover_tuples == pass_start) break;
+  }
+  if (metrics != nullptr) metrics->Add("repair.cover_tuples", cover_tuples);
+  return result;
 }
 
 }  // namespace
 
 RepairResult RepairData(const Relation& rel, const SynonymIndex& index,
                         const SigmaSet& sigma, const SenseAssignmentResult& assignment,
-                        int64_t max_changes, ThreadPool* pool,
-                        MetricsRegistry* metrics) {
-  RepairResult result{rel, {}, 0, false, true};
-  Relation& out = result.repaired;
+                        int64_t max_changes, MetricsRegistry* metrics) {
   ScopedTimer repair_timer(metrics, "repair.seconds");
-  if (metrics != nullptr) metrics->Add("repair.invocations", 1);
-
-  // ---- Conflict graph + 2-approximate vertex cover (paper §7.2). -----
-  // Edges are generated sparsely per violating class: each uncovered tuple
-  // conflicts with one covered representative (if any) and with its
-  // neighbouring uncovered tuple of a different value; this keeps the graph
-  // linear in the class size while touching every problematic tuple.
-  // Classes are independent (read-only over `out`), so their edge lists are
-  // built on the pool and concatenated in class order — the edge sequence is
-  // identical to the serial one for any thread count.
-  struct Conflict {
-    RowId a, b;
-    int ofd, cls;
-  };
-  auto covered = [&](SenseId sense, ValueId v) {
-    return sense != kInvalidSense && index.SenseContains(sense, v);
-  };
-  // Per-OFD consequent histograms of `out` as it stands, and one class's
-  // tally under its assigned sense.
-  std::vector<ClassHistogram> histograms(sigma.size());
-  auto build_histogram = [&](size_t i) {
-    StrippedPartition::HistogramInto(assignment.partitions[i],
-                                     out.Column(sigma[i].rhs), out.dict().size(),
-                                     &StrippedPartition::ThreadLocalScratch(),
-                                     &histograms[i]);
-  };
-  auto tally_class = [&](size_t i, size_t c) {
-    SenseId sense = assignment.senses[i][c];
-    ClassTally tally;
-    for (const ClassHistogram::Slot& slot : histograms[i].Class(c)) {
-      tally.Add(slot.value, slot.count, covered(sense, slot.value));
-    }
-    return tally;
-  };
-  if (pool != nullptr) {
-    pool->ParallelFor(sigma.size(), [&](size_t i, int) { build_histogram(i); });
-  } else {
-    for (size_t i = 0; i < sigma.size(); ++i) build_histogram(i);
-  }
-
-  std::vector<std::pair<int, int>> class_items;  // (OFD index, class index).
-  for (int i = 0; i < static_cast<int>(sigma.size()); ++i) {
-    const auto& classes = assignment.partitions[static_cast<size_t>(i)].classes();
-    for (int c = 0; c < static_cast<int>(classes.size()); ++c) {
-      class_items.emplace_back(i, c);
-    }
-  }
-  std::vector<std::vector<Conflict>> class_edges(class_items.size());
-  auto build_class_edges = [&](size_t item) {
-    auto [i, c] = class_items[item];
-    AttrId rhs = sigma[static_cast<size_t>(i)].rhs;
-    const auto& rows =
-        assignment.partitions[static_cast<size_t>(i)].classes()[static_cast<size_t>(c)];
-    SenseId sense = assignment.senses[static_cast<size_t>(i)][static_cast<size_t>(c)];
-    if (!tally_class(static_cast<size_t>(i), static_cast<size_t>(c)).violating()) return;
-    RowId covered_rep = -1;
-    std::vector<RowId> uncovered;
-    for (RowId r : rows) {
-      if (covered(sense, out.At(r, rhs))) {
-        if (covered_rep < 0) covered_rep = r;
-      } else {
-        uncovered.push_back(r);
-      }
-    }
-    std::vector<Conflict>& local = class_edges[item];
-    for (size_t u = 0; u < uncovered.size(); ++u) {
-      if (covered_rep >= 0) {
-        local.push_back(Conflict{uncovered[u], covered_rep, i, c});
-      }
-      if (u + 1 < uncovered.size() &&
-          out.At(uncovered[u], rhs) != out.At(uncovered[u + 1], rhs)) {
-        local.push_back(Conflict{uncovered[u], uncovered[u + 1], i, c});
-      }
-    }
-  };
-  if (pool != nullptr) {
-    pool->ParallelFor(class_items.size(),
-                      [&](size_t item, int) { build_class_edges(item); });
-  } else {
-    for (size_t item = 0; item < class_items.size(); ++item) {
-      build_class_edges(item);
-    }
-  }
-  std::vector<Conflict> edges;
-  for (std::vector<Conflict>& local : class_edges) {
-    edges.insert(edges.end(), local.begin(), local.end());
-  }
-
-  // 2-approximation: take both endpoints of any uncovered edge. Endpoints
-  // are distinct rows (a covered representative, or a neighbour of a
-  // different value).
-  std::vector<bool> cover(static_cast<size_t>(rel.num_rows()), false);
-  int64_t cover_tuples = 0;
-  for (const Conflict& e : edges) {
-    if (!cover[static_cast<size_t>(e.a)] && !cover[static_cast<size_t>(e.b)]) {
-      cover[static_cast<size_t>(e.a)] = true;
-      cover[static_cast<size_t>(e.b)] = true;
-      cover_tuples += 2;
-    }
-  }
-  if (metrics != nullptr) {
-    metrics->Add("repair.conflict_edges", static_cast<int64_t>(edges.size()));
-    metrics->Add("repair.cover_tuples", cover_tuples);
-  }
-
-  // ---- Repair pass: rewrite covered tuples class by class, then fix up
-  // any residual violations (guarantees consistency). Each OFD's histogram
-  // is retaken from `out` first: an earlier OFD (or pass) may have rewritten
-  // its consequent column, while its own classes are disjoint. ----------
-  auto repair_classes = [&](bool only_cover) {
-    for (size_t i = 0; i < sigma.size(); ++i) {
-      AttrId rhs = sigma[i].rhs;
-      const auto& classes = assignment.partitions[i].classes();
-      build_histogram(i);
-      for (size_t c = 0; c < classes.size(); ++c) {
-        SenseId sense = assignment.senses[i][c];
-        ClassTally tally = tally_class(i, c);
-        if (!tally.violating()) continue;
-        ValueId target = RepairValue(tally, index, sense);
-        for (RowId r : classes[c]) {
-          ValueId v = out.At(r, rhs);
-          if (covered(sense, v) || v == target) continue;
-          if (only_cover && !cover[static_cast<size_t>(r)]) continue;
-          out.SetId(r, rhs, target);
-          ++result.data_changes;
-          if (result.data_changes > max_changes) {
-            result.tau_feasible = false;
-            return;
-          }
-        }
-      }
-    }
-  };
-  repair_classes(/*only_cover=*/true);
-  if (result.tau_feasible) repair_classes(/*only_cover=*/false);
-
-  // Verify consistency of the repair.
-  if (result.tau_feasible) {
-    OfdVerifier verifier(out, index);
-    result.consistent = true;
-    for (size_t i = 0; i < sigma.size() && result.consistent; ++i) {
-      result.consistent = verifier.Holds(sigma[i], assignment.partitions[i]);
-    }
+  RepairResult result = RepairCells(rel, index, sigma, assignment, max_changes, metrics);
+  OfdVerifier verifier(result.repaired, index);
+  result.consistent = true;
+  for (size_t i = 0; i < sigma.size() && result.consistent; ++i) {
+    result.consistent = verifier.Holds(sigma[i], assignment.partitions[i]);
   }
   return result;
 }
@@ -198,14 +118,19 @@ OfdClean::OfdClean(const Relation& rel, const Ontology& ontology,
     rhs_attrs = rhs_attrs.With(ofd.rhs);
   }
   FASTOFD_CHECK(!lhs_attrs.Intersects(rhs_attrs));
+  // An OFD the others imply (XY -> A next to X -> A) holds on every repair
+  // of the rest, so cleaning runs over a minimal cover. The cover is
+  // computed kind-blind and may keep either kind of a duplicate; nothing in
+  // src/clean/ reads the kind (classes are repaired under synonym
+  // semantics), and Run() verifies the caller's Σ with its own kinds.
+  reduced_ = MinimalCover(sigma_);
 }
 
 OfdCleanResult OfdClean::Run() {
   OfdCleanResult result{RepairResult{rel_, {}, 0, false, true}, {}, {}, 0, 0};
 
   // One pool and one metrics registry for the whole pipeline: sense
-  // assignment, every beam-search RepairData call, and the final
-  // materialization all share them.
+  // assignment, beam scoring and the final materialization all share them.
   MetricsRegistry local_metrics;
   MetricsRegistry& metrics =
       config_.metrics != nullptr ? *config_.metrics : local_metrics;
@@ -226,12 +151,12 @@ OfdCleanResult OfdClean::Run() {
   assign_config.pool = pool;
   assign_config.metrics = &metrics;
   assign_config.partitions = config_.partitions;
-  SenseSelector selector(rel_, index, sigma_, assign_config);
+  SenseSelector selector(rel_, index, reduced_, assign_config);
   result.assignment = selector.Run();
 
   // τ budget: fraction of consequent cells.
   AttrSet rhs_attrs;
-  for (const Ofd& ofd : sigma_) rhs_attrs = rhs_attrs.With(ofd.rhs);
+  for (const Ofd& ofd : reduced_) rhs_attrs = rhs_attrs.With(ofd.rhs);
   int64_t budget = static_cast<int64_t>(
       config_.tau * static_cast<double>(rhs_attrs.size()) *
       static_cast<double>(rel_.num_rows()));
@@ -245,7 +170,7 @@ OfdCleanResult OfdClean::Run() {
   // materialization (bench_clean reports full-vs-incremental speedups from
   // this timer).
   ScopedTimer beam_timer(&metrics, "clean.beam.seconds");
-  BeamScorer scorer(rel_, index, sigma_, result.assignment, pool);
+  BeamScorer scorer(rel_, index, reduced_, result.assignment, pool);
 
   // Cand(S) (paper §7.1): (value, sense) pairs where the value occurs in a
   // class but is not in S *under the class's assigned sense* — this includes
@@ -260,7 +185,7 @@ OfdCleanResult OfdClean::Run() {
   std::vector<std::vector<BeamScorer::Flip>> cand_flips;
   std::unordered_map<uint64_t, size_t> cand_pos;
   uint32_t item = 0;  // Flattened (OFD, class) index, BeamScorer's order.
-  for (size_t i = 0; i < sigma_.size(); ++i) {
+  for (size_t i = 0; i < reduced_.size(); ++i) {
     const ClassHistogram& hist = scorer.histogram(i);
     for (size_t c = 0; c < hist.num_classes(); ++c, ++item) {
       SenseId sense = result.assignment.senses[i][c];
@@ -319,6 +244,12 @@ OfdCleanResult OfdClean::Run() {
   scorer.SetCandidates(candidates, std::move(cand_flips));
 
   // Beam size: secretary rule ⌊w/e⌋, at least 1.
+  auto additions = [&](const std::vector<int>& picks) {
+    std::vector<OntologyAddition> adds;
+    for (int p : picks) adds.push_back(candidates[static_cast<size_t>(p)]);
+    return adds;
+  };
+
   int beam = config_.beam_size > 0
                  ? config_.beam_size
                  : std::max<int>(1, static_cast<int>(std::floor(
@@ -355,7 +286,7 @@ OfdCleanResult OfdClean::Run() {
   classes_rescored += zero_rescored;
   ++result.nodes_evaluated;
   if (zero.tau_feasible) {
-    result.pareto.push_back(ParetoPoint{0, zero.data_changes});
+    result.pareto.push_back(ParetoPoint{0, zero.data_changes, {}});
   }
   Node best_node = zero;
   int64_t best_cost = zero.tau_feasible ? zero.data_changes
@@ -408,7 +339,7 @@ OfdCleanResult OfdClean::Run() {
     // node is; only feasible levels yield Pareto points or drive the exits.
     const Node& top = level_nodes.front();
     if (top.tau_feasible) {
-      result.pareto.push_back(ParetoPoint{k, top.data_changes});
+      result.pareto.push_back(ParetoPoint{k, top.data_changes, additions(top.picks)});
       // Track the globally best (k + data changes) feasible repair.
       if (k + top.data_changes < best_cost) {
         best_cost = k + top.data_changes;
@@ -433,20 +364,33 @@ OfdCleanResult OfdClean::Run() {
 
   // Materialize the best repair against the shared index: apply the picks
   // (recording which insertions were real, so a pre-existing mapping is
-  // never deleted on restore), run the full conflict-graph repair, restore.
+  // never deleted on restore), repair, verify the caller's Σ — Π* of an OFD
+  // the cover dropped is built on the way, antecedents are never rewritten —
+  // and restore.
   std::vector<OntologyAddition> applied;
-  for (int p : best_node.picks) {
-    const OntologyAddition& add = candidates[static_cast<size_t>(p)];
+  for (const OntologyAddition& add : additions(best_node.picks)) {
     if (index.AddValue(add.sense, add.value)) applied.push_back(add);
   }
-  result.best = RepairData(rel_, index, sigma_, result.assignment, budget, pool,
-                           &metrics);
+  {
+    ScopedTimer repair_timer(&metrics, "repair.seconds");
+    result.best = RepairCells(rel_, index, reduced_, result.assignment, budget, &metrics);
+    OfdVerifier verifier(result.best.repaired, index, &ontology_);
+    result.best.consistent = true;
+    for (size_t i = 0; i < sigma_.size() && result.best.consistent; ++i) {
+      const Ofd& ofd = sigma_[i];
+      auto same_lhs = std::find_if(reduced_.begin(), reduced_.end(),
+                                   [&](const Ofd& kept) { return kept.lhs == ofd.lhs; });
+      result.best.consistent =
+          same_lhs == reduced_.end()
+              ? verifier.Holds(ofd)
+              : verifier.Holds(ofd, result.assignment.partitions[static_cast<size_t>(
+                                        same_lhs - reduced_.begin())]);
+    }
+  }
   for (const OntologyAddition& add : applied) {
     index.RemoveValue(add.sense, add.value);
   }
-  for (int p : best_node.picks) {
-    result.best.ontology_additions.push_back(candidates[static_cast<size_t>(p)]);
-  }
+  result.best.ontology_additions = additions(best_node.picks);
   // The restored index must again agree with the ontology exactly.
   FASTOFD_AUDIT_OK(AuditOntologyIndex(ontology_, rel_.dict(), index));
 

@@ -18,6 +18,7 @@
 #include "clean/holoclean_lite.h"
 #include "clean/repair.h"
 #include "clean/sense_assignment.h"
+#include "common/metrics.h"
 #include "common/rng.h"
 #include "datagen/datagen.h"
 #include "ofd/verifier.h"
@@ -271,6 +272,63 @@ TEST(RepairDataTest, CleanInstanceNeedsNoChanges) {
   EXPECT_EQ(result.data_changes, 0);
 }
 
+TEST(RepairDataTest, KeepsTheLargerPartOfTheConflictGraph) {
+  // One cell covered by the sense and nine of one value outside it: the
+  // class's conflict graph is the star K_{1,9}, whose minimum vertex cover
+  // is the single covered cell.
+  Relation rel(Schema({"X", "MED"}));
+  Ontology ont;
+  SenseId s = ont.AddSense("S");
+  ont.AddValue(s, "good");
+  rel.AppendRow({"x", "good"});
+  for (int i = 0; i < 9; ++i) rel.AppendRow({"x", "other"});
+  SynonymIndex index(ont, rel.dict());
+  SigmaSet sigma = {{AttrSet::Single(0), 1, OfdKind::kSynonym}};
+  SenseSelector selector(rel, index, sigma);
+  SenseAssignmentResult assignment = selector.Run();
+  ASSERT_EQ(assignment.senses[0][0], s);
+  RepairResult result = RepairData(rel, index, sigma, assignment, 1000);
+  EXPECT_TRUE(result.consistent);
+  EXPECT_EQ(result.data_changes, 1);
+  EXPECT_EQ(result.repaired.StringAt(0, 1), "other");
+  EXPECT_EQ(BeamScorer(rel, index, sigma, assignment).base_cost(), 1);
+}
+
+TEST(RepairDataTest, CellRewrittenTwiceCountsOnce) {
+  // X -> A and Y -> A share A; row 2 lies in both classes. Under S the
+  // X-class rewrites its "bad" to g1; under T the Y-class then rewrites the
+  // same cell to g2, which S also covers, so a second pass changes nothing.
+  // Two writes, one changed cell.
+  Relation rel(Schema({"X", "Y", "A"}));
+  Ontology ont;
+  SenseId s = ont.AddSense("S");
+  ont.AddValue(s, "g1");
+  ont.AddValue(s, "g2");
+  SenseId t = ont.AddSense("T");
+  ont.AddValue(t, "g2");
+  ont.AddValue(t, "t1");
+  rel.AppendRow({"x", "ya", "g1"});
+  rel.AppendRow({"x", "yb", "g1"});
+  rel.AppendRow({"x", "y", "bad"});
+  rel.AppendRow({"xc", "y", "g2"});
+  rel.AppendRow({"xd", "y", "g2"});
+  SynonymIndex index(ont, rel.dict());
+  SigmaSet sigma = {{AttrSet::Single(0), 2, OfdKind::kSynonym},
+                    {AttrSet::Single(1), 2, OfdKind::kSynonym}};
+  SenseAssignmentResult assignment;
+  assignment.partitions.push_back(StrippedPartition::Build(rel, 0));
+  assignment.partitions.push_back(StrippedPartition::Build(rel, 1));
+  assignment.senses = {{s}, {t}};
+  MetricsRegistry metrics;
+  RepairResult result = RepairData(rel, index, sigma, assignment, 1000, &metrics);
+  EXPECT_EQ(result.repaired.StringAt(2, 2), "g2");
+  EXPECT_EQ(metrics.Snapshot().Counter("repair.cover_tuples"), 2);
+  EXPECT_EQ(result.data_changes, 1);
+  EXPECT_TRUE(result.consistent);
+  // A budget of one change still admits it: the count is of cells.
+  EXPECT_TRUE(RepairData(rel, index, sigma, assignment, 1).tau_feasible);
+}
+
 // ---------------------------------------------------------------------------
 // OFDClean end to end.
 
@@ -348,6 +406,62 @@ TEST(OfdCleanTest, ReproducesTable5RepairStaircase) {
     EXPECT_EQ(result.pareto[static_cast<size_t>(k)].data_changes, 3 - k);
   }
   EXPECT_TRUE(result.best.consistent);
+}
+
+// Cells of `repaired` that differ from `rel`.
+int64_t DifferingCells(const Relation& rel, const Relation& repaired) {
+  int64_t n = 0;
+  for (RowId r = 0; r < rel.num_rows(); ++r) {
+    for (AttrId a = 0; a < rel.num_attrs(); ++a) n += rel.At(r, a) != repaired.At(r, a);
+  }
+  return n;
+}
+
+TEST(OfdCleanTest, ImpliedOfdsAreReducedAwayAndStillHold) {
+  // The clean benchmark's instance shape at 2000 rows and 20% errors: each
+  // consequent has X -> A next to the implied XY -> A.
+  for (uint64_t slot : {103u, 104u, 105u}) {
+    SCOPED_TRACE("slot=" + std::to_string(slot));
+    DataGenConfig dg;
+    dg.num_rows = 2000;
+    dg.num_antecedents = 5;
+    dg.num_consequents = 3;
+    dg.num_noise_attrs = 5;
+    dg.num_key_attrs = 2;
+    dg.num_senses = 4;
+    dg.classes_per_antecedent = 16;
+    dg.error_rate = 0.2;
+    dg.in_domain_error_fraction = 0.3;
+    dg.incompleteness_rate = 0.05;
+    dg.plant_interacting_ofds = true;
+    dg.seed = 0x5EED0000ull + slot;
+    GeneratedData data = GenerateClinical(dg);
+    OfdCleanConfig cfg;
+    cfg.min_candidate_classes = 2;
+    OfdClean cleaner(data.rel, data.ontology, data.sigma, cfg);
+    EXPECT_EQ(cleaner.reduced_sigma().size() * 2, data.sigma.size());
+    OfdCleanResult result = cleaner.Run();
+    EXPECT_TRUE(result.best.tau_feasible);
+    EXPECT_TRUE(result.best.consistent);
+    EXPECT_EQ(result.best.data_changes,
+              DifferingCells(data.rel, result.best.repaired));
+    // The frontier's point for the chosen ontology repair scored exactly
+    // the changes the materialized repair made.
+    auto point = std::find_if(result.pareto.begin(), result.pareto.end(),
+                              [&](const ParetoPoint& p) {
+                                return p.ontology_additions ==
+                                       result.best.ontology_additions;
+                              });
+    ASSERT_NE(point, result.pareto.end());
+    EXPECT_EQ(point->data_changes, result.best.data_changes);
+    // The caller's Σ, implied OFDs included, holds on the repair.
+    SynonymIndex repaired_index(data.ontology, data.rel.dict());
+    for (const OntologyAddition& add : result.best.ontology_additions) {
+      repaired_index.AddValue(add.sense, add.value);
+    }
+    OfdVerifier verifier(result.best.repaired, repaired_index);
+    for (const Ofd& ofd : data.sigma) EXPECT_TRUE(verifier.Holds(ofd));
+  }
 }
 
 TEST(OfdCleanTest, CleanDataNeedsNoRepairs) {
@@ -855,7 +969,7 @@ TEST(BeamScorerTest, CountTiesBreakToMinimumValueId) {
 TEST(BeamScorerTest, PickCoveringLastUncoveredSlotCostsNothing) {
   HandBuilt h;
   h.AddClass("x1", {"g1", "g1", "u", "u"});  // u is the only uncovered slot.
-  h.AddClass("x2", {"u", "v"});              // Nothing covered: all rows change.
+  h.AddClass("x2", {"u", "v"});  // Nothing covered: keeps u (tie, minimum id).
   SynonymIndex index(h.ont, h.rel.dict());
   SenseAssignmentResult assignment = h.Assign({h.s, h.s});
   BeamScorer scorer(h.rel, index, h.sigma, assignment);
@@ -863,7 +977,7 @@ TEST(BeamScorerTest, PickCoveringLastUncoveredSlotCostsNothing) {
   scorer.SetCandidates(set.candidates, set.flips);
   const int u = h.Pick(set, h.s, "u");
   EXPECT_EQ(set.flips[static_cast<size_t>(u)].size(), 2u);  // Flips both classes.
-  ExpectNodeCost(h, index, assignment, scorer, set, {}, 2 + 2);
+  ExpectNodeCost(h, index, assignment, scorer, set, {}, 2 + 1);
   ExpectNodeCost(h, index, assignment, scorer, set, {u}, 0 + 1);
   ExpectNodeCost(h, index, assignment, scorer, set, {u, h.Pick(set, h.s, "v")}, 0);
   EXPECT_EQ(scorer.ScoreIncremental({u}).classes_rescored, 2);
@@ -871,8 +985,8 @@ TEST(BeamScorerTest, PickCoveringLastUncoveredSlotCostsNothing) {
 
 TEST(BeamScorerTest, TwoPicksInOneClass) {
   HandBuilt h;
-  h.AddClass("x1", {"g1", "u", "u", "v"});
-  h.AddClass("x2", {"u", "v", "v"});  // Under T: nothing covered.
+  h.AddClass("x1", {"g1", "u", "u", "v"});  // The u group outweighs g1.
+  h.AddClass("x2", {"u", "v", "v"});        // Under T: nothing covered.
   SynonymIndex index(h.ont, h.rel.dict());
   SenseAssignmentResult assignment = h.Assign({h.s, h.t});
   BeamScorer scorer(h.rel, index, h.sigma, assignment);
@@ -882,27 +996,58 @@ TEST(BeamScorerTest, TwoPicksInOneClass) {
   const int sv = h.Pick(set, h.s, "v");
   const int tu = h.Pick(set, h.t, "u");
   const int tv = h.Pick(set, h.t, "v");
-  ExpectNodeCost(h, index, assignment, scorer, set, {}, 3 + 3);
-  ExpectNodeCost(h, index, assignment, scorer, set, {su}, 1 + 3);
-  ExpectNodeCost(h, index, assignment, scorer, set, {sv}, 2 + 3);
-  ExpectNodeCost(h, index, assignment, scorer, set, {su, sv}, 0 + 3);
-  ExpectNodeCost(h, index, assignment, scorer, set, {tv}, 3 + 1);
+  ExpectNodeCost(h, index, assignment, scorer, set, {}, 2 + 1);
+  ExpectNodeCost(h, index, assignment, scorer, set, {su}, 1 + 1);
+  ExpectNodeCost(h, index, assignment, scorer, set, {sv}, 2 + 1);  // Tie: covered.
+  ExpectNodeCost(h, index, assignment, scorer, set, {su, sv}, 0 + 1);
+  ExpectNodeCost(h, index, assignment, scorer, set, {tv}, 2 + 1);
   ExpectNodeCost(h, index, assignment, scorer, set, {su, sv, tu, tv}, 0);
   std::vector<int> same_class = {su, sv};
   std::sort(same_class.begin(), same_class.end());
   EXPECT_EQ(scorer.ScoreIncremental(same_class).classes_rescored, 1);
 }
 
-TEST(BeamScorerTest, RejectsAssignedSenseWithoutValues) {
-  // Slot flips assume every assigned sense already holds a value: inserting
-  // into an empty sense would change the fallback target of its classes
-  // that lack the inserted value, which no flip list records.
+TEST(BeamScorerTest, CoveringTheLargestUncoveredGroupStaysExact) {
+  // u (3 rows) outweighs the covered g1 (1 row), so the base repair keeps u.
+  // Covering u makes the covered part the larger one; the incremental
+  // tally's stale largest group must not win against it.
+  HandBuilt h;
+  h.AddClass("x1", {"g1", "u", "u", "u", "v", "v"});
+  SynonymIndex index(h.ont, h.rel.dict());
+  SenseAssignmentResult assignment = h.Assign({h.s});
+  BeamScorer scorer(h.rel, index, h.sigma, assignment);
+  CandidateSet set = CollectCandidates(scorer, index, assignment);
+  scorer.SetCandidates(set.candidates, set.flips);
+  const int u = h.Pick(set, h.s, "u");
+  const int v = h.Pick(set, h.s, "v");
+  ExpectNodeCost(h, index, assignment, scorer, set, {}, 3);
+  ExpectNodeCost(h, index, assignment, scorer, set, {u}, 2);
+  ExpectNodeCost(h, index, assignment, scorer, set, {v}, 3);  // Tie: covered.
+  ExpectNodeCost(h, index, assignment, scorer, set, {u, v}, 0);
+  RepairResult repaired = RepairData(h.rel, index, h.sigma, assignment, 100);
+  for (RowId r = h.rel.num_rows() - 6; r < h.rel.num_rows(); ++r) {
+    EXPECT_EQ(repaired.repaired.StringAt(r, 1), "u");
+  }
+}
+
+TEST(BeamScorerTest, AssignedSenseWithoutValuesKeepsLargestGroup) {
+  // A class's repair target is always one of its own values, so a sense
+  // holding no value yet is scored like any other: insertions into it only
+  // flip the slots they name.
   HandBuilt h;
   SenseId empty = h.ont.AddSense("E");
-  h.AddClass("x1", {"u", "v"});
+  h.AddClass("x1", {"u", "v", "v"});
   SynonymIndex index(h.ont, h.rel.dict());
   SenseAssignmentResult assignment = h.Assign({empty});
-  EXPECT_DEATH(BeamScorer(h.rel, index, h.sigma, assignment), "CHECK failed");
+  BeamScorer scorer(h.rel, index, h.sigma, assignment);
+  CandidateSet set = CollectCandidates(scorer, index, assignment);
+  scorer.SetCandidates(set.candidates, set.flips);
+  const int u = h.Pick(set, empty, "u");
+  const int v = h.Pick(set, empty, "v");
+  ExpectNodeCost(h, index, assignment, scorer, set, {}, 1);
+  ExpectNodeCost(h, index, assignment, scorer, set, {u}, 1);
+  ExpectNodeCost(h, index, assignment, scorer, set, {v}, 1);
+  ExpectNodeCost(h, index, assignment, scorer, set, {u, v}, 0);
 }
 
 // ---------------------------------------------------------------------------

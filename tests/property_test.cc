@@ -5,6 +5,7 @@
 #include <algorithm>
 #include <cmath>
 #include <iterator>
+#include <limits>
 #include <map>
 #include <set>
 #include <string>
@@ -273,6 +274,68 @@ TEST_P(PropertyTest, OfdCleanDeterministicAcrossThreadsAndScoringModes) {
       }
     }
   }
+}
+
+TEST_P(PropertyTest, OfdCleanCountsAndVerifiesOverRandomSigma) {
+  // Random Σ over the generated instance's columns: per consequent, an
+  // X -> A, often an implied XA' -> A beside it, and sometimes an
+  // incomparable Y -> A that still shares the consequent after reduction.
+  Rng rng(4000 + static_cast<uint64_t>(GetParam()));
+  DataGenConfig cfg;
+  cfg.num_rows = 200;
+  cfg.num_senses = 4;
+  cfg.error_rate = 0.1;
+  cfg.incompleteness_rate = 0.1;
+  cfg.seed = 4100 + static_cast<uint64_t>(GetParam());
+  GeneratedData data = GenerateData(cfg);
+  const int n_lhs = cfg.num_antecedents;
+  SigmaSet sigma;
+  for (int j = 0; j < cfg.num_consequents; ++j) {
+    const AttrId rhs = static_cast<AttrId>(n_lhs + j);
+    const AttrId x = static_cast<AttrId>(rng.NextUint(static_cast<uint64_t>(n_lhs)));
+    const AttrId y = static_cast<AttrId>((x + 1 + rng.NextUint(n_lhs - 1)) % n_lhs);
+    sigma.push_back({AttrSet::Single(x), rhs, OfdKind::kSynonym});
+    if (rng.NextBernoulli(0.6)) sigma.push_back({AttrSet::Of({x, y}), rhs, OfdKind::kSynonym});
+    if (rng.NextBernoulli(0.5)) sigma.push_back({AttrSet::Single(y), rhs, OfdKind::kSynonym});
+  }
+  OfdCleanConfig ccfg;
+  ccfg.max_repair_size = 4;
+  OfdClean cleaner(data.rel, data.ontology, sigma, ccfg);
+  OfdCleanResult result = cleaner.Run();
+
+  int64_t differing = 0;
+  for (RowId r = 0; r < data.rel.num_rows(); ++r) {
+    for (AttrId a = 0; a < data.rel.num_attrs(); ++a) {
+      differing += data.rel.At(r, a) != result.best.repaired.At(r, a);
+    }
+  }
+  EXPECT_EQ(result.best.data_changes, differing);
+
+  auto index_with = [&](const std::vector<OntologyAddition>& additions) {
+    SynonymIndex index(data.ontology, data.rel.dict());
+    for (const OntologyAddition& add : additions) index.AddValue(add.sense, add.value);
+    return index;
+  };
+  SynonymIndex repaired_index = index_with(result.best.ontology_additions);
+  OfdVerifier verifier(result.best.repaired, repaired_index);
+  bool holds = true;
+  for (const Ofd& ofd : sigma) holds = holds && verifier.Holds(ofd);
+  EXPECT_EQ(result.best.consistent, holds);
+
+  const SigmaSet& reduced = cleaner.reduced_sigma();
+  AttrSet rhs_attrs;
+  for (const Ofd& ofd : reduced) {
+    if (rhs_attrs.Contains(ofd.rhs)) return;  // Shared consequent: estimates.
+    rhs_attrs = rhs_attrs.With(ofd.rhs);
+  }
+  for (const ParetoPoint& point : result.pareto) {
+    SCOPED_TRACE("k=" + std::to_string(point.ontology_changes));
+    EXPECT_EQ(point.data_changes,
+              RepairData(data.rel, index_with(point.ontology_additions), reduced,
+                         result.assignment, std::numeric_limits<int64_t>::max())
+                  .data_changes);
+  }
+  EXPECT_TRUE(result.best.consistent || !result.best.tau_feasible);
 }
 
 TEST_P(PropertyTest, SigmaRoundTripsThroughText) {

@@ -36,12 +36,15 @@ in a trailing comment):
                       help-execute arbitrary queued tasks, and any of them
                       taking the held lock deadlocks. (CondVar waits
                       release their mutex and are fine.)
+  hardcoded-tmp       A string literal naming a path under /tmp/ ignores
+                      $TMPDIR and collides across concurrent runs. Build
+                      the path from $TMPDIR, falling back to a bare "/tmp".
 
 Usage: tools/lint.py [--self-test] [--fix-dry-run] [paths...]
                                   (paths default to src tools tests bench
                                    fuzz examples)
   --self-test     run the built-in positive/negative cases for the
-                  concurrency rules and exit
+                  concurrency and /tmp rules and exit
   --fix-dry-run   after each finding, also print the offending source line
                   (anchored file:line) so fixes can be applied by hand
 Exit code 0 = clean, 1 = findings, 2 = usage/internal error.
@@ -67,6 +70,7 @@ RANGE_CHECK_RE = re.compile(
 # surrounding logic, not casts far from (but guarded by) an early return.
 RANGE_CHECK_WINDOW = 50
 DETACH_RE = re.compile(r"\.\s*detach\s*\(\s*\)")
+TMP_PATH_LITERAL_PREFIX = '"/tmp/'
 INCLUDE_RE = re.compile(r'^#include\s+(["<])([^">]+)[">]')
 ALLOW_RE = re.compile(r"lint:allow\(([a-z-]+)\)")
 
@@ -140,6 +144,7 @@ def lint_file(path, findings):
     check_raw_sync(rel, lines, findings)
     check_dangling_capture(rel, lines, findings)
     check_wait_under_lock(rel, lines, findings)
+    check_hardcoded_tmp(rel, lines, findings)
     check_includes(rel, lines, findings)
     if rel.endswith(".h") and rel.startswith("src" + os.sep):
         check_header_guard(rel, lines, findings)
@@ -186,6 +191,19 @@ def check_detach(rel, lines, findings):
                 (rel, i, "detached-thread",
                  "detached threads outlive shutdown; store the handle and "
                  "join it")
+            )
+
+
+def check_hardcoded_tmp(rel, lines, findings):
+    for i, line in enumerate(lines, 1):
+        if is_comment(line) or allowed(line, "hardcoded-tmp"):
+            continue
+        if any(m.group(0).startswith(TMP_PATH_LITERAL_PREFIX)
+               for m in STRING_LIT_RE.finditer(line)):
+            findings.append(
+                (rel, i, "hardcoded-tmp",
+                 "path literal under /tmp/; build it from $TMPDIR (falling "
+                 "back to \"/tmp\") so runs can be placed and kept apart")
             )
 
 
@@ -361,7 +379,7 @@ def check_includes(rel, lines, findings):
 
 
 # (description, synthetic path, source, expected rule names). Each
-# concurrency rule gets at least one positive, one negative, and one
+# concurrency rule and the /tmp rule gets at least one positive, one negative, and one
 # suppression/exemption case; keep these in sync with the rule docstrings.
 SELF_TESTS = [
     # --- raw-sync ---
@@ -481,6 +499,19 @@ SELF_TESTS = [
      "  group.Wait();  // lint:allow(wait-under-lock)\n"
      "}\n",
      []),
+    # --- hardcoded-tmp ---
+    ("hardcoded-tmp: mkdtemp template under /tmp/", "fuzz/a.cc",
+     'char tmpl[] = "/tmp/fastofd_x_XXXXXX";\n',
+     ["hardcoded-tmp"]),
+    ("hardcoded-tmp: bare /tmp fallback passes", "bench/a.cc",
+     'std::string dir = std::string(t ? t : "/tmp") + "/fastofd_x";\n',
+     []),
+    ("hardcoded-tmp: path in a comment passes", "src/foo/a.cc",
+     '// e.g. "/tmp/fastofd_x"\nint x = 0;\n',
+     []),
+    ("hardcoded-tmp: lint:allow suppression", "tests/a_test.cc",
+     'Use("/tmp/fixed");  // lint:allow(hardcoded-tmp)\n',
+     []),
 ]
 
 
@@ -492,6 +523,7 @@ def run_self_test():
         check_raw_sync(rel, lines, findings)
         check_dangling_capture(rel, lines, findings)
         check_wait_under_lock(rel, lines, findings)
+        check_hardcoded_tmp(rel, lines, findings)
         got = sorted({rule for _, _, rule, _ in findings})
         want = sorted(set(expected))
         if got != want:
