@@ -1,27 +1,35 @@
-// OFDClean beam-search harness: measures the ontology-repair node-evaluation
-// phase (the `clean.beam.seconds` timer — level-0 memoization plus every
-// level's scoring, not the final materialization).
+// OFDClean beam-search harness: measures ontology-repair node scoring.
 //
-// Table 1 compares full per-node re-scoring against the incremental scorer
-// (memoized per-class summaries + slot flips) in the same process on
-// the same data, with a results-identical check; the `speedup` column is a
-// machine-independent ratio that tools/bench_gate.py enforces (>= 2x).
-// Table 2 scales the worker threads with incremental scoring on, again
-// checking that every configuration reproduces the serial reference byte for
-// byte.
+// Table 1 (`clean_beam`) scores one fixed node list — level 0 plus every 1-
+// and 2-pick node over the scorer's own top-24 candidates — on one
+// BeamScorer, first with ScoreFull (the reference: every class re-tallied
+// from its histogram slots) and then with ScoreIncremental (memoized
+// per-class summaries + slot flips, the beam's scoring path), in the same
+// process, and checks that every node's score is equal. The set-up both
+// share (sense assignment, histograms, base memo, Cand(S)) is not timed; the
+// `speedup` column is a machine-independent ratio that tools/bench_gate.py
+// enforces (>= 2x).
+// Table 2 (`clean_threads`) times the whole beam phase of OfdClean::Run
+// (the `clean.beam.seconds` timer) over worker threads, checking that every
+// configuration reproduces the serial run byte for byte.
 //
 //   bench_clean [--rows N] [--iters K] [--smoke] [--json=PATH]
 
+#include <algorithm>
 #include <cstdio>
 #include <thread>
 #include <utility>
 #include <vector>
 
 #include "bench_common.h"
+#include "clean/beam_scorer.h"
 #include "clean/repair.h"
+#include "clean/sense_assignment.h"
+#include "common/csv.h"
 #include "common/flags.h"
 #include "common/metrics.h"
 #include "datagen/datagen.h"
+#include "ontology/synonym_index.h"
 
 using namespace fastofd;
 using namespace fastofd::bench;
@@ -48,6 +56,48 @@ GeneratedData MakeDirtyData(int rows) {
   return GenerateData(cfg);
 }
 
+// One clean_beam row: scores the fixed node list with ScoreFull and then
+// with ScoreIncremental, `iters` times, keeping each path's minimum time.
+void AddScoringRow(int rows, int iters, Table* table) {
+  GeneratedData data = MakeDirtyData(rows);
+  SynonymIndex index(data.ontology, data.rel.dict());
+  SenseAssignmentResult assignment = SenseSelector(data.rel, index, data.sigma).Run();
+  BeamScorer scorer(data.rel, index, data.sigma, assignment);
+  const OfdCleanConfig defaults;
+  const int64_t cands = scorer.CollectCandidates(defaults.min_candidate_classes,
+                                                 defaults.max_candidates);
+  // Level 0, then every 1- and 2-pick node, picks ascending as the beam
+  // builds them.
+  const int n = static_cast<int>(scorer.candidates().size());
+  std::vector<std::vector<int>> nodes = {{}};
+  for (int a = 0; a < n; ++a) {
+    nodes.push_back({a});
+    for (int b = a + 1; b < n; ++b) nodes.push_back({a, b});
+  }
+  std::vector<int64_t> full(nodes.size()), incremental(nodes.size());
+  BeamScorer::ScoreScratch scratch;
+  double full_ms = 0.0, incremental_ms = 0.0;
+  for (int i = 0; i < iters; ++i) {
+    const double f = 1e3 * TimeIt([&] {
+      for (size_t k = 0; k < nodes.size(); ++k) {
+        full[k] = scorer.ScoreFull(nodes[k]).data_changes;
+      }
+    });
+    const double inc = 1e3 * TimeIt([&] {
+      for (size_t k = 0; k < nodes.size(); ++k) {
+        incremental[k] = scorer.ScoreIncremental(nodes[k], &scratch).data_changes;
+      }
+    });
+    full_ms = i == 0 ? f : std::min(full_ms, f);
+    incremental_ms = i == 0 ? inc : std::min(incremental_ms, inc);
+  }
+  table->AddRow({Fmt("%d", rows), Fmt("%lld", static_cast<long long>(cands)),
+                 Fmt("%zu", nodes.size()), Fmt("%.3f", full_ms),
+                 Fmt("%.3f", incremental_ms),
+                 Fmt("%.2f", incremental_ms > 0 ? full_ms / incremental_ms : 0.0),
+                 full == incremental ? "yes" : "NO"});
+}
+
 struct CleanRun {
   OfdCleanResult result;
   double beam_ms = 0.0;
@@ -55,13 +105,11 @@ struct CleanRun {
 
 // Runs the full pipeline `iters` times and keeps the minimum beam time (the
 // result is identical across iterations by construction).
-CleanRun RunClean(const GeneratedData& data, bool incremental, int threads,
-                  int iters) {
+CleanRun RunClean(const GeneratedData& data, int threads, int iters) {
   CleanRun run;
   for (int i = 0; i < iters; ++i) {
     MetricsRegistry metrics;
     OfdCleanConfig cfg;
-    cfg.incremental_scoring = incremental;
     cfg.num_threads = threads;
     cfg.metrics = &metrics;
     OfdClean cleaner(data.rel, data.ontology, data.sigma, cfg);
@@ -76,27 +124,11 @@ CleanRun RunClean(const GeneratedData& data, bool incremental, int threads,
 // Byte-identical comparison: frontier, chosen insertions, and every repaired
 // cell (both runs share the relation, hence the dictionary).
 bool SameResults(const OfdCleanResult& a, const OfdCleanResult& b) {
-  if (a.num_candidates != b.num_candidates ||
-      a.nodes_evaluated != b.nodes_evaluated ||
-      a.best.data_changes != b.best.data_changes ||
-      a.best.ontology_additions != b.best.ontology_additions ||
-      a.pareto.size() != b.pareto.size()) {
-    return false;
-  }
-  for (size_t i = 0; i < a.pareto.size(); ++i) {
-    if (a.pareto[i].ontology_changes != b.pareto[i].ontology_changes ||
-        a.pareto[i].data_changes != b.pareto[i].data_changes) {
-      return false;
-    }
-  }
-  for (RowId r = 0; r < a.best.repaired.num_rows(); ++r) {
-    for (int attr = 0; attr < a.best.repaired.num_attrs(); ++attr) {
-      if (a.best.repaired.At(r, attr) != b.best.repaired.At(r, attr)) {
-        return false;
-      }
-    }
-  }
-  return true;
+  return a.num_candidates == b.num_candidates &&
+         a.nodes_evaluated == b.nodes_evaluated &&
+         a.best.data_changes == b.best.data_changes &&
+         a.best.ontology_additions == b.best.ontology_additions && a.pareto == b.pareto &&
+         WriteCsv(a.best.repaired.ToCsv()) == WriteCsv(b.best.repaired.ToCsv());
 }
 
 }  // namespace
@@ -118,27 +150,16 @@ int main(int argc, char** argv) {
          "§7.1 beam search over Cand(S)");
 
   // -------------------------------------------------------------------------
-  // Table 1: full vs incremental node scoring, serial, same process.
+  // Table 1: full vs incremental node scoring, one scorer, same process.
   // -------------------------------------------------------------------------
   Table scoring({"rows", "cands", "nodes", "full(ms)", "incremental(ms)",
                  "speedup", "identical"});
-  for (int rows : row_sizes) {
-    GeneratedData data = MakeDirtyData(rows);
-    CleanRun full = RunClean(data, /*incremental=*/false, /*threads=*/1, iters);
-    CleanRun inc = RunClean(data, /*incremental=*/true, /*threads=*/1, iters);
-    scoring.AddRow(
-        {Fmt("%d", rows),
-         Fmt("%lld", static_cast<long long>(full.result.num_candidates)),
-         Fmt("%lld", static_cast<long long>(full.result.nodes_evaluated)),
-         Fmt("%.2f", full.beam_ms), Fmt("%.2f", inc.beam_ms),
-         Fmt("%.2f", inc.beam_ms > 0 ? full.beam_ms / inc.beam_ms : 0.0),
-         SameResults(full.result, inc.result) ? "yes" : "NO"});
-  }
+  for (int rows : row_sizes) AddScoringRow(rows, iters, &scoring);
   scoring.Print();
   WriteJsonIfRequested(flags, "clean_beam", scoring);
 
   // -------------------------------------------------------------------------
-  // Table 2: thread scaling of the incremental beam search.
+  // Table 2: thread scaling of the beam search.
   // -------------------------------------------------------------------------
   if (std::thread::hardware_concurrency() <= 1) {
     std::printf("NOTE: single-CPU machine — thread counts beyond 1 can only\n"
@@ -154,11 +175,9 @@ int main(int argc, char** argv) {
   {
     const int rows = row_sizes.back();
     GeneratedData data = MakeDirtyData(rows);
-    CleanRun serial = RunClean(data, /*incremental=*/true, /*threads=*/1, iters);
+    CleanRun serial = RunClean(data, /*threads=*/1, iters);
     for (int threads : {1, 2, 4, 8}) {
-      CleanRun run = threads == 1
-                         ? serial
-                         : RunClean(data, /*incremental=*/true, threads, iters);
+      CleanRun run = threads == 1 ? serial : RunClean(data, threads, iters);
       threads_table.AddRow(
           {Fmt("%d", threads), Fmt("%d", hw), Fmt("%d", rows),
            Fmt("%.2f", run.beam_ms),
@@ -174,8 +193,8 @@ int main(int argc, char** argv) {
       "slots per node, incremental scoring only adjusts the memoized summaries\n"
       "of the few classes whose slots a node flips, so its advantage grows\n"
       "with the class count; tools/bench_gate.py enforces `speedup` >= 2 on\n"
-      "every clean_beam row. Both tables must report identical=yes: const\n"
-      "scoring + pre-sized slots make the search byte-identical for any mode\n"
-      "or thread count.\n");
+      "every clean_beam row. Both tables must report identical=yes: both\n"
+      "scorers give every node the same score, and const scoring +\n"
+      "pre-sized slots make the search byte-identical for any thread count.\n");
   return 0;
 }

@@ -5,10 +5,10 @@
 #include <functional>
 #include <limits>
 #include <string>
+#include <unordered_map>
 #include <utility>
 
 #include "common/audit.h"
-#include "common/check.h"
 #include "exec/thread_pool.h"
 #include "relation/attr_set.h"
 
@@ -56,11 +56,49 @@ BeamScorer::BeamScorer(const Relation& rel, const SynonymIndex& index,
   for (const Item& it : items_) base_cost_ += it.base_cost;
 }
 
-void BeamScorer::SetCandidates(std::vector<OntologyAddition> candidates,
-                               std::vector<std::vector<Flip>> flips) {
-  FASTOFD_CHECK(candidates.size() == flips.size());
-  candidates_ = std::move(candidates);
-  flips_ = std::move(flips);
+int64_t BeamScorer::CollectCandidates(int min_classes, int max_candidates) {
+  // Slots are in first-row order, so candidates come out in first-occurrence
+  // order; each uncovered slot is one class's flip for its candidate.
+  struct Found {
+    OntologyAddition add;
+    int64_t count = 0;
+    std::vector<Flip> flips;
+  };
+  std::vector<Found> found;
+  std::unordered_map<uint64_t, size_t> position;
+  for (uint32_t item = 0; item < items_.size(); ++item) {
+    const Item& it = items_[item];
+    if (it.sense == kInvalidSense) continue;
+    const ClassHistogram& hist = histograms_[static_cast<size_t>(it.ofd)];
+    const size_t c = static_cast<size_t>(it.cls);
+    for (uint32_t slot = hist.offsets[c]; slot < hist.offsets[c + 1]; ++slot) {
+      const auto [v, count] = hist.slots[slot];
+      if (index_.SenseContains(it.sense, v)) continue;
+      const uint64_t key =
+          (static_cast<uint64_t>(static_cast<uint32_t>(it.sense)) << 32) |
+          static_cast<uint32_t>(v);
+      auto [entry, inserted] = position.try_emplace(key, found.size());
+      if (inserted) found.push_back(Found{{it.sense, v}, 0, {}});
+      found[entry->second].count += count;
+      found[entry->second].flips.push_back(Flip{item, slot});
+    }
+  }
+  std::erase_if(found, [&](const Found& f) {
+    return static_cast<int64_t>(f.flips.size()) < min_classes;
+  });
+  const int64_t total = static_cast<int64_t>(found.size());
+  if (total > max_candidates) {
+    std::stable_sort(found.begin(), found.end(),
+                     [](const Found& a, const Found& b) { return a.count > b.count; });
+    found.resize(static_cast<size_t>(std::max(0, max_candidates)));
+  }
+  candidates_.clear();
+  flips_.clear();
+  for (Found& f : found) {
+    candidates_.push_back(f.add);
+    flips_.push_back(std::move(f.flips));
+  }
+  return total;
 }
 
 BeamScorer::NodeScore BeamScorer::ScoreFull(const std::vector<int>& picks) const {

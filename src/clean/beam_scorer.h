@@ -1,5 +1,5 @@
 // Incremental, side-effect-free scoring for the OFDClean ontology-repair
-// beam search (paper §7.1).
+// beam search (paper §7.1), and the candidate set Cand(S) it scores over.
 //
 // A beam node is a set of candidate insertions (sense, value); its score is
 // the sum of per-class minimum vertex covers (ClassTally::cover_size) with
@@ -18,8 +18,8 @@
 //      values: it flips exactly one histogram slot of x from uncovered to
 //      covered, and the covered set of any other class is untouched. (A
 //      class's repair target is always one of its own values, so nothing
-//      else about λ's other classes changes.) So each candidate carries its
-//      precomputed (class, slot) flips.
+//      else about λ's other classes changes.) So CollectCandidates records
+//      each candidate's (class, slot) flips while it walks the slots.
 //   3. Memoize once, then flip slots. Construction builds one value
 //      histogram per Σ partition (StrippedPartition::HistogramInto) and
 //      summarizes each class once against the base index (ClassTally). A
@@ -29,10 +29,11 @@
 //      consulted, so a level's expansions are scored concurrently with
 //      ThreadPool::ParallelFor.
 //
-// ScoreFull (every class recomputed from its histogram slots) and
-// ScoreIncremental compute the same function; audit mode additionally
-// cross-checks both against a from-scratch RepairData on a materialized
-// index copy.
+// The beam scores with ScoreIncremental only. ScoreFull (every class
+// recomputed from its histogram slots) computes the same function from
+// scratch and is the reference that audit mode, the tests and bench_clean
+// compare against; audit mode additionally cross-checks both against a
+// from-scratch RepairData on a materialized index copy.
 
 #ifndef FASTOFD_CLEAN_BEAM_SCORER_H_
 #define FASTOFD_CLEAN_BEAM_SCORER_H_
@@ -55,8 +56,9 @@ class ThreadPool;  // exec/thread_pool.h
 
 /// Scores ontology-repair beam nodes against a fixed sense assignment.
 /// Construction builds the per-OFD consequent histograms and memoizes every
-/// class's base summary and cost; const thereafter, so one instance is
-/// safely shared by concurrent node evaluations.
+/// class's base summary and cost, CollectCandidates fixes the candidate
+/// set; const thereafter, so one instance is safely shared by concurrent
+/// node evaluations.
 class BeamScorer {
  public:
   /// One histogram slot a candidate insertion turns covered: `item` is the
@@ -74,14 +76,19 @@ class BeamScorer {
   BeamScorer(const Relation& rel, const SynonymIndex& index, const SigmaSet& sigma,
              const SenseAssignmentResult& assignment, ThreadPool* pool = nullptr);
 
-  /// Consequent histogram of OFD `ofd`'s partition, aligned with its classes.
-  const ClassHistogram& histogram(size_t ofd) const { return histograms_[ofd]; }
+  /// Collects Cand(S) (paper §7.1), replacing any earlier set: every
+  /// (assigned sense, value) pair of a class that the base index lacks, in
+  /// first-occurrence order, with one flip per class holding it. Drops those
+  /// in fewer than `min_classes` classes, then keeps the top
+  /// `max_candidates` by occurrence count (ties in first-occurrence order).
+  /// Returns the count before that cut.
+  int64_t CollectCandidates(int min_classes, int max_candidates);
 
-  /// Registers the candidate set. `flips[i]` lists, in ascending order, the
-  /// slots candidates[i] turns covered — one per class whose assigned sense
-  /// matches and whose histogram holds the value, none already covered.
-  void SetCandidates(std::vector<OntologyAddition> candidates,
-                     std::vector<std::vector<Flip>> flips);
+  /// The collected candidates; a node's picks index into them.
+  const std::vector<OntologyAddition>& candidates() const { return candidates_; }
+
+  /// The slots candidates()[c] turns covered, in ascending order.
+  const std::vector<Flip>& flips(size_t c) const { return flips_[c]; }
 
   struct NodeScore {
     /// Data repairs still required with the node's insertions applied.
@@ -100,14 +107,15 @@ class BeamScorer {
     std::vector<Flip> flips_;
   };
 
-  /// Scores a node (candidate indices into the registered set) by
-  /// recomputing every class from its histogram slots, a value counting as
-  /// covered when the base index or one of the picks holds it. The
-  /// reference path.
+  /// Scores a node (indices into candidates()) by recomputing every class
+  /// from its histogram slots, a value counting as covered when the base
+  /// index or one of the picks holds it. The reference ScoreIncremental is
+  /// checked against; the beam never calls it.
   NodeScore ScoreFull(const std::vector<int>& picks) const;
 
   /// Scores a node from the memoized base summaries plus the picks' slot
-  /// flips; returns exactly ScoreFull's data_changes.
+  /// flips, the beam's one scoring path; returns exactly ScoreFull's
+  /// data_changes.
   NodeScore ScoreIncremental(const std::vector<int>& picks) const;
   NodeScore ScoreIncremental(const std::vector<int>& picks,
                              ScoreScratch* scratch) const;

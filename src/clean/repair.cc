@@ -4,7 +4,6 @@
 #include <cmath>
 #include <limits>
 #include <optional>
-#include <unordered_map>
 #include <utility>
 
 #include "clean/beam_scorer.h"
@@ -161,87 +160,22 @@ OfdCleanResult OfdClean::Run() {
       config_.tau * static_cast<double>(rhs_attrs.size()) *
       static_cast<double>(rel_.num_rows()));
 
-  // Node scoring: side-effect-free and, by default, incremental (only the
-  // classes whose histogram slots a node's insertions flip are re-costed).
-  // Scores are exact repair counts — never truncated by the τ budget — so
-  // feasibility is simply `score <= budget`. `clean.beam.seconds` covers
-  // the scorer's histograms and base memo, candidate collection from those
-  // histograms, every level's scoring, and the sorts — not the final
-  // materialization (bench_clean reports full-vs-incremental speedups from
-  // this timer).
+  // Node scoring: side-effect-free and incremental (only the classes whose
+  // histogram slots a node's insertions flip are re-costed). Scores are
+  // exact repair counts — never truncated by the τ budget — so feasibility
+  // is simply `score <= budget`. `clean.beam.seconds` covers the scorer's
+  // histograms and base memo, candidate collection from those histograms,
+  // every level's scoring, and the sorts — not the final materialization.
   ScopedTimer beam_timer(&metrics, "clean.beam.seconds");
   BeamScorer scorer(rel_, index, reduced_, result.assignment, pool);
 
   // Cand(S) (paper §7.1): (value, sense) pairs where the value occurs in a
-  // class but is not in S *under the class's assigned sense* — this includes
-  // values known to other senses (Table 5's "ASA (FDA)" candidate). Counted
-  // by occurrence (an insertion can save at most that many data repairs);
-  // only the top max_candidates by count are explored. The pass walks the
-  // scorer's histogram slots: slots are in first-row order, so candidate
-  // order stays first-occurrence order, and each uncovered slot is one
-  // class's flip for that candidate.
-  std::vector<OntologyAddition> candidates;
-  std::vector<int64_t> cand_count;
-  std::vector<std::vector<BeamScorer::Flip>> cand_flips;
-  std::unordered_map<uint64_t, size_t> cand_pos;
-  uint32_t item = 0;  // Flattened (OFD, class) index, BeamScorer's order.
-  for (size_t i = 0; i < reduced_.size(); ++i) {
-    const ClassHistogram& hist = scorer.histogram(i);
-    for (size_t c = 0; c < hist.num_classes(); ++c, ++item) {
-      SenseId sense = result.assignment.senses[i][c];
-      if (sense == kInvalidSense) continue;
-      for (uint32_t slot = hist.offsets[c]; slot < hist.offsets[c + 1]; ++slot) {
-        const auto [v, count] = hist.slots[slot];
-        if (index.SenseContains(sense, v)) continue;
-        uint64_t key = (static_cast<uint64_t>(static_cast<uint32_t>(sense)) << 32) |
-                       static_cast<uint32_t>(v);
-        auto [it, inserted] = cand_pos.try_emplace(key, candidates.size());
-        size_t pos = it->second;
-        if (inserted) {
-          candidates.push_back(OntologyAddition{sense, v});
-          cand_count.push_back(0);
-          cand_flips.emplace_back();
-        }
-        cand_count[pos] += count;
-        cand_flips[pos].push_back(BeamScorer::Flip{item, slot});
-      }
-    }
-  }
-  // Class-support filter: localized (single-class) erroneous values are
-  // dropped when min_candidate_classes > 1 (one flip per class).
-  if (config_.min_candidate_classes > 1) {
-    std::vector<OntologyAddition> kept;
-    std::vector<int64_t> kept_count;
-    std::vector<std::vector<BeamScorer::Flip>> kept_flips;
-    for (size_t i = 0; i < candidates.size(); ++i) {
-      if (static_cast<int>(cand_flips[i].size()) >= config_.min_candidate_classes) {
-        kept.push_back(candidates[i]);
-        kept_count.push_back(cand_count[i]);
-        kept_flips.push_back(std::move(cand_flips[i]));
-      }
-    }
-    candidates = std::move(kept);
-    cand_count = std::move(kept_count);
-    cand_flips = std::move(kept_flips);
-  }
-  result.num_candidates = static_cast<int64_t>(candidates.size());
-  if (static_cast<int>(candidates.size()) > config_.max_candidates) {
-    std::vector<size_t> order(candidates.size());
-    for (size_t i = 0; i < order.size(); ++i) order[i] = i;
-    std::sort(order.begin(), order.end(), [&](size_t a, size_t b) {
-      if (cand_count[a] != cand_count[b]) return cand_count[a] > cand_count[b];
-      return a < b;
-    });
-    std::vector<OntologyAddition> kept;
-    std::vector<std::vector<BeamScorer::Flip>> kept_flips;
-    for (int i = 0; i < config_.max_candidates; ++i) {
-      kept.push_back(candidates[order[static_cast<size_t>(i)]]);
-      kept_flips.push_back(std::move(cand_flips[order[static_cast<size_t>(i)]]));
-    }
-    candidates = std::move(kept);
-    cand_flips = std::move(kept_flips);
-  }
-  scorer.SetCandidates(candidates, std::move(cand_flips));
+  // class but is not in S under the class's assigned sense (values known to
+  // other senses count, as Table 5's "ASA (FDA)"), filtered by class support
+  // and cut to the top max_candidates by occurrence count.
+  result.num_candidates = scorer.CollectCandidates(config_.min_candidate_classes,
+                                                   config_.max_candidates);
+  const std::vector<OntologyAddition>& candidates = scorer.candidates();
 
   // Beam size: secretary rule ⌊w/e⌋, at least 1.
   auto additions = [&](const std::vector<int>& picks) {
@@ -259,7 +193,7 @@ OfdCleanResult OfdClean::Run() {
   struct Node {
     std::vector<int> picks;
     int64_t data_changes = 0;
-    bool tau_feasible = true;
+    int64_t classes_rescored = 0;
   };
   int64_t classes_rescored = 0;
   // One scoring scratch (flip buffer) per worker, warm across every node of
@@ -267,14 +201,10 @@ OfdCleanResult OfdClean::Run() {
   // nodes, so the hot loop allocates nothing per node.
   std::vector<BeamScorer::ScoreScratch> scratches(
       static_cast<size_t>(pool->num_threads()));
-  auto score_node = [&](std::vector<int> picks,
-                        BeamScorer::ScoreScratch* scratch) -> std::pair<Node, int64_t> {
-    BeamScorer::NodeScore s = config_.incremental_scoring
-                                  ? scorer.ScoreIncremental(picks, scratch)
-                                  : scorer.ScoreFull(picks);
+  auto score_node = [&](std::vector<int> picks, BeamScorer::ScoreScratch* scratch) {
+    BeamScorer::NodeScore s = scorer.ScoreIncremental(picks, scratch);
     FASTOFD_AUDIT_OK(scorer.AuditNodeScore(picks, s.data_changes));
-    return {Node{std::move(picks), s.data_changes, s.data_changes <= budget},
-            s.classes_rescored};
+    return Node{std::move(picks), s.data_changes, s.classes_rescored};
   };
 
   // Level 0: no ontology repair. τ-infeasible nodes never contribute Pareto
@@ -282,17 +212,16 @@ OfdCleanResult OfdClean::Run() {
   // truncated-count accounting both polluted the frontier and let the
   // diminishing-returns exit fire on bogus values. They do stay in the beam
   // — a deeper insertion can bring a node back under budget.
-  auto [zero, zero_rescored] = score_node({}, &scratches[0]);
-  classes_rescored += zero_rescored;
+  Node zero = score_node({}, &scratches[0]);
+  classes_rescored += zero.classes_rescored;
   ++result.nodes_evaluated;
-  if (zero.tau_feasible) {
-    result.pareto.push_back(ParetoPoint{0, zero.data_changes, {}});
-  }
+  const bool zero_feasible = zero.data_changes <= budget;
+  if (zero_feasible) result.pareto.push_back(ParetoPoint{0, zero.data_changes, {}});
   Node best_node = zero;
-  int64_t best_cost = zero.tau_feasible ? zero.data_changes
-                                        : std::numeric_limits<int64_t>::max();
+  int64_t best_cost =
+      zero_feasible ? zero.data_changes : std::numeric_limits<int64_t>::max();
   int64_t prev_pareto_cost = zero.data_changes;
-  bool have_prev_pareto = zero.tau_feasible;
+  bool have_prev_pareto = zero_feasible;
 
   std::vector<Node> frontier = {std::move(zero)};
   int max_k = std::min<int>(config_.max_repair_size,
@@ -309,15 +238,12 @@ OfdCleanResult OfdClean::Run() {
     }
     if (expansions.empty()) break;
     std::vector<Node> level_nodes(expansions.size());
-    std::vector<int64_t> level_rescored(expansions.size(), 0);
     auto eval_expansion = [&](size_t e, int worker) {
       auto [f, p] = expansions[e];
       std::vector<int> picks = frontier[f].picks;
       picks.push_back(p);
-      auto [node, rescored] =
+      level_nodes[e] =
           score_node(std::move(picks), &scratches[static_cast<size_t>(worker)]);
-      level_nodes[e] = std::move(node);
-      level_rescored[e] = rescored;
     };
     // ParallelFor's automatic grain batches ~8 runs of expansions per
     // worker, so scheduling cost amortizes over a batch and per-worker
@@ -326,7 +252,7 @@ OfdCleanResult OfdClean::Run() {
     // so the level is byte-identical for any thread count.
     pool->ParallelFor(expansions.size(), eval_expansion);
     result.nodes_evaluated += static_cast<int64_t>(expansions.size());
-    for (int64_t r : level_rescored) classes_rescored += r;
+    for (const Node& node : level_nodes) classes_rescored += node.classes_rescored;
 
     std::sort(level_nodes.begin(), level_nodes.end(),
               [](const Node& a, const Node& b) {
@@ -338,7 +264,7 @@ OfdCleanResult OfdClean::Run() {
     // Scores are exact, so the level's minimum-cost node is feasible iff any
     // node is; only feasible levels yield Pareto points or drive the exits.
     const Node& top = level_nodes.front();
-    if (top.tau_feasible) {
+    if (top.data_changes <= budget) {
       result.pareto.push_back(ParetoPoint{k, top.data_changes, additions(top.picks)});
       // Track the globally best (k + data changes) feasible repair.
       if (k + top.data_changes < best_cost) {

@@ -12,13 +12,13 @@
 // search explores size-k combinations of these insertions (top-b nodes per
 // level, default b = ⌊|Cand(S)|/e⌋ by the secretary rule), and every
 // candidate ontology repair is scored by the number of data repairs still
-// required. Nodes are scored side-effect-free and incrementally (see
-// clean/beam_scorer.h: each class's consequent histogram is summarized once
-// against the shared index, and a node re-costs only the classes whose
-// slots its insertions flip to covered), and in parallel (each level's
-// expansions on the work-stealing pool, per-worker scoring scratch,
-// byte-identical output for any thread count or scoring mode). Only the
-// chosen repair is materialized with a full data repair, and its
+// required. Cand(S) and node scoring belong to clean/beam_scorer.h: nodes
+// are scored side-effect-free and incrementally (each class's consequent
+// histogram is summarized once against the shared index, and a node
+// re-costs only the classes whose slots its insertions flip to covered),
+// and in parallel (each level's expansions on the work-stealing pool,
+// per-worker scoring scratch, byte-identical output for any thread count).
+// Only the chosen repair is materialized with a full data repair, and its
 // consistency is verified against the caller's Σ.
 //
 // Data repair (§7.2): under λ_x, a class's conflict graph (an edge between
@@ -76,11 +76,6 @@ struct OfdCleanConfig {
   /// values, which legitimately missing ontology values — occurring across
   /// many classes — easily pass.
   int min_candidate_classes = 1;
-  /// When true (default), beam nodes are re-scored only over the classes
-  /// their insertions can affect, against memoized level-0 per-class costs;
-  /// false re-costs every class per node (the reference path, kept for
-  /// benchmarking and cross-validation). Output is byte-identical.
-  bool incremental_scoring = true;
   /// Worker threads for sense assignment and beam-node scoring (1 =
   /// serial). The repair output is identical for any thread count.
   int num_threads = 1;
@@ -186,6 +181,8 @@ struct ParetoPoint {
   int64_t data_changes = 0;
   /// The ontology repair of this point (`ontology_changes` insertions).
   std::vector<OntologyAddition> ontology_additions;
+
+  friend bool operator==(const ParetoPoint&, const ParetoPoint&) = default;
 };
 
 /// Full OFDClean output.

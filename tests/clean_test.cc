@@ -3,6 +3,7 @@
 // driver on the paper's running example, and the HoloCleanLite baseline.
 
 #include <algorithm>
+#include <cmath>
 #include <cstdint>
 #include <limits>
 #include <map>
@@ -18,6 +19,7 @@
 #include "clean/holoclean_lite.h"
 #include "clean/repair.h"
 #include "clean/sense_assignment.h"
+#include "common/csv.h"
 #include "common/metrics.h"
 #include "common/rng.h"
 #include "datagen/datagen.h"
@@ -599,10 +601,10 @@ TEST(OfdCleanTest, CandidatesRankedByOccurrenceAcrossClasses) {
   EXPECT_EQ(cleaner2.Run().num_candidates, 1);
 }
 
-TEST(OfdCleanTest, BeamResultsIdenticalAcrossScoringModesAndThreads) {
-  // The incremental + parallel beam search must be byte-identical to the
-  // full-rescore serial reference: same candidates, node counts, frontier,
-  // chosen insertions, and repaired cells, for any thread count.
+TEST(OfdCleanTest, BeamResultsIdenticalAcrossThreads) {
+  // The parallel beam search must be byte-identical to the serial run: same
+  // candidates, node counts, frontier, chosen insertions, and repaired
+  // cells, for any thread count.
   DataGenConfig dg;
   dg.num_rows = 400;
   dg.num_senses = 4;
@@ -611,41 +613,28 @@ TEST(OfdCleanTest, BeamResultsIdenticalAcrossScoringModesAndThreads) {
   dg.seed = 23;
   GeneratedData data = GenerateData(dg);
 
-  auto run = [&](bool incremental, int threads) {
+  auto run = [&](int threads) {
     OfdCleanConfig cfg;
-    cfg.incremental_scoring = incremental;
     cfg.num_threads = threads;
     cfg.max_repair_size = 16;
     OfdClean cleaner(data.rel, data.ontology, data.sigma, cfg);
     return cleaner.Run();
   };
-  OfdCleanResult reference = run(/*incremental=*/false, /*threads=*/1);
+  OfdCleanResult reference = run(/*threads=*/1);
   EXPECT_GT(reference.num_candidates, 0);
   EXPECT_FALSE(reference.pareto.empty());
 
-  const std::vector<std::pair<bool, int>> variants = {
-      {true, 1}, {true, 2}, {true, 8}, {false, 8}};
-  for (const auto& [incremental, threads] : variants) {
-    SCOPED_TRACE("incremental=" + std::to_string(incremental) +
-                 " threads=" + std::to_string(threads));
-    OfdCleanResult got = run(incremental, threads);
+  for (int threads : {2, 8}) {
+    SCOPED_TRACE("threads=" + std::to_string(threads));
+    OfdCleanResult got = run(threads);
     EXPECT_EQ(got.num_candidates, reference.num_candidates);
     EXPECT_EQ(got.nodes_evaluated, reference.nodes_evaluated);
-    ASSERT_EQ(got.pareto.size(), reference.pareto.size());
-    for (size_t i = 0; i < reference.pareto.size(); ++i) {
-      EXPECT_EQ(got.pareto[i].ontology_changes, reference.pareto[i].ontology_changes);
-      EXPECT_EQ(got.pareto[i].data_changes, reference.pareto[i].data_changes);
-    }
+    EXPECT_TRUE(got.pareto == reference.pareto);
     EXPECT_EQ(got.best.data_changes, reference.best.data_changes);
     EXPECT_EQ(got.best.consistent, reference.best.consistent);
     EXPECT_TRUE(got.best.ontology_additions == reference.best.ontology_additions);
-    ASSERT_EQ(got.best.repaired.num_rows(), reference.best.repaired.num_rows());
-    for (RowId r = 0; r < reference.best.repaired.num_rows(); ++r) {
-      for (int a = 0; a < reference.best.repaired.num_attrs(); ++a) {
-        EXPECT_EQ(got.best.repaired.StringAt(r, a),
-                  reference.best.repaired.StringAt(r, a));
-      }
-    }
+    EXPECT_EQ(WriteCsv(got.best.repaired.ToCsv()),
+              WriteCsv(reference.best.repaired.ToCsv()));
   }
 }
 
@@ -744,54 +733,16 @@ TEST(ClassHistogramTest, EmptyPartitionAndAllRowsClass) {
 // ---------------------------------------------------------------------------
 // Beam-node scoring (BeamScorer).
 
-// Cand(S) as OfdClean::Run collects it, untruncated: every (assigned sense,
-// value) pair the index lacks, in first-occurrence order, with one flip per
-// class holding the value.
-struct CandidateSet {
-  std::vector<OntologyAddition> candidates;
-  std::vector<std::vector<BeamScorer::Flip>> flips;
-};
+// Cand(S) with no class filter and no cut.
+constexpr int kAllCandidates = std::numeric_limits<int>::max();
 
-CandidateSet CollectCandidates(const BeamScorer& scorer, const SynonymIndex& index,
-                               const SenseAssignmentResult& assignment) {
-  CandidateSet set;
-  uint32_t item = 0;
-  for (size_t i = 0; i < assignment.senses.size(); ++i) {
-    const ClassHistogram& hist = scorer.histogram(i);
-    for (size_t c = 0; c < hist.num_classes(); ++c, ++item) {
-      SenseId sense = assignment.senses[i][c];
-      if (sense == kInvalidSense) continue;
-      for (uint32_t slot = hist.offsets[c]; slot < hist.offsets[c + 1]; ++slot) {
-        OntologyAddition add{sense, hist.slots[slot].value};
-        if (index.SenseContains(add.sense, add.value)) continue;
-        auto it = std::find(set.candidates.begin(), set.candidates.end(), add);
-        if (it == set.candidates.end()) {
-          set.candidates.push_back(add);
-          set.flips.emplace_back();
-          it = set.candidates.end() - 1;
-        }
-        set.flips[static_cast<size_t>(it - set.candidates.begin())].push_back(
-            BeamScorer::Flip{item, slot});
-      }
-    }
-  }
-  return set;
-}
-
-// Repairs a from-scratch RepairData makes with the picks inserted into a
-// copy of the index.
-int64_t MaterializedRepairs(const Relation& rel, const SynonymIndex& index,
-                            const SigmaSet& sigma,
-                            const SenseAssignmentResult& assignment,
-                            const CandidateSet& set, const std::vector<int>& picks) {
-  SynonymIndex materialized = index;
-  for (int p : picks) {
-    const OntologyAddition& add = set.candidates[static_cast<size_t>(p)];
-    materialized.AddValue(add.sense, add.value);
-  }
-  return RepairData(rel, materialized, sigma, assignment,
-                    std::numeric_limits<int64_t>::max())
-      .data_changes;
+// Checks a node's score three ways through AuditNodeScore — incremental,
+// full, and a from-scratch RepairData on a materialized index, which runs
+// here since every instance is small with distinct consequents.
+void ExpectNodeCost(const BeamScorer& scorer, std::vector<int> picks, int64_t expected) {
+  std::sort(picks.begin(), picks.end());
+  Status audit = scorer.AuditNodeScore(picks, expected);
+  EXPECT_TRUE(audit.ok()) << audit.message();
 }
 
 TEST(BeamScorerTest, IncrementalFullAndRepairDataAgreeOnRandomNodes) {
@@ -818,35 +769,30 @@ TEST(BeamScorerTest, IncrementalFullAndRepairDataAgreeOnRandomNodes) {
     SenseSelector selector(data.rel, index, data.sigma);
     SenseAssignmentResult assignment = selector.Run();
     BeamScorer scorer(data.rel, index, data.sigma, assignment);
-    CandidateSet set = CollectCandidates(scorer, index, assignment);
-    ASSERT_GE(set.candidates.size(), 4u);
-    scorer.SetCandidates(set.candidates, set.flips);
-    EXPECT_EQ(scorer.ScoreFull({}).data_changes, scorer.base_cost());
-    EXPECT_EQ(scorer.ScoreIncremental({}).data_changes, scorer.base_cost());
-    EXPECT_EQ(MaterializedRepairs(data.rel, index, data.sigma, assignment, set, {}),
-              scorer.base_cost());
+    scorer.CollectCandidates(1, kAllCandidates);
+    ASSERT_GE(scorer.candidates().size(), 4u);
+    ExpectNodeCost(scorer, {}, scorer.base_cost());
+    EXPECT_FALSE(scorer.AuditNodeScore({}, scorer.base_cost() + 1).ok());
 
     Rng rng(seed);
     BeamScorer::ScoreScratch scratch;  // Reused across nodes, as per worker.
-    const int n = static_cast<int>(set.candidates.size());
+    const int n = static_cast<int>(scorer.candidates().size());
     for (int trial = 0; trial < 30; ++trial) {
       std::vector<int> picks;  // Ascending, as the beam builds them.
       for (int p = 0; p < n; ++p) {
         if (rng.NextBernoulli(std::min(1.0, 4.0 / n))) picks.push_back(p);
       }
       BeamScorer::NodeScore incremental = scorer.ScoreIncremental(picks, &scratch);
-      BeamScorer::NodeScore full = scorer.ScoreFull(picks);
-      EXPECT_EQ(incremental.data_changes, full.data_changes);
-      EXPECT_EQ(incremental.data_changes,
-                MaterializedRepairs(data.rel, index, data.sigma, assignment, set, picks));
+      ExpectNodeCost(scorer, picks, incremental.data_changes);
       std::set<uint32_t> flipped;
       for (int p : picks) {
-        for (const BeamScorer::Flip& f : set.flips[static_cast<size_t>(p)]) {
+        for (const BeamScorer::Flip& f : scorer.flips(static_cast<size_t>(p))) {
           flipped.insert(f.item);
         }
       }
       EXPECT_EQ(incremental.classes_rescored, static_cast<int64_t>(flipped.size()));
-      EXPECT_EQ(full.classes_rescored, static_cast<int64_t>(scorer.num_classes()));
+      EXPECT_EQ(scorer.ScoreFull(picks).classes_rescored,
+                static_cast<int64_t>(scorer.num_classes()));
     }
   }
 }
@@ -891,25 +837,15 @@ struct HandBuilt {
     return assignment;
   }
 
-  int Pick(const CandidateSet& set, SenseId sense, const std::string& value) const {
+  // The index of candidate (sense, value) among the scorer's candidates.
+  int Pick(const BeamScorer& scorer, SenseId sense, const std::string& value) const {
+    const std::vector<OntologyAddition>& candidates = scorer.candidates();
     OntologyAddition add{sense, rel.dict().Lookup(value)};
-    auto it = std::find(set.candidates.begin(), set.candidates.end(), add);
-    EXPECT_NE(it, set.candidates.end()) << value;
-    return static_cast<int>(it - set.candidates.begin());
+    auto it = std::find(candidates.begin(), candidates.end(), add);
+    EXPECT_NE(it, candidates.end()) << value;
+    return static_cast<int>(it - candidates.begin());
   }
 };
-
-// Scores `picks` three ways — incremental, full, and a from-scratch
-// RepairData on a materialized index — and checks all equal `expected`.
-void ExpectNodeCost(const HandBuilt& h, const SynonymIndex& index,
-                    const SenseAssignmentResult& assignment, const BeamScorer& scorer,
-                    const CandidateSet& set, std::vector<int> picks, int64_t expected) {
-  std::sort(picks.begin(), picks.end());
-  EXPECT_EQ(scorer.ScoreIncremental(picks).data_changes, expected);
-  EXPECT_EQ(scorer.ScoreFull(picks).data_changes, expected);
-  EXPECT_EQ(MaterializedRepairs(h.rel, index, h.sigma, assignment, set, picks),
-            expected);
-}
 
 TEST(BeamScorerTest, SingleValueClassNeverCosts) {
   HandBuilt h;
@@ -917,11 +853,10 @@ TEST(BeamScorerTest, SingleValueClassNeverCosts) {
   SynonymIndex index(h.ont, h.rel.dict());
   SenseAssignmentResult assignment = h.Assign({h.s});
   BeamScorer scorer(h.rel, index, h.sigma, assignment);
-  CandidateSet set = CollectCandidates(scorer, index, assignment);
-  scorer.SetCandidates(set.candidates, set.flips);
+  scorer.CollectCandidates(1, kAllCandidates);
   EXPECT_EQ(scorer.base_cost(), 0);
-  ExpectNodeCost(h, index, assignment, scorer, set, {}, 0);
-  ExpectNodeCost(h, index, assignment, scorer, set, {h.Pick(set, h.s, "u")}, 0);
+  ExpectNodeCost(scorer, {}, 0);
+  ExpectNodeCost(scorer, {h.Pick(scorer, h.s, "u")}, 0);
 }
 
 TEST(BeamScorerTest, InvalidSenseClassKeepsItsMajority) {
@@ -931,13 +866,12 @@ TEST(BeamScorerTest, InvalidSenseClassKeepsItsMajority) {
   SynonymIndex index(h.ont, h.rel.dict());
   SenseAssignmentResult assignment = h.Assign({kInvalidSense, h.s});
   BeamScorer scorer(h.rel, index, h.sigma, assignment);
-  CandidateSet set = CollectCandidates(scorer, index, assignment);
-  scorer.SetCandidates(set.candidates, set.flips);
+  scorer.CollectCandidates(1, kAllCandidates);
   // Only x2 yields candidates; the invalid-sense class never flips.
-  ASSERT_EQ(set.candidates.size(), 1u);
-  EXPECT_EQ(set.flips[0].size(), 1u);
-  ExpectNodeCost(h, index, assignment, scorer, set, {}, 2);
-  ExpectNodeCost(h, index, assignment, scorer, set, {h.Pick(set, h.s, "u")}, 1);
+  ASSERT_EQ(scorer.candidates().size(), 1u);
+  EXPECT_EQ(scorer.flips(0).size(), 1u);
+  ExpectNodeCost(scorer, {}, 2);
+  ExpectNodeCost(scorer, {h.Pick(scorer, h.s, "u")}, 1);
   RepairResult repaired = RepairData(h.rel, index, h.sigma, assignment, 100);
   EXPECT_EQ(repaired.repaired.StringAt(h.rel.num_rows() - 3, 1), "a");
 }
@@ -951,11 +885,10 @@ TEST(BeamScorerTest, CountTiesBreakToMinimumValueId) {
   SynonymIndex index(h.ont, h.rel.dict());
   SenseAssignmentResult assignment = h.Assign({h.s, kInvalidSense});
   BeamScorer scorer(h.rel, index, h.sigma, assignment);
-  CandidateSet set = CollectCandidates(scorer, index, assignment);
-  scorer.SetCandidates(set.candidates, set.flips);
+  scorer.CollectCandidates(1, kAllCandidates);
   // x1 rewrites "u" to a covered value; x2 rewrites all but its majority.
-  ExpectNodeCost(h, index, assignment, scorer, set, {}, 1 + 3);
-  ExpectNodeCost(h, index, assignment, scorer, set, {h.Pick(set, h.s, "u")}, 3);
+  ExpectNodeCost(scorer, {}, 1 + 3);
+  ExpectNodeCost(scorer, {h.Pick(scorer, h.s, "u")}, 3);
 
   RepairResult repaired = RepairData(h.rel, index, h.sigma, assignment, 100);
   const RowId x1 = h.rel.num_rows() - 10;
@@ -973,13 +906,12 @@ TEST(BeamScorerTest, PickCoveringLastUncoveredSlotCostsNothing) {
   SynonymIndex index(h.ont, h.rel.dict());
   SenseAssignmentResult assignment = h.Assign({h.s, h.s});
   BeamScorer scorer(h.rel, index, h.sigma, assignment);
-  CandidateSet set = CollectCandidates(scorer, index, assignment);
-  scorer.SetCandidates(set.candidates, set.flips);
-  const int u = h.Pick(set, h.s, "u");
-  EXPECT_EQ(set.flips[static_cast<size_t>(u)].size(), 2u);  // Flips both classes.
-  ExpectNodeCost(h, index, assignment, scorer, set, {}, 2 + 1);
-  ExpectNodeCost(h, index, assignment, scorer, set, {u}, 0 + 1);
-  ExpectNodeCost(h, index, assignment, scorer, set, {u, h.Pick(set, h.s, "v")}, 0);
+  scorer.CollectCandidates(1, kAllCandidates);
+  const int u = h.Pick(scorer, h.s, "u");
+  EXPECT_EQ(scorer.flips(static_cast<size_t>(u)).size(), 2u);  // Flips both classes.
+  ExpectNodeCost(scorer, {}, 2 + 1);
+  ExpectNodeCost(scorer, {u}, 0 + 1);
+  ExpectNodeCost(scorer, {u, h.Pick(scorer, h.s, "v")}, 0);
   EXPECT_EQ(scorer.ScoreIncremental({u}).classes_rescored, 2);
 }
 
@@ -990,18 +922,17 @@ TEST(BeamScorerTest, TwoPicksInOneClass) {
   SynonymIndex index(h.ont, h.rel.dict());
   SenseAssignmentResult assignment = h.Assign({h.s, h.t});
   BeamScorer scorer(h.rel, index, h.sigma, assignment);
-  CandidateSet set = CollectCandidates(scorer, index, assignment);
-  scorer.SetCandidates(set.candidates, set.flips);
-  const int su = h.Pick(set, h.s, "u");
-  const int sv = h.Pick(set, h.s, "v");
-  const int tu = h.Pick(set, h.t, "u");
-  const int tv = h.Pick(set, h.t, "v");
-  ExpectNodeCost(h, index, assignment, scorer, set, {}, 2 + 1);
-  ExpectNodeCost(h, index, assignment, scorer, set, {su}, 1 + 1);
-  ExpectNodeCost(h, index, assignment, scorer, set, {sv}, 2 + 1);  // Tie: covered.
-  ExpectNodeCost(h, index, assignment, scorer, set, {su, sv}, 0 + 1);
-  ExpectNodeCost(h, index, assignment, scorer, set, {tv}, 2 + 1);
-  ExpectNodeCost(h, index, assignment, scorer, set, {su, sv, tu, tv}, 0);
+  scorer.CollectCandidates(1, kAllCandidates);
+  const int su = h.Pick(scorer, h.s, "u");
+  const int sv = h.Pick(scorer, h.s, "v");
+  const int tu = h.Pick(scorer, h.t, "u");
+  const int tv = h.Pick(scorer, h.t, "v");
+  ExpectNodeCost(scorer, {}, 2 + 1);
+  ExpectNodeCost(scorer, {su}, 1 + 1);
+  ExpectNodeCost(scorer, {sv}, 2 + 1);  // Tie: covered.
+  ExpectNodeCost(scorer, {su, sv}, 0 + 1);
+  ExpectNodeCost(scorer, {tv}, 2 + 1);
+  ExpectNodeCost(scorer, {su, sv, tu, tv}, 0);
   std::vector<int> same_class = {su, sv};
   std::sort(same_class.begin(), same_class.end());
   EXPECT_EQ(scorer.ScoreIncremental(same_class).classes_rescored, 1);
@@ -1016,14 +947,13 @@ TEST(BeamScorerTest, CoveringTheLargestUncoveredGroupStaysExact) {
   SynonymIndex index(h.ont, h.rel.dict());
   SenseAssignmentResult assignment = h.Assign({h.s});
   BeamScorer scorer(h.rel, index, h.sigma, assignment);
-  CandidateSet set = CollectCandidates(scorer, index, assignment);
-  scorer.SetCandidates(set.candidates, set.flips);
-  const int u = h.Pick(set, h.s, "u");
-  const int v = h.Pick(set, h.s, "v");
-  ExpectNodeCost(h, index, assignment, scorer, set, {}, 3);
-  ExpectNodeCost(h, index, assignment, scorer, set, {u}, 2);
-  ExpectNodeCost(h, index, assignment, scorer, set, {v}, 3);  // Tie: covered.
-  ExpectNodeCost(h, index, assignment, scorer, set, {u, v}, 0);
+  scorer.CollectCandidates(1, kAllCandidates);
+  const int u = h.Pick(scorer, h.s, "u");
+  const int v = h.Pick(scorer, h.s, "v");
+  ExpectNodeCost(scorer, {}, 3);
+  ExpectNodeCost(scorer, {u}, 2);
+  ExpectNodeCost(scorer, {v}, 3);  // Tie: covered.
+  ExpectNodeCost(scorer, {u, v}, 0);
   RepairResult repaired = RepairData(h.rel, index, h.sigma, assignment, 100);
   for (RowId r = h.rel.num_rows() - 6; r < h.rel.num_rows(); ++r) {
     EXPECT_EQ(repaired.repaired.StringAt(r, 1), "u");
@@ -1040,14 +970,183 @@ TEST(BeamScorerTest, AssignedSenseWithoutValuesKeepsLargestGroup) {
   SynonymIndex index(h.ont, h.rel.dict());
   SenseAssignmentResult assignment = h.Assign({empty});
   BeamScorer scorer(h.rel, index, h.sigma, assignment);
-  CandidateSet set = CollectCandidates(scorer, index, assignment);
-  scorer.SetCandidates(set.candidates, set.flips);
-  const int u = h.Pick(set, empty, "u");
-  const int v = h.Pick(set, empty, "v");
-  ExpectNodeCost(h, index, assignment, scorer, set, {}, 1);
-  ExpectNodeCost(h, index, assignment, scorer, set, {u}, 1);
-  ExpectNodeCost(h, index, assignment, scorer, set, {v}, 1);
-  ExpectNodeCost(h, index, assignment, scorer, set, {u, v}, 0);
+  scorer.CollectCandidates(1, kAllCandidates);
+  const int u = h.Pick(scorer, empty, "u");
+  const int v = h.Pick(scorer, empty, "v");
+  ExpectNodeCost(scorer, {}, 1);
+  ExpectNodeCost(scorer, {u}, 1);
+  ExpectNodeCost(scorer, {v}, 1);
+  ExpectNodeCost(scorer, {u, v}, 0);
+}
+
+TEST(BeamScorerTest, CandidatesFilteredByClassSupportAndCutByCount) {
+  // Under S: a occurs in x1 and x2 (2 rows), b in x1 (2), c in x1 and x2
+  // (3), d in x3 (2).
+  HandBuilt h;
+  h.AddClass("x1", {"g1", "a", "b", "b", "c"});
+  h.AddClass("x2", {"g1", "a", "c", "c"});
+  h.AddClass("x3", {"g1", "d", "d"});
+  SynonymIndex index(h.ont, h.rel.dict());
+  SenseAssignmentResult assignment = h.Assign({h.s, h.s, h.s});
+  BeamScorer scorer(h.rel, index, h.sigma, assignment);
+  auto values = [&] {
+    std::vector<std::string> out;
+    for (const OntologyAddition& add : scorer.candidates()) {
+      EXPECT_EQ(add.sense, h.s);
+      out.push_back(h.rel.dict().String(add.value));
+    }
+    return out;
+  };
+  using Values = std::vector<std::string>;
+  // Uncut: first-occurrence order.
+  EXPECT_EQ(scorer.CollectCandidates(1, 24), 4);
+  EXPECT_EQ(values(), (Values{"a", "b", "c", "d"}));
+  // Single-class values are dropped before counting.
+  EXPECT_EQ(scorer.CollectCandidates(2, 24), 2);
+  EXPECT_EQ(values(), (Values{"a", "c"}));
+  EXPECT_EQ(scorer.flips(1), (std::vector<BeamScorer::Flip>{{0, 3}, {1, 6}}));
+  // The cut ranks by count; the 2-row ties keep first-occurrence order.
+  EXPECT_EQ(scorer.CollectCandidates(1, 3), 4);
+  EXPECT_EQ(values(), (Values{"c", "a", "b"}));
+  EXPECT_EQ(scorer.CollectCandidates(2, 1), 2);
+  EXPECT_EQ(values(), (Values{"c"}));
+  // The flips moved with their candidate: c covers x1 to a tie (kept
+  // covered) and x2 down to its one a.
+  ExpectNodeCost(scorer, {}, 3 + 2 + 1);
+  ExpectNodeCost(scorer, {0}, 3 + 1 + 1);
+}
+
+// ---------------------------------------------------------------------------
+// Repair oracles: the exact per-class cover against brute force, and a single
+// OFD's repair against its approximate support.
+
+constexpr int64_t kUnbounded = std::numeric_limits<int64_t>::max();
+
+// The fewest changed cells over every rewrite of the consequent cells within
+// their active domain after which each class holds: it has one distinct
+// value, or its sense covers them all. Consequents are distinct.
+int64_t BruteForceMinRepair(const Relation& rel, const SynonymIndex& index,
+                            const SigmaSet& sigma,
+                            const SenseAssignmentResult& assignment) {
+  std::vector<std::pair<RowId, AttrId>> cells;
+  std::set<ValueId> active;
+  for (const Ofd& ofd : sigma) {
+    for (RowId r = 0; r < rel.num_rows(); ++r) {
+      cells.emplace_back(r, ofd.rhs);
+      active.insert(rel.At(r, ofd.rhs));
+    }
+  }
+  const std::vector<ValueId> domain(active.begin(), active.end());
+  auto holds = [&](const Relation& out) {
+    for (size_t i = 0; i < sigma.size(); ++i) {
+      const StrippedPartition& p = assignment.partitions[i];
+      for (size_t c = 0; c < static_cast<size_t>(p.num_classes()); ++c) {
+        const SenseId sense = assignment.senses[i][c];
+        std::set<ValueId> values;
+        for (RowId r : p.Class(c)) values.insert(out.At(r, sigma[i].rhs));
+        auto uncovered = [&](ValueId v) {
+          return sense == kInvalidSense || !index.SenseContains(sense, v);
+        };
+        if (values.size() > 1 && std::any_of(values.begin(), values.end(), uncovered)) {
+          return false;
+        }
+      }
+    }
+    return true;
+  };
+  Relation out = rel;
+  int64_t best = std::numeric_limits<int64_t>::max();
+  const auto rewrites = static_cast<uint64_t>(std::pow(domain.size(), cells.size()));
+  for (uint64_t code = 0; code < rewrites; ++code) {
+    int64_t changed = 0;
+    uint64_t rest = code;
+    for (const auto& [r, a] : cells) {
+      out.SetId(r, a, domain[rest % domain.size()]);
+      changed += out.At(r, a) != rel.At(r, a);
+      rest /= domain.size();
+    }
+    if (changed < best && holds(out)) best = changed;
+  }
+  return best;
+}
+
+TEST(RepairOracleTest, ExactCoverMatchesBruteForceOptimum) {
+  // S = {v0, v1} and T = {v1, v2} overlap; v3 is in no sense. X -> A alone
+  // over up to 8 rows, or with Y -> B over up to 4, so at most 8 consequent
+  // cells over at most 4 values: at most 4^8 rewrites.
+  Ontology ont;
+  const SenseId s = ont.AddSense("S"), t = ont.AddSense("T");
+  for (const char* v : {"v0", "v1"}) ont.AddValue(s, v);
+  for (const char* v : {"v1", "v2"}) ont.AddValue(t, v);
+  const std::vector<std::string> pool = {"v0", "v1", "v2", "v3"};
+  const std::vector<SenseId> senses = {s, t, kInvalidSense};
+  int nonzero = 0;
+  for (uint64_t seed = 1; seed <= 30; ++seed) {
+    SCOPED_TRACE("seed=" + std::to_string(seed));
+    Rng rng(seed);
+    const bool two_ofds = seed % 2 == 0;
+    SigmaSet sigma = {{AttrSet::Single(0), 2, OfdKind::kSynonym}};
+    if (two_ofds) sigma.push_back({AttrSet::Single(1), 3, OfdKind::kSynonym});
+    Relation rel(Schema({"X", "Y", "A", "B"}));
+    const uint64_t rows = two_ofds ? 3 + rng.NextUint(2) : 4 + rng.NextUint(5);
+    for (uint64_t r = 0; r < rows; ++r) {
+      rel.AppendRow({"x" + std::to_string(rng.NextUint(2)),
+                     "y" + std::to_string(rng.NextUint(2)), pool[rng.NextUint(4)],
+                     pool[rng.NextUint(4)]});
+    }
+    SynonymIndex index(ont, rel.dict());
+    SenseAssignmentResult assignment;
+    for (const Ofd& ofd : sigma) {
+      assignment.partitions.push_back(StrippedPartition::Build(rel, ofd.lhs.First()));
+      assignment.senses.emplace_back();
+      for (int64_t c = 0; c < assignment.partitions.back().num_classes(); ++c) {
+        assignment.senses.back().push_back(senses[rng.NextUint(senses.size())]);
+      }
+    }
+    const int64_t optimum = BruteForceMinRepair(rel, index, sigma, assignment);
+    nonzero += optimum > 0;
+    EXPECT_EQ(RepairData(rel, index, sigma, assignment, kUnbounded).data_changes,
+              optimum);
+    EXPECT_EQ(BeamScorer(rel, index, sigma, assignment).base_cost(), optimum);
+  }
+  EXPECT_GE(nonzero, 15);  // The instances are mostly dirty.
+}
+
+TEST(RepairOracleTest, SingleOfdRepairMatchesSupport) {
+  // For one OFD, giving each class its best-covering sense is optimal, and
+  // the repair then keeps exactly the rows approximate support counts.
+  int64_t dirty = 0;
+  for (uint64_t seed : {5u, 13u, 31u}) {
+    DataGenConfig dg;
+    dg.num_rows = 400;
+    dg.num_senses = 4;
+    dg.error_rate = 0.08;
+    dg.incompleteness_rate = 0.5;  // Some classes' largest group is unknown.
+    dg.seed = seed;
+    GeneratedData data = GenerateData(dg);
+    SynonymIndex index(data.ontology, data.rel.dict());
+    OfdVerifier verifier(data.rel, index);
+    const int64_t n = data.rel.num_rows();
+    for (const Ofd& ofd : data.sigma) {
+      SCOPED_TRACE("seed=" + std::to_string(seed) + " rhs=" + std::to_string(ofd.rhs));
+      const SigmaSet single = {ofd};
+      SenseAssignmentResult best;
+      best.partitions.push_back(StrippedPartition::BuildForSet(data.rel, ofd.lhs));
+      best.senses.emplace_back();
+      for (RowSpan cls : best.partitions[0].classes()) {
+        best.senses[0].push_back(verifier.Tally(cls, ofd.rhs).best_sense);
+      }
+      const double support = verifier.Support(ofd, best.partitions[0]);
+      const int64_t optimum = n - std::llround(support * static_cast<double>(n));
+      dirty += optimum;
+      EXPECT_EQ(RepairData(data.rel, index, single, best, kUnbounded).data_changes,
+                optimum);
+      SenseAssignmentResult selected = SenseSelector(data.rel, index, single).Run();
+      EXPECT_GE(RepairData(data.rel, index, single, selected, kUnbounded).data_changes,
+                optimum);
+    }
+  }
+  EXPECT_GT(dirty, 0);
 }
 
 // ---------------------------------------------------------------------------

@@ -15,6 +15,7 @@
 
 #include "clean/repair.h"
 #include "clean/sense_assignment.h"
+#include "common/csv.h"
 #include "common/rng.h"
 #include "datagen/datagen.h"
 #include "discovery/fastofd.h"
@@ -224,11 +225,10 @@ TEST_P(PropertyTest, OfdCleanProducesConsistentParetoOrderedRepairs) {
   }
 }
 
-TEST_P(PropertyTest, OfdCleanDeterministicAcrossThreadsAndScoringModes) {
-  // The slot-flip incremental parallel beam search is an optimization,
-  // not a semantics change: on arbitrary dirty instances it must reproduce
-  // the serial full-rescore reference byte for byte, and feasible repairs
-  // must satisfy Σ under the repaired ontology.
+TEST_P(PropertyTest, OfdCleanDeterministicAcrossThreads) {
+  // The parallel beam search is an optimization, not a semantics change: on
+  // arbitrary dirty instances it must reproduce the serial run byte for
+  // byte, and feasible repairs must satisfy Σ under the repaired ontology.
   DataGenConfig cfg;
   cfg.num_rows = 250;
   cfg.num_senses = 4;
@@ -236,14 +236,13 @@ TEST_P(PropertyTest, OfdCleanDeterministicAcrossThreadsAndScoringModes) {
   cfg.incompleteness_rate = 0.1;
   cfg.seed = 3900 + static_cast<uint64_t>(GetParam());
   GeneratedData data = GenerateData(cfg);
-  auto run = [&](bool incremental, int threads) {
+  auto run = [&](int threads) {
     OfdCleanConfig ccfg;
-    ccfg.incremental_scoring = incremental;
     ccfg.num_threads = threads;
     OfdClean cleaner(data.rel, data.ontology, data.sigma, ccfg);
     return cleaner.Run();
   };
-  OfdCleanResult reference = run(/*incremental=*/false, /*threads=*/1);
+  OfdCleanResult reference = run(/*threads=*/1);
   if (reference.best.tau_feasible) {
     EXPECT_TRUE(reference.best.consistent);
     SynonymIndex repaired_index(data.ontology, data.rel.dict());
@@ -255,24 +254,16 @@ TEST_P(PropertyTest, OfdCleanDeterministicAcrossThreadsAndScoringModes) {
       EXPECT_TRUE(verifier.Holds(ofd));
     }
   }
-  for (int threads : {1, 2, 8}) {
+  for (int threads : {2, 8}) {
     SCOPED_TRACE("threads=" + std::to_string(threads));
-    OfdCleanResult got = run(/*incremental=*/true, threads);
+    OfdCleanResult got = run(threads);
     EXPECT_EQ(got.num_candidates, reference.num_candidates);
     EXPECT_EQ(got.nodes_evaluated, reference.nodes_evaluated);
-    ASSERT_EQ(got.pareto.size(), reference.pareto.size());
-    for (size_t i = 0; i < reference.pareto.size(); ++i) {
-      EXPECT_EQ(got.pareto[i].ontology_changes, reference.pareto[i].ontology_changes);
-      EXPECT_EQ(got.pareto[i].data_changes, reference.pareto[i].data_changes);
-    }
+    EXPECT_TRUE(got.pareto == reference.pareto);
     EXPECT_EQ(got.best.data_changes, reference.best.data_changes);
     EXPECT_TRUE(got.best.ontology_additions == reference.best.ontology_additions);
-    for (RowId r = 0; r < data.rel.num_rows(); ++r) {
-      for (int a = 0; a < data.rel.num_attrs(); ++a) {
-        EXPECT_EQ(got.best.repaired.StringAt(r, a),
-                  reference.best.repaired.StringAt(r, a));
-      }
-    }
+    EXPECT_EQ(WriteCsv(got.best.repaired.ToCsv()),
+              WriteCsv(reference.best.repaired.ToCsv()));
   }
 }
 

@@ -10,7 +10,8 @@ output) against a committed baseline and fails when:
   * a `micro_partition` intersection op (product / refine) reports
     a flat-vs-legacy speedup below --speedup-min, or
   * a `clean_beam` row reports a full-vs-incremental node-scoring speedup
-    below --clean-speedup-min, or is not byte-identical across modes, or
+    (ScoreFull against ScoreIncremental over one fixed node list) below
+    --clean-speedup-min, or the two scorers disagree on a node, or
   * a `serve_closed_loop` row produced on capable hardware (hw >= 8)
     rejects more than --serve-reject-max percent of its requests, or its
     p99 exceeds --serve-p99-max-ms on a drivable row (clients <= 4*hw), or
@@ -314,10 +315,11 @@ def check_serve_closed_loop(table, reject_max_pct, p99_max_ms):
 
 
 def check_clean_table(table, clean_speedup_min):
-    """Hard gates for the OFDClean beam-search tables: every row must be
-    byte-identical to the serial full-rescore reference, and the `clean_beam`
-    full-vs-incremental speedup (a same-process ratio) must meet the
-    minimum. The `clean_threads` speedup floor is enforced separately by
+    """Hard gates for the OFDClean beam-search tables: every row must read
+    identical=yes (`clean_beam`: both scorers give every node the same
+    score; `clean_threads`: the run matches the serial run byte for byte),
+    and the `clean_beam` full-vs-incremental speedup (a same-process ratio)
+    must meet the minimum. The `clean_threads` speedup floor is enforced separately by
     check_scaling_floor (it needs capable hardware, hw >= threads)."""
     failures = []
     name = table["bench"]
@@ -327,7 +329,7 @@ def check_clean_table(table, clean_speedup_min):
     for row in table["rows"]:
         if row[identical_col] != "yes":
             failures.append(
-                f"{name}: row {row[0]} is not byte-identical to the serial "
+                f"{name}: row {row[0]} is not byte-identical to its "
                 f"reference (identical={row[identical_col]!r})")
         if name != "clean_beam":
             continue
@@ -598,8 +600,9 @@ def main():
                         help="hard minimum for micro_partition intersection "
                              "op speedups (default 2.0)")
     parser.add_argument("--clean-speedup-min", type=float, default=2.0,
-                        help="hard minimum for the clean_beam full-vs-"
-                             "incremental node-scoring speedup (default 2.0)")
+                        help="hard minimum for the clean_beam speedup of "
+                             "incremental over full node scoring on one "
+                             "scorer (default 2.0)")
     parser.add_argument("--ext-products-speedup-min", type=float, default=4.0,
                         help="hard minimum for the ext_parallel products-"
                              "phase speedup at 8+ threads when the run "
